@@ -9,7 +9,6 @@ stable contract: 0 success, 1 failed verification under --strict,
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .cluster import b_matrix, find_by_delta, run_sequence
 from .errors import CostCapExceeded, NonPolynomialCount
@@ -124,20 +123,12 @@ def cmd_polytope(args):
     return EXIT_OK
 
 
-def _verify_facets(recipe, fpoly, jobs):
+def _verify_facets(recipe, fpoly):
     if fpoly is None:
         fpoly = f_polynomial(recipe)
     hull = convex_hull(fpoly.support())
-    normals = [n for n, _ in hull.facets]
-
-    def one(delta):
-        return verify_facet_restriction(recipe, delta, fpoly=fpoly)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, normals))
-    else:
-        results = [one(d) for d in normals]
+    results = [verify_facet_restriction(recipe, delta, fpoly=fpoly)
+               for delta, _ in hull.facets]
     return {"check": "facets",
             "pass": all(r["pass"] for r in results),
             "witnesses": [r for r in results if not r["pass"]],
@@ -153,7 +144,7 @@ def cmd_verify(args):
     elif args.what == "saturation":
         result = verify_saturation(recipe)
     elif args.what == "facets":
-        result = _verify_facets(recipe, fpoly, args.jobs)
+        result = _verify_facets(recipe, fpoly)
     elif args.what == "cones":
         try:
             hull = newton_via_cones(recipe)
@@ -162,8 +153,6 @@ def cmd_verify(args):
         except AssertionError as exc:
             result = {"check": "cones", "pass": False,
                       "witnesses": [str(exc)]}
-    else:
-        raise SystemExit(f"unknown verification target {args.what!r}")
     report = {
         "command": "verify",
         "instance": {"dims": list(recipe.dims), "seed": recipe.seed},
@@ -188,8 +177,6 @@ def build_parser():
         p.add_argument("--quiver", help="quiver JSON file")
         p.add_argument("--dims", help="dimension vector, e.g. 2,3")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--primes", help="comma-separated primes (informational)")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", help="write the JSON report to this file")
 
     p = sub.add_parser("compute", help="F-polynomial by point counting")

@@ -1,28 +1,107 @@
-"""Finite-field kernel dispatch and subspace combinatorics.
+"""Mod-p linear algebra kernels and subspace combinatorics.
 
-The numeric primitives (rref, matmul, nullspace, ...) come from the
-compiled extension when available; set FPOLY_PURE_PYTHON=1 to force the
-pure-Python twin.  Everything downstream imports from here only.
+Matrices are tuples of row tuples with entries already reduced mod p.
+Everything downstream imports the numeric primitives (rref, matmul,
+nullspace, ...) from here.
 """
 
 import itertools
-import os
 
-if os.environ.get("FPOLY_PURE_PYTHON"):
-    from . import _modp_py as _impl
-else:
-    try:
-        from . import _modp_c as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _modp_py as _impl  # type: ignore[no-redef]
+# Name of the kernel implementation, recorded in benchmark run metadata.
+BACKEND = "python"
 
-BACKEND = _impl.BACKEND
-rref = _impl.rref
-rank = _impl.rank
-matmul = _impl.matmul
-residual = _impl.residual
-in_rowspace = _impl.in_rowspace
-nullspace = _impl.nullspace
+
+def rref(mat, ncols, p):
+    """Reduced row echelon form of the row space.
+
+    Returns (rows, pivots): a tuple of independent rref rows and the
+    ascending tuple of their pivot columns.  Zero rows are dropped.
+    """
+    rows = [list(r) for r in mat]
+    pivots = []
+    col = 0
+    r = 0
+    nrows = len(rows)
+    while r < nrows and col < ncols:
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        if inv != 1:
+            row_r = rows[r]
+            for j in range(col, ncols):
+                row_r[j] = row_r[j] * inv % p
+        row_r = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                row_i = rows[i]
+                for j in range(col, ncols):
+                    row_i[j] = (row_i[j] - f * row_r[j]) % p
+        pivots.append(col)
+        r += 1
+        col += 1
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def rank(mat, ncols, p):
+    return len(rref(mat, ncols, p)[0])
+
+
+def matmul(a, b, p):
+    """(r x m) times (m x c) mod p; b given as rows."""
+    if not a:
+        return ()
+    m = len(b)
+    c = len(b[0]) if b else 0
+    out = []
+    for arow in a:
+        acc = [0] * c
+        for k in range(m):
+            x = arow[k]
+            if x:
+                brow = b[k]
+                for j in range(c):
+                    acc[j] += x * brow[j]
+        out.append(tuple(v % p for v in acc))
+    return tuple(out)
+
+
+def residual(row, basis, pivots, p):
+    """Reduce a row against an rref basis; the residual is zero iff the
+    row lies in the basis' row space."""
+    v = list(row)
+    for brow, c in zip(basis, pivots):
+        f = v[c]
+        if f:
+            for j in range(c, len(v)):
+                v[j] = (v[j] - f * brow[j]) % p
+    return tuple(v)
+
+
+def in_rowspace(row, basis, pivots, p):
+    return not any(residual(row, basis, pivots, p))
+
+
+def nullspace(mat, ncols, p):
+    """RREF row basis of the right null space {x : mat @ x = 0}."""
+    basis, pivots = rref(mat, ncols, p)
+    pivset = set(pivots)
+    free = [j for j in range(ncols) if j not in pivset]
+    out = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for brow, c in zip(basis, pivots):
+            v[c] = (-brow[f]) % p
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def transpose(mat, ncols):

@@ -1,15 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from fpoly import _modp_py
 from fpoly import kernels
-
-try:
-    from fpoly import _modp_c
-except ImportError:
-    _modp_c = None
 
 PRIMES = (2, 3, 5, 101)
 
@@ -45,7 +37,7 @@ def test_rref_shape_and_pivots():
         for _ in range(25):
             m = random_matrix(rng, rng.randrange(5), rng.randrange(5), p)
             ncols = len(m[0]) if m else 0
-            basis, pivots = _modp_py.rref(m, ncols, p)
+            basis, pivots = kernels.rref(m, ncols, p)
             assert len(basis) == len(pivots)
             for i, (row, c) in enumerate(zip(basis, pivots)):
                 assert row[c] == 1
@@ -61,10 +53,10 @@ def test_rref_idempotent_and_rank():
         for _ in range(40):
             m = random_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6), p)
             ncols = len(m[0])
-            basis, pivots = _modp_py.rref(m, ncols, p)
-            again, pivots2 = _modp_py.rref(basis, ncols, p)
+            basis, pivots = kernels.rref(m, ncols, p)
+            again, pivots2 = kernels.rref(basis, ncols, p)
             assert again == basis and pivots2 == pivots
-            assert _modp_py.rank(m, ncols, p) == len(basis)
+            assert kernels.rank(m, ncols, p) == len(basis)
 
 
 def test_rank_matches_fraction_oracle_at_large_prime():
@@ -73,7 +65,7 @@ def test_rank_matches_fraction_oracle_at_large_prime():
     rng = random.Random(3)
     for _ in range(30):
         m = tuple(tuple(rng.randrange(10) for _ in range(4)) for _ in range(4))
-        assert _modp_py.rank(m, 4, 101) == rank_fraction_oracle(m)
+        assert kernels.rank(m, 4, 101) == rank_fraction_oracle(m)
 
 
 def test_matmul_oracle():
@@ -81,7 +73,7 @@ def test_matmul_oracle():
     for p in PRIMES:
         a = random_matrix(rng, 3, 4, p)
         b = random_matrix(rng, 4, 2, p)
-        c = _modp_py.matmul(a, b, p)
+        c = kernels.matmul(a, b, p)
         for i in range(3):
             for j in range(2):
                 assert c[i][j] == sum(a[i][k] * b[k][j] for k in range(4)) % p
@@ -92,8 +84,8 @@ def test_nullspace_annihilates():
     for p in (2, 3, 5):
         for _ in range(30):
             m = random_matrix(rng, 3, 5, p)
-            null = _modp_py.nullspace(m, 5, p)
-            assert len(null) == 5 - _modp_py.rank(m, 5, p)
+            null = kernels.nullspace(m, 5, p)
+            assert len(null) == 5 - kernels.rank(m, 5, p)
             for v in null:
                 for row in m:
                     assert sum(a * b for a, b in zip(row, v)) % p == 0
@@ -102,29 +94,14 @@ def test_nullspace_annihilates():
 def test_residual_and_membership():
     rng = random.Random(6)
     p = 5
-    basis, pivots = _modp_py.rref(random_matrix(rng, 3, 6, p), 6, p)
+    basis, pivots = kernels.rref(random_matrix(rng, 3, 6, p), 6, p)
     for row in basis:
-        assert _modp_py.in_rowspace(row, basis, pivots, p)
-        assert not any(_modp_py.residual(row, basis, pivots, p))
+        assert kernels.in_rowspace(row, basis, pivots, p)
+        assert not any(kernels.residual(row, basis, pivots, p))
     outside = tuple(rng.randrange(p) for _ in range(6))
-    res = _modp_py.residual(outside, basis, pivots, p)
+    res = kernels.residual(outside, basis, pivots, p)
     # residual is zero on pivot columns
     assert all(res[c] == 0 for c in pivots)
-
-
-@pytest.mark.skipif(_modp_c is None, reason="compiled backend not built")
-def test_backends_agree():
-    rng = random.Random(7)
-    for p in PRIMES:
-        for _ in range(30):
-            m = random_matrix(rng, rng.randrange(6), rng.randrange(6), p)
-            ncols = len(m[0]) if m else 0
-            assert _modp_c.rref(m, ncols, p) == _modp_py.rref(m, ncols, p)
-            assert _modp_c.rank(m, ncols, p) == _modp_py.rank(m, ncols, p)
-            assert _modp_c.nullspace(m, ncols, p) == _modp_py.nullspace(m, ncols, p)
-        a = random_matrix(rng, 4, 5, p)
-        b = random_matrix(rng, 5, 3, p)
-        assert _modp_c.matmul(a, b, p) == _modp_py.matmul(a, b, p)
 
 
 def test_gauss_binom_values():
@@ -152,7 +129,7 @@ def test_subspace_enumeration_count():
 def test_subspaces_containing():
     p = 2
     n, k = 4, 2
-    fixed, piv = _modp_py.rref(((1, 0, 1, 0),), n, p)
+    fixed, piv = kernels.rref(((1, 0, 1, 0),), n, p)
     subs = list(kernels.subspaces_containing(n, k, p, fixed, piv))
     assert len(subs) == kernels.count_subspaces_containing(n, k, p, 1)
     for basis in subs:
@@ -165,8 +142,8 @@ def test_subspace_sum_and_intersection():
     p = 3
     n = 4
     for _ in range(30):
-        b1, p1 = _modp_py.rref(random_matrix(rng, 2, n, p), n, p)
-        b2, p2 = _modp_py.rref(random_matrix(rng, 2, n, p), n, p)
+        b1, p1 = kernels.rref(random_matrix(rng, 2, n, p), n, p)
+        b2, p2 = kernels.rref(random_matrix(rng, 2, n, p), n, p)
         from fpoly.rep import Subrep
         s, _ = kernels.subspace_sum(b1, b2, n, p)
         i, ipiv = kernels.subspace_intersection(b1, b2, n, p)
