@@ -3,7 +3,8 @@
 Subcommands: compute, subdims, mutate, polytope, verify.  All output is
 deterministic JSON (sorted keys) for a fixed seed; exit codes are a
 stable contract: 0 success, 1 failed verification under --strict,
-2 enumeration cost cap exceeded, 3 non-polynomial point counts.
+2 enumeration cost cap exceeded, 3 non-polynomial point counts,
+4 a seeded recipe that cannot be certified generic.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import json
 import sys
 
 from .cluster import b_matrix, find_by_delta, run_sequence
-from .errors import CostCapExceeded, NonPolynomialCount
+from .errors import CostCapExceeded, GenericityError, NonPolynomialCount
 from .grassmannian import subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, f_polynomial, first_primes
 from .polytope import convex_hull
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_COST_CAP = 2
 EXIT_NON_POLYNOMIAL = 3
+EXIT_NOT_GENERIC = 4
 
 
 def _int_list(text):
@@ -222,6 +224,9 @@ def main(argv=None):
     except NonPolynomialCount as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_POLYNOMIAL
+    except GenericityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_GENERIC
 
 
 if __name__ == "__main__":

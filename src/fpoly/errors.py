@@ -14,5 +14,9 @@ class NonPolynomialCount(FpolyError):
     """Raised when point counts fail the extra-prime polynomiality check."""
 
 
+class GenericityError(FpolyError):
+    """Raised when a seeded recipe cannot be certified generic at some prime."""
+
+
 class InvalidSubrepresentation(FpolyError):
     """Raised when subspaces are not stable under the arrow maps."""

@@ -1,18 +1,19 @@
 """Quiver Grassmannians over F_p: enumeration, point counts, tropical values.
 
-Subrepresentations are enumerated vertex by vertex.  For acyclic quivers
-the topological order guarantees that when a vertex is processed, the
-images of the already-chosen subspaces along incoming arrows are known,
-so only subspaces containing that span need to be considered.  At sinks
-the choice constrains nothing downstream and enumeration collapses to a
-Gaussian-binomial count when only cardinalities are needed.  The same walk
-answers existence questions (``has_subrep``) by stopping at the first point.
+Counting, existence and enumeration share one walk over the vertices.
+For acyclic quivers the topological order guarantees that when a vertex
+is processed, the images of the already-chosen subspaces along incoming
+arrows are known, so only subspaces containing that span need to be
+considered.  Only when counting (``count_points``, and ``has_subrep``,
+which stops at the first point) does the walk skip a free vertex, one
+that constrains nothing downstream, and count its choices by a
+Gaussian binomial instead; ``enumerate_subreps`` visits every point.
 """
 
 import itertools
 
 from . import kernels
-from .errors import CostCapExceeded
+from .errors import CostCapExceeded, GenericityError
 from .quiver import vec_dot
 from .rep import Subrep
 
@@ -80,37 +81,77 @@ def _deferred_ok(rep, bases, pivots, deferred):
 
 def enumerate_subreps(rep, gamma, allow_large=False):
     """Yield every subrepresentation with dimension vector ``gamma``."""
+    for _, bases, pivots in _walk(rep, gamma, allow_large, count_free=False):
+        yield Subrep(tuple(bases), tuple(pivots))
+
+
+def count_points(rep, gamma, allow_large=False):
+    """|Gr_gamma(M)(F_p)|, with a closed-form shortcut at free vertices."""
+    return sum(weight for weight, _, _ in _walk(rep, gamma, allow_large,
+                                                count_free=True))
+
+
+def has_subrep(rep, gamma, allow_large=False):
+    """Whether M has a subrepresentation of dimension ``gamma``.
+
+    An existence search: it takes the counting walk, free-vertex
+    shortcut included, and stops at the first point it reaches.
+    """
+    return next(_walk(rep, gamma, allow_large, count_free=True), None) is not None
+
+
+def _walk(rep, gamma, allow_large, count_free):
+    """Yield ``(weight, bases, pivots)`` per point of Gr_gamma(M)(F_p) reached.
+
+    Without ``count_free`` every point is reached once, with weight 1.
+    With it, a free vertex (no outgoing or deferred arrows) constrains
+    nothing later, so its subspace is left empty and its choices enter
+    the weight in closed form; the weights, each positive, then sum to
+    the point count.  ``bases`` and ``pivots`` are the walk's own lists,
+    overwritten as it goes on.
+    """
     rep.quiver.check_dim_vector(gamma)
     check_cost(rep, allow_large)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return
     order, constraining, deferred = _vertex_plan(rep.quiver)
     p = rep.p
+    free = ()
+    if count_free:
+        touched = {rep.quiver.arrows[a][end] for a in deferred for end in (0, 1)}
+        free = {v for v in order
+                if not rep.quiver.arrows_from(v) and v not in touched}
     bases = [None] * rep.quiver.n
     pivots = [None] * rep.quiver.n
 
-    def recurse(i):
+    def recurse(i, weight):
         if i == len(order):
             if _deferred_ok(rep, bases, pivots, deferred):
-                yield Subrep(tuple(bases), tuple(pivots))
+                yield weight, bases, pivots
             return
         v = order[i]
+        n, k = rep.dims[v], gamma[v]
+        forced = forced_piv = ()
         if constraining[v]:
             forced, forced_piv = _forced_subspace(rep, bases, constraining[v])
-            if len(forced) > gamma[v]:
+            if len(forced) > k:
                 return
-            candidates = kernels.subspaces_containing(
-                rep.dims[v], gamma[v], p, forced, forced_piv)
+        if v in free:
+            bases[v] = pivots[v] = ()
+            yield from recurse(i + 1, weight * kernels.count_subspaces_containing(
+                n, k, p, len(forced)))
+            return
+        if constraining[v]:
+            candidates = kernels.subspaces_containing(n, k, p, forced, forced_piv)
         else:
-            candidates = kernels.subspaces(rep.dims[v], gamma[v], p)
+            # subspaces_containing would re-reduce every candidate; skip that.
+            candidates = kernels.subspaces(n, k, p)
         for basis in candidates:
             bases[v] = basis
             pivots[v] = tuple(_pivots_of(basis))
-            yield from recurse(i + 1)
-        bases[v] = None
-        pivots[v] = None
+            yield from recurse(i + 1, weight)
 
-    yield from recurse(0)
+    yield from recurse(0, 1)
 
 
 def _pivots_of(rref_basis):
@@ -119,89 +160,6 @@ def _pivots_of(rref_basis):
             if x:
                 yield j
                 break
-
-
-def _walk(rep, gamma, allow_large, first_only):
-    """Point count of Gr_gamma(M)(F_p) along the vertex plan.
-
-    A free vertex (no outgoing or deferred arrows) constrains nothing
-    later, so its choices are counted in closed form instead of
-    enumerated; that factor is positive whenever the forced span fits.
-    With ``first_only`` the walk stops at the first point and returns a
-    positive number iff a subrepresentation exists.
-    """
-    rep.quiver.check_dim_vector(gamma)
-    check_cost(rep, allow_large)
-    if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
-        return 0
-    order, constraining, deferred = _vertex_plan(rep.quiver)
-    p = rep.p
-    deferred_vertices = {rep.quiver.arrows[a][s_or_t]
-                         for a in deferred for s_or_t in (0, 1)}
-    bases = [None] * rep.quiver.n
-    pivots = [None] * rep.quiver.n
-
-    def is_free(v):
-        # The choice at v matters later only through outgoing or deferred arrows.
-        return not rep.quiver.arrows_from(v) and v not in deferred_vertices
-
-    def recurse(i):
-        if i == len(order):
-            return 1 if _deferred_ok(rep, bases, pivots, deferred) else 0
-        v = order[i]
-        if constraining[v]:
-            forced, forced_piv = _forced_subspace(rep, bases, constraining[v])
-            w = len(forced)
-            if w > gamma[v]:
-                return 0
-            if is_free(v):
-                rest = recurse_skipping(i)
-                return kernels.count_subspaces_containing(
-                    rep.dims[v], gamma[v], p, w) * rest
-            candidates = kernels.subspaces_containing(
-                rep.dims[v], gamma[v], p, forced, forced_piv)
-        else:
-            if is_free(v):
-                rest = recurse_skipping(i)
-                return kernels.gauss_binom(rep.dims[v], gamma[v], p) * rest
-            candidates = kernels.subspaces(rep.dims[v], gamma[v], p)
-        total = 0
-        for basis in candidates:
-            bases[v] = basis
-            pivots[v] = tuple(_pivots_of(basis))
-            total += recurse(i + 1)
-            if first_only and total:
-                break
-        bases[v] = None
-        pivots[v] = None
-        return total
-
-    def recurse_skipping(i):
-        # Continue past a free vertex without fixing its subspace.
-        v = order[i]
-        bases[v] = ()
-        pivots[v] = ()
-        result = recurse(i + 1)
-        bases[v] = None
-        pivots[v] = None
-        return result
-
-    return recurse(0)
-
-
-def count_points(rep, gamma, allow_large=False):
-    """|Gr_gamma(M)(F_p)|, with a closed-form shortcut at free vertices."""
-    return _walk(rep, gamma, allow_large, first_only=False)
-
-
-def has_subrep(rep, gamma, allow_large=False):
-    """Whether M has a subrepresentation of dimension ``gamma``.
-
-    An existence search: it walks the same vertex plan as ``count_points``
-    and keeps its free-vertex shortcut (there a subspace exists iff the
-    forced span fits), but returns at the first subrepresentation found.
-    """
-    return _walk(rep, gamma, allow_large, first_only=True) > 0
 
 
 def subrep_dim_vectors(rep, allow_large=False):
@@ -222,7 +180,7 @@ def sub_dim_vectors(recipe, primes=(2, 3), allow_large=False):
     """Sub-dimension vectors of a recipe, certified across two primes."""
     results = [subrep_dim_vectors(recipe.at_prime(p), allow_large) for p in primes]
     if any(r != results[0] for r in results[1:]):
-        raise RuntimeError(
+        raise GenericityError(
             f"sub-dimension sets disagree across primes {primes}; "
             f"the recipe is not certified generic")
     return results[0]

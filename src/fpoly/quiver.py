@@ -12,24 +12,8 @@ def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(n, a):
-    return tuple(n * x for x in a)
-
-
 def vec_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def vec_min(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def vec_max(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def vec_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def unit_vector(n, i):

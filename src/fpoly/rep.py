@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .errors import InvalidSubrepresentation
+from .errors import GenericityError, InvalidSubrepresentation
 from .quiver import Quiver, euler_form, vec_add
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
@@ -122,15 +122,6 @@ def make_subrep(rep, raw_bases, check=True):
 def zero_subrep(rep):
     return Subrep(tuple(() for _ in range(rep.quiver.n)),
                   tuple(() for _ in range(rep.quiver.n)))
-
-
-def full_subrep(rep):
-    bases = []
-    pivots = []
-    for n in rep.dims:
-        bases.append(tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n)))
-        pivots.append(tuple(range(n)))
-    return Subrep(tuple(bases), tuple(pivots))
 
 
 def _coords_in_basis(row, basis, pivots, p):
@@ -321,8 +312,8 @@ class RepRecipe:
             rep = random_representation(self.quiver, self.dims, p, rng)
             if hom_dim(rep, rep) == target:
                 return rep
-        raise RuntimeError(f"no generic representation found mod {p} "
-                           f"after {max_attempts} attempts")
+        raise GenericityError(f"no generic representation found mod {p} "
+                              f"after {max_attempts} attempts")
 
     @classmethod
     def from_json(cls, data):

@@ -15,7 +15,6 @@ restriction of the F-polynomial to the corresponding face.
 import itertools
 from dataclasses import dataclass
 
-from . import kernels
 from .errors import NonPolynomialCount
 from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
@@ -24,8 +23,9 @@ from .polynomial import (MultiPoly, f_polynomial, first_primes,
 from .polytope import (Cone, convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities, rank_frac, solve_frac)
 from .quiver import Quiver, euler_form, vec_dot, vec_sub
-from .rep import (Subrep, ext_dim_hereditary, generic_hom_ext, hom_dim,
-                  make_subrep, quotient, restrict_to_sub)
+from .rep import (Subrep, _coords_in_basis, ext_dim_hereditary,
+                  generic_hom_ext, hom_dim, make_subrep, quotient,
+                  restrict_to_sub)
 
 SMALL_PRIMES = (2, 3)
 
@@ -45,16 +45,9 @@ class TorsionSplit:
 
 def _sub_within(m_rep, outer, inner):
     """Express inner (subrep of m_rep, contained in outer) in outer's basis."""
-    p = m_rep.p
-    rows = []
-    for v in range(m_rep.quiver.n):
-        coords = []
-        for row in inner.bases[v]:
-            if any(kernels.residual(row, outer.bases[v], outer.pivots[v], p)):
-                raise ValueError("inner subrepresentation not contained in outer")
-            coords.append(tuple(row[c] for c in outer.pivots[v]))
-        rows.append(coords)
-    return rows
+    return [[_coords_in_basis(row, outer.bases[v], outer.pivots[v], m_rep.p)
+             for row in inner.bases[v]]
+            for v in range(m_rep.quiver.n)]
 
 
 def torsion_split(m_rep, delta, allow_large=False):
@@ -158,17 +151,11 @@ def stable_factors(w_rep, delta, allow_large=False):
 def multiplicity_vector(l_rep, delta, stables, allow_large=False):
     """Stable JH multiplicities of a semistable subquotient L.
 
-    Uses the dimension-vector shortcut when the stable dimension vectors
-    are linearly independent, otherwise recurses through the filtration.
+    Read off L's own stable filtration, matching each factor to one of
+    ``stables``.  ``graded_counts`` calls this only when the stable
+    dimension vectors are linearly dependent, so the dimension vector of
+    L alone cannot determine them.
     """
-    iota = [s.dims for s in stables]
-    n = len(iota[0])
-    rows = _iota_rows(iota, n)
-    if rank_frac(rows, len(iota)) == len(iota):
-        sol = solve_frac(rows, l_rep.dims, len(iota))
-        if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
-            raise AssertionError("dimension vector not in the stable lattice")
-        return tuple(int(x) for x in sol)
     data = stable_factors(l_rep, delta, allow_large)
     m = [0] * len(stables)
     for rep, cnt in zip(data.stables, data.multiplicities):

@@ -146,6 +146,14 @@ def test_exit_code_non_polynomial_count(capsys, k3_json):
     assert code == 3
 
 
+def test_exit_code_not_generic(capsys, k3_json):
+    # Seed 0 of K3 (2,2) has different sub-dimension sets at p = 2 and 3.
+    code = main(["polytope", "--quiver", k3_json, "--dims", "2,2", "--seed", "0"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_rep_file_roundtrip(capsys, tmp_path):
     recipe = RepRecipe(kronecker_quiver(2), (2, 2),
                        int_matrices=(((1, 0), (0, 1)), ((0, 0), (0, 1))))

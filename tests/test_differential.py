@@ -1,11 +1,13 @@
-"""Randomized differential checks of the fast existence and torsion paths.
+"""Randomized differential checks of the vertex walk and the torsion paths.
 
-``has_subrep`` stops at the first subrepresentation it finds and
-``torsion_split`` reads L_min and L_max off the extreme maximizing
-dimension vectors.  Both are checked here against brute force on small
-random representations: the point count, and the fold of intersections
-and sums over every maximizing subrepresentation.  The 4-cycle has
-arrows that close a cycle, so its walks take the deferred-arrow path.
+``count_points``, ``has_subrep`` and ``enumerate_subreps`` share one
+vertex walk, so they are checked against an independent oracle, the
+brute-force count over every tuple of subspaces, and not only against
+each other.  ``torsion_split`` reads L_min and L_max off the extreme
+maximizing dimension vectors; it is checked against the fold of
+intersections and sums over every maximizing subrepresentation.  All
+cases are small random representations.  The 4-cycle has arrows that
+close a cycle, so its walks take the deferred-arrow path.
 """
 
 import itertools
@@ -15,8 +17,9 @@ from fpoly import kernels
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims)
 from fpoly.quiver import Quiver, kronecker_quiver
-from fpoly.rep import random_representation
+from fpoly.rep import is_arrow_stable, random_representation
 from fpoly.stabilization import torsion_split
+from test_grassmannian import brute_force_count
 
 QUIVERS = {
     "K2": kronecker_quiver(2),
@@ -60,8 +63,16 @@ def test_has_subrep_agrees_with_point_count():
     for name, quiver in QUIVERS.items():
         for rep in _random_reps(quiver, rng):
             for gamma in itertools.product(*(range(d + 1) for d in rep.dims)):
-                assert has_subrep(rep, gamma) == (count_points(rep, gamma) > 0), \
-                    (name, rep.p, rep.matrices, gamma)
+                where = (name, rep.p, rep.matrices, gamma)
+                count = count_points(rep, gamma)
+                subs = list(enumerate_subreps(rep, gamma))
+                assert count == brute_force_count(rep, gamma), where
+                assert len(subs) == count, where
+                assert len(set(subs)) == len(subs), where
+                for sub in subs:
+                    assert sub.dims == gamma, where
+                    assert is_arrow_stable(rep, sub.bases, sub.pivots), where
+                assert has_subrep(rep, gamma) == (count > 0), where
 
 
 def test_torsion_split_extremes_equal_fold_over_maximizers():

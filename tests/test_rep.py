@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fpoly.errors import InvalidSubrepresentation
+from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import Quiver, euler_form, kronecker_quiver
 from fpoly.rep import (RepRecipe, Representation, direct_sum,
                        ext_dim_hereditary, generic_hom_ext, hom_basis,
@@ -112,6 +112,11 @@ def test_seeded_recipe_deterministic_and_generic():
     # (2,3) is a rigid dimension vector: End = <a,a> = 1, Ext = 0
     assert hom_dim(m, m) == 1
     assert ext_dim_hereditary(m, m) == 0
+
+
+def test_seeded_recipe_out_of_attempts():
+    with pytest.raises(GenericityError):
+        RepRecipe(kronecker_quiver(2), (2, 3), seed=0).at_prime(5, max_attempts=0)
 
 
 def test_generic_hom_ext_known_values():
