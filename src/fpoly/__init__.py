@@ -1,8 +1,8 @@
 """F-polynomials, tropical F-polynomials, and Newton polytopes of quiver
 representations, with stabilization functors and structural verifiers."""
 
-from .errors import (CostCapExceeded, FpolyError, GenericityError,
-                     InvalidSubrepresentation, NonPolynomialCount)
+from .errors import (CheckFailed, CostCapExceeded, FpolyError, GenericityError,
+                     InvalidSubrepresentation, InvariantViolation, NonPolynomialCount)
 from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   ext_dim_hereditary, generic_hom_ext, hom_basis, hom_dim,

@@ -4,7 +4,8 @@ Subcommands: compute, subdims, mutate, polytope, verify.  All output is
 deterministic JSON (sorted keys) for a fixed seed; exit codes are a
 stable contract: 0 success, 1 failed verification under --strict,
 2 enumeration cost cap exceeded, 3 non-polynomial point counts,
-4 a seeded recipe that cannot be certified generic.
+4 a seeded recipe that cannot be certified generic, 5 a broken internal
+invariant (a bug, not a failed theorem check).
 """
 
 import argparse
@@ -12,7 +13,8 @@ import json
 import sys
 
 from .cluster import b_matrix, find_by_delta, run_sequence
-from .errors import CostCapExceeded, GenericityError, NonPolynomialCount
+from .errors import (CheckFailed, CostCapExceeded, GenericityError,
+                     InvariantViolation, NonPolynomialCount)
 from .grassmannian import subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, f_polynomial, first_primes
 from .polytope import convex_hull
@@ -23,9 +25,8 @@ from .stabilization import (newton_via_cones, verify_facet_restriction,
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
-EXIT_COST_CAP = 2
-EXIT_NON_POLYNOMIAL = 3
-EXIT_NOT_GENERIC = 4
+ERROR_EXITS = {CostCapExceeded: 2, NonPolynomialCount: 3, GenericityError: 4,
+               InvariantViolation: 5}
 
 
 def _int_list(text):
@@ -152,7 +153,7 @@ def cmd_verify(args):
             hull = newton_via_cones(recipe)
             result = {"check": "cones", "pass": True,
                       "witnesses": [], "polytope": hull.to_json()}
-        except AssertionError as exc:
+        except CheckFailed as exc:
             result = {"check": "cones", "pass": False,
                       "witnesses": [str(exc)]}
     report = {
@@ -218,15 +219,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CostCapExceeded as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COST_CAP
-    except NonPolynomialCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_POLYNOMIAL
-    except GenericityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_GENERIC
+        return ERROR_EXITS[type(exc)]
 
 
 if __name__ == "__main__":

@@ -18,5 +18,13 @@ class GenericityError(FpolyError):
     """Raised when a seeded recipe cannot be certified generic at some prime."""
 
 
+class InvariantViolation(FpolyError):
+    """Raised when an internal invariant breaks: a bug, not a failed check."""
+
+
+class CheckFailed(FpolyError):
+    """Raised when two computations of one object disagree: a theorem fails."""
+
+
 class InvalidSubrepresentation(FpolyError):
     """Raised when subspaces are not stable under the arrow maps."""

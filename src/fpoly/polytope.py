@@ -1,7 +1,8 @@
 """Exact low-dimensional polyhedral geometry over the integers.
 
-Hulls are found by exhaustive facet search: every affinely-spanning
-subset of points proposes a hyperplane, and supporting ones are kept.
+Hulls, vertex enumeration and dual cones all go through one integer
+double description routine, ``_cone_rays`` (Motzkin et al. 1953;
+Fukuda and Prodon, "Double description method revisited", 1996).
 All arithmetic is integer/rational; facet normals are indivisible
 integer vectors oriented outward (polytope = {x : n.x <= h}).
 """
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvariantViolation
 from .quiver import vec_dot, vec_sub
 
 
@@ -161,6 +163,55 @@ def _cofactor_normal(diffs, d):
                  for i in range(d))
 
 
+def _primitive_int(v):
+    g = gcd(*v)
+    if g == 0:
+        raise InvariantViolation("zero ray; the cone is not pointed")
+    return tuple(x // g for x in v)
+
+
+def _cone_rays(rows):
+    """Extreme rays of the pointed cone {y : r.y >= 0 for every row r}.
+
+    Integer double description: the simplicial cone of independent rows
+    is cut by one row at a time, and each pair of adjacent rays on
+    opposite sides of the cut is joined.  Two rays are adjacent when no
+    third ray is tight on every row both are tight on.  Returns
+    (primitive ray, bitmask of the rows tight on it) pairs.
+    """
+    dim = len(rows[0])
+    basis, echelon = [], []
+    for i, r in enumerate(rows):
+        for e, c in echelon:
+            if r[c]:
+                r = [a * e[c] - b * r[c] for a, b in zip(r, e)]
+        pivot = next((j for j, x in enumerate(r) if x), None)
+        if pivot is not None:
+            echelon.append((r, pivot))
+            basis.append(i)
+    if len(basis) < dim:
+        raise ValueError("the rows do not span: the cone contains a line")
+    rays = []
+    for j in basis:
+        y = _primitive_int(_cofactor_normal([rows[k] for k in basis if k != j], dim))
+        rays.append((y if vec_dot(rows[j], y) > 0 else tuple(-x for x in y), 0))
+    for i in basis + [i for i in range(len(rows)) if i not in basis]:
+        bit = 1 << i
+        scored = [(y, mask, vec_dot(rows[i], y)) for y, mask in rays]
+        kept = [(y, mask | bit if s == 0 else mask) for y, mask, s in scored if s >= 0]
+        neg = [r for r in scored if r[2] < 0]
+        for yp, mp, sp in (r for r in scored if r[2] > 0):
+            for yn, mn, sn in neg:
+                # Adjacent rays span a 2-face: at least dim - 2 common rows.
+                common = mp & mn
+                if (common.bit_count() >= dim - 2 and
+                        sum((m & common) == common for _, m in rays) == 2):
+                    y = _primitive_int([sp * b - sn * a for a, b in zip(yp, yn)])
+                    kept.append((y, common | bit))
+        rays = kept
+    return rays
+
+
 def convex_hull(points):
     """Exact convex hull of integer points; see module docstring."""
     points = sorted(set(tuple(p) for p in points))
@@ -173,49 +224,24 @@ def convex_hull(points):
         return Polytope(ambient, (points[0],), (), equations)
     proj = [tuple(p[j] for j in coords) for p in points]
 
-    facets = set()
-    seen = set()
-    for subset in itertools.combinations(range(len(proj)), d):
-        pts = [proj[i] for i in subset]
-        diffs = [[a - b for a, b in zip(q, pts[0])] for q in pts[1:]]
-        normal = _cofactor_normal(diffs, d) if d > 1 else (1,)
-        if not any(normal):
-            continue
-        normal = primitive_vector(normal)
-        h = vec_dot(normal, pts[0])
-        if (normal, h) in seen:
-            continue
-        seen.add((normal, h))
-        seen.add((tuple(-x for x in normal), -h))
-        above = below = False
-        for q in proj:
-            v = vec_dot(normal, q)
-            if v > h:
-                above = True
-            elif v < h:
-                below = True
-            if above and below:
-                break
-        if above and below:
-            continue
-        if not above:
-            facets.add((normal, h))
-        if not below:
-            facets.add((tuple(-x for x in normal), -h))
-
-    vertices = []
-    for i, q in enumerate(proj):
-        active = [n for n, h in facets if vec_dot(n, q) == h]
-        if rank_frac(active, d) == d:
-            vertices.append(points[i])
+    # A facet n.x <= h is a ray y = (h, -n) of {y : y.(1, q) >= 0}.  The
+    # ray is primitive and h = n.q at an integer tight point q, so n is
+    # primitive too.
+    facets = sorted((tuple(-x for x in y[1:]), y[0], mask)
+                    for y, mask in _cone_rays([(1,) + q for q in proj]))
+    tight = [sum(1 << k for k, f in enumerate(facets) if f[2] >> i & 1)
+             for i in range(len(proj))]
+    # A vertex is tight on a set of facets no other point is tight on.
+    vertices = [points[i] for i, t in enumerate(tight)
+                if not any((u & t) == t for j, u in enumerate(tight) if j != i)]
 
     lifted = []
-    for normal, h in sorted(facets):
+    for normal, h, _ in facets:
         full = [0] * ambient
         for j, c in zip(coords, normal):
             full[j] = c
         lifted.append((tuple(full), h))
-    return Polytope(ambient, tuple(sorted(vertices)), tuple(lifted), equations)
+    return Polytope(ambient, tuple(vertices), tuple(lifted), equations)
 
 
 def lattice_points(polytope):
@@ -260,7 +286,7 @@ def dual_cone_rays(inequalities, ambient=None):
 
     Returns the extremal rays of the pointed part (representatives in the
     span of the inequality vectors) plus +/- a basis of the lineality
-    space.  Found by enumerating kernel lines of inequality subsets.
+    space.
     """
     inequalities = [tuple(v) for v in inequalities if any(v)]
     if ambient is None:
@@ -277,58 +303,32 @@ def dual_cone_rays(inequalities, ambient=None):
         rays.append(r)
         rays.append(tuple(-x for x in r))
 
-    # Pointed part lives in the span of the inequality vectors.
-    span_basis, _ = rref_frac(inequalities, ambient) if inequalities else ([], ())
-    d = len(span_basis)
-    if d == 0:
-        return Cone(tuple(sorted(set(rays))))
-    if d == 1:
-        candidates = [span_basis[0]]
-    else:
-        candidates = []
-        for subset in itertools.combinations(inequalities, d - 1):
-            # Kernel line within the span: x = c @ span_basis with subset @ x = 0.
-            rows = [[vec_dot(v, b) for b in span_basis] for v in subset]
-            kernel = nullspace_frac(rows, d)
-            if len(kernel) != 1:
-                continue
-            c = kernel[0]
-            candidates.append(tuple(sum(ci * b[j] for ci, b in zip(c, span_basis))
-                                    for j in range(ambient)))
-    seen = set(rays)
-    for x in candidates:
-        r = primitive_vector(x)
-        if all(vec_dot(r, v) <= 0 for v in inequalities):
-            pass
-        elif all(vec_dot(r, v) >= 0 for v in inequalities):
-            r = tuple(-a for a in r)
-        else:
-            continue
-        if r not in seen:
-            seen.add(r)
-            rays.append(r)
+    # The pointed part lies in the span of the inequality vectors, where
+    # each lineality ray r vanishes: r.y >= 0 and -r.y >= 0 are both rows.
+    if inequalities:
+        rows = [tuple(-x for x in v) for v in inequalities] + rays
+        rays += [y for y, _ in _cone_rays(rows)]
     return Cone(tuple(sorted(set(rays))))
 
 
 def polytope_from_inequalities(facets, ambient):
     """Bounded integer polytope from inequalities n.x <= h.
 
-    Vertices are intersections of ambient-many facets; the result is
-    rebuilt with convex_hull so the facet list is irredundant.
+    Vertices are the rays (t, x) with t > 0 of the cone t.h - n.x >= 0,
+    t >= 0, scaled to x/t; the result is rebuilt with convex_hull so the
+    facet list is irredundant.  An empty or unbounded system raises
+    ValueError.
     """
-    facets = [(tuple(n), h) for n, h in facets]
+    rows = [(h,) + tuple(-c for c in n) for n, h in facets]
     vertices = set()
-    for subset in itertools.combinations(facets, ambient):
-        rows = [n for n, _ in subset]
-        rhs = [h for _, h in subset]
-        x = solve_frac(rows, rhs, ambient)
-        if x is None:
-            continue
-        if any(vec_dot(n, x) > h for n, h in facets):
-            continue
-        if any(f.denominator != 1 for f in x):
-            raise ValueError(f"non-integral vertex {x}; not a lattice polytope")
-        vertices.add(tuple(int(f) for f in x))
+    for (t, *x), _ in _cone_rays(rows + [(1,) + (0,) * ambient]):
+        if t == 0:
+            raise ValueError("inequality system is unbounded or empty: "
+                             f"recession direction {tuple(x)}")
+        if any(c % t for c in x):
+            raise ValueError(f"non-integral vertex {tuple(Fraction(c, t) for c in x)}; "
+                             "not a lattice polytope")
+        vertices.add(tuple(c // t for c in x))
     if not vertices:
         raise ValueError("inequality system has no vertices (empty or unbounded)")
     return convex_hull(vertices)

@@ -15,14 +15,14 @@ restriction of the F-polynomial to the corresponding face.
 import itertools
 from dataclasses import dataclass
 
-from .errors import NonPolynomialCount
+from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
 from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
 from .polynomial import (MultiPoly, f_polynomial, first_primes,
                          interpolate_integer_polynomial, restrict_to_face)
-from .polytope import (Cone, convex_hull, dual_cone_rays, lattice_points,
+from .polytope import (convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities, rank_frac, solve_frac)
-from .quiver import Quiver, euler_form, vec_dot, vec_sub
+from .quiver import Quiver, vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, ext_dim_hereditary,
                   generic_hom_ext, hom_dim, make_subrep, quotient,
                   restrict_to_sub)
@@ -67,7 +67,7 @@ def torsion_split(m_rep, delta, allow_large=False):
         ties = [g for g in best_dims if sum(g) == size]
         sub = unique_subrep(m_rep, ties[0], allow_large) if len(ties) == 1 else None
         if sub is None:
-            raise AssertionError(
+            raise InvariantViolation(
                 "extreme maximizer is not unique; the maximizers are not a lattice")
         extremes.append(sub)
     l_min, l_max = extremes
@@ -133,7 +133,7 @@ def stable_factors(w_rep, delta, allow_large=False):
     while current.total_dim > 0:
         found = _minimal_stable_sub(current, delta, allow_large)
         if found is None:
-            raise AssertionError("semistable representation with no stable subrep")
+            raise InvariantViolation("semistable representation with no stable subrep")
         sub, factor = found
         for i, rep in enumerate(classes):
             if _same_brick(rep, factor):
@@ -164,7 +164,7 @@ def multiplicity_vector(l_rep, delta, stables, allow_large=False):
                 m[i] += cnt
                 break
         else:
-            raise AssertionError("stable factor not among the expected classes")
+            raise InvariantViolation("stable factor not among the expected classes")
     return tuple(m)
 
 
@@ -190,7 +190,7 @@ def graded_counts(w_rep, delta, stables, allow_large=False):
         if independent:
             sol = solve_frac(rows, gamma, len(iota))
             if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
-                raise AssertionError(
+                raise InvariantViolation(
                     "semistable dimension vector not in the stable lattice")
             m = tuple(int(x) for x in sol)
             counts[m] = counts.get(m, 0) + count_points(w_rep, gamma,
@@ -333,8 +333,8 @@ def newton_via_cones(recipe, allow_large=False):
     """Rebuild the Newton polytope from the weight cones and cross-check.
 
     H-representation: delta(gamma) <= 0 for rays of the hom cone and
-    delta(gamma) <= delta(alpha) for rays of the ext cone.  The result
-    must agree facet-for-facet with the direct hull of the sub-dims.
+    delta(gamma) <= delta(alpha) for rays of the ext cone.  CheckFailed is
+    raised unless it agrees facet-for-facet with the hull of the sub-dims.
     """
     direct = convex_hull(sub_dim_vectors(recipe, allow_large=allow_large))
     r0, r1 = delta_cones(recipe, allow_large)
@@ -344,7 +344,7 @@ def newton_via_cones(recipe, allow_large=False):
     rebuilt = polytope_from_inequalities(ineqs, len(alpha))
     if rebuilt.vertices != direct.vertices or rebuilt.facets != direct.facets:
         missing = set(direct.facets) ^ set(rebuilt.facets)
-        raise AssertionError(
+        raise CheckFailed(
             f"cone reconstruction disagrees with the direct hull; "
             f"witness facets: {sorted(missing)}")
     return rebuilt

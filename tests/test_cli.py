@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fpoly import polytope, stabilization
 from fpoly.cli import main
+from fpoly.errors import InvariantViolation
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
@@ -152,6 +154,31 @@ def test_exit_code_not_generic(capsys, k3_json):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_cones_disagreement_is_a_failed_check(capsys, monkeypatch, k2_json):
+    square = polytope.convex_hull([(0, 0), (0, 1), (1, 0), (1, 1)])
+    monkeypatch.setattr(stabilization, "polytope_from_inequalities",
+                        lambda facets, ambient: square)
+    code, out = run(capsys, "verify", "--what", "cones", "--strict",
+                    "--quiver", k2_json, "--dims", "2,3")
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    [witness] = report["report"]["witnesses"]
+    assert witness.startswith("cone reconstruction disagrees with the direct "
+                              "hull; witness facets: [")
+
+
+def test_exit_code_invariant_violation(capsys, monkeypatch, k2_json):
+    def broken(rows):
+        raise InvariantViolation("zero ray; the cone is not pointed")
+
+    monkeypatch.setattr(polytope, "_cone_rays", broken)
+    code = main(["verify", "--what", "cones", "--strict",
+                 "--quiver", k2_json, "--dims", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: zero ray; the cone is not pointed\n"
 
 
 def test_rep_file_roundtrip(capsys, tmp_path):

@@ -8,15 +8,24 @@ maximizing dimension vectors; it is checked against the fold of
 intersections and sums over every maximizing subrepresentation.  All
 cases are small random representations.  The 4-cycle has arrows that
 close a cycle, so its walks take the deferred-arrow path.
+
+``convex_hull``, ``polytope_from_inequalities`` and ``dual_cone_rays``
+share one double description routine; they are checked for exact
+equality against the exhaustive subset searches in
+``exhaustive_polytope``, on random point sets (with duplicates and
+lower-dimensional sets) and random inequality lists.
 """
 
 import itertools
 import random
 
+import exhaustive_polytope
 from fpoly import kernels
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims)
-from fpoly.quiver import Quiver, kronecker_quiver
+from fpoly.polytope import (convex_hull, dual_cone_rays,
+                            polytope_from_inequalities)
+from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import is_arrow_stable, random_representation
 from fpoly.stabilization import torsion_split
 from test_grassmannian import brute_force_count
@@ -85,3 +94,51 @@ def test_torsion_split_extremes_equal_fold_over_maximizers():
                 low, high = _folded_extremes(rep, delta)
                 assert split.l_min.bases == low, (name, rep.matrices, delta)
                 assert split.l_max.bases == high, (name, rep.matrices, delta)
+
+
+def _random_points(rng, dim):
+    # Points in the small box are often coplanar, which makes degenerate
+    # cones whose rays share many tight rows without being adjacent.
+    box = rng.choice((1, 3))
+    points = [tuple(rng.randrange(-box, box + 1) for _ in range(dim))
+              for _ in range(rng.randrange(1, 15))]
+    if dim > 1 and rng.random() < 0.3:
+        # Force a lower-dimensional set: the last coordinate is affine
+        # in the others.
+        coef = [rng.randrange(-2, 3) for _ in range(dim - 1)]
+        points = [p[:-1] + (vec_dot(coef, p[:-1]) + 1,) for p in points]
+    if rng.random() < 0.3:
+        points += rng.sample(points, rng.randrange(len(points) + 1))
+    rng.shuffle(points)
+    return points
+
+
+def test_polytope_conversions_equal_exhaustive_search():
+    rng = random.Random(32)
+    rebuilt = 0
+    for trial in range(200):
+        dim = trial % 5 + 1
+        points = _random_points(rng, dim)
+        expected = exhaustive_polytope.convex_hull(points)
+        assert convex_hull(points) == expected, points
+        # Each affine-hull equation enters as a pair of inequalities.
+        ineqs = expected.facets + tuple(
+            e for n, h in expected.equations
+            for e in ((n, h), (tuple(-x for x in n), -h)))
+        if expected.dim > 0 and len(ineqs) <= 9:
+            rebuilt += 1
+            assert (polytope_from_inequalities(ineqs, dim)
+                    == exhaustive_polytope.polytope_from_inequalities(ineqs, dim)
+                    == expected), ineqs
+    assert rebuilt > 100
+
+
+def test_dual_cone_rays_equal_exhaustive_search():
+    rng = random.Random(33)
+    for trial in range(300):
+        ambient = trial % 6 + 1
+        box = rng.choice((1, 2))
+        ineqs = [tuple(rng.randrange(-box, box + 1) for _ in range(ambient))
+                 for _ in range(rng.randrange(8))]
+        assert (dual_cone_rays(ineqs, ambient=ambient)
+                == exhaustive_polytope.dual_cone_rays(ineqs, ambient=ambient)), ineqs

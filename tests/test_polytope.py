@@ -104,6 +104,15 @@ def test_polytope_from_inequalities_roundtrip():
     assert rebuilt.facets == hull.facets
 
 
+def test_polytope_from_inequalities_rejects_unbounded():
+    # The strip 0 <= x <= 1, y <= 1 has vertices but is not bounded.
+    with pytest.raises(ValueError):
+        polytope_from_inequalities([((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)], 2)
+    # 0 <= x <= 1 contains a line.
+    with pytest.raises(ValueError):
+        polytope_from_inequalities([((1, 0), 1), ((-1, 0), 0)], 2)
+
+
 def test_cone_duplicate_rays_rejected():
     with pytest.raises(ValueError):
         Cone(((1, 0), (1, 0)))
