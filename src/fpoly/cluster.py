@@ -3,12 +3,14 @@
 Tracks the exchange matrix B, the coefficient matrix C (columns are
 c-vectors), g-vectors and F-polynomials.  All arithmetic is exact; the
 exchange-relation division must be exact and every F-polynomial must
-keep constant term 1 and nonnegative coefficients, otherwise the run
-aborts — these are strong self-checks of the recurrences.
+keep constant term 1 and nonnegative coefficients, otherwise
+InvariantViolation is raised — these are strong self-checks of the
+recurrences.
 """
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .polynomial import MultiPoly
 from .quiver import unit_vector
 
@@ -92,7 +94,7 @@ def mutate(seed, k):
     # c-vector of slot k0 is sign-coherent; its sign picks the g-recurrence.
     ck = [c[i][k0] for i in range(n)]
     if all(x == 0 for x in ck) or (any(x > 0 for x in ck) and any(x < 0 for x in ck)):
-        raise AssertionError(f"c-vector {ck} is not sign-coherent")
+        raise InvariantViolation(f"c-vector {ck} is not sign-coherent")
     eps = 1 if any(x > 0 for x in ck) else -1
     new_gk = tuple(-g[k0][j] + sum(_pos(eps * b[i][k0]) * g[i][j] for i in range(n))
                    for j in range(n))
@@ -111,9 +113,9 @@ def mutate(seed, k):
             minus = minus * f[j] ** (-b[j][k0])
     new_fk = (plus + minus).exact_div(f[k0])
     if new_fk.constant_term() != 1:
-        raise AssertionError("mutated F-polynomial lost its unit constant term")
+        raise InvariantViolation("mutated F-polynomial lost its unit constant term")
     if any(coef < 0 for coef in new_fk.terms.values()):
-        raise AssertionError("mutated F-polynomial has a negative coefficient")
+        raise InvariantViolation("mutated F-polynomial has a negative coefficient")
 
     g_out = tuple(new_gk if i == k0 else g[i] for i in range(n))
     gc_out = tuple(new_gck if i == k0 else gc[i] for i in range(n))

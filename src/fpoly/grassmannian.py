@@ -8,9 +8,14 @@ considered.  Only when counting (``count_points``, and ``has_subrep``,
 which stops at the first point) does the walk skip a free vertex, one
 that constrains nothing downstream, and count its choices by a
 Gaussian binomial instead; ``enumerate_subreps`` visits every point.
+
+``subrep_dim_vectors`` is memoized by value: a representation is
+immutable, so its sub-dimension set is found once and kept in a small
+bounded LRU cache, shared by every equal representation.
 """
 
 import itertools
+from functools import lru_cache
 
 from . import kernels
 from .errors import CostCapExceeded, GenericityError
@@ -166,14 +171,18 @@ def subrep_dim_vectors(rep, allow_large=False):
     """All dimension vectors of subrepresentations of one representation.
 
     Each gamma in the box below dim M is tested with the existence search
-    ``has_subrep``; nothing is counted.
+    ``has_subrep``; nothing is counted.  The cost cap is checked on every
+    call, cache hit or not.
     """
     check_cost(rep, allow_large)
-    found = set()
-    for gamma in itertools.product(*(range(d + 1) for d in rep.dims)):
-        if has_subrep(rep, gamma, allow_large):
-            found.add(gamma)
-    return frozenset(found)
+    return _subrep_dims(rep)
+
+
+@lru_cache(maxsize=32)
+def _subrep_dims(rep):
+    # The caller has checked the cost cap, so the walks skip it.
+    box = itertools.product(*(range(d + 1) for d in rep.dims))
+    return frozenset(gamma for gamma in box if has_subrep(rep, gamma, True))
 
 
 def sub_dim_vectors(recipe, primes=(2, 3), allow_large=False):

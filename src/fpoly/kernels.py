@@ -178,22 +178,3 @@ def subspaces_containing(n, k, p, sub_basis, sub_pivots):
 
 def count_subspaces_containing(n, k, p, sub_dim):
     return gauss_binom(n - sub_dim, k - sub_dim, p)
-
-
-def subspace_sum(b1, b2, ncols, p):
-    return rref(tuple(b1) + tuple(b2), ncols, p)
-
-
-def subspace_intersection(b1, b2, ncols, p):
-    """RREF basis of the intersection of two row spaces."""
-    if not b1 or not b2:
-        return (), ()
-    # x*b1 = y*b2  <=>  (x, y) in the null space of [b1^T | -b2^T].
-    k1, k2 = len(b1), len(b2)
-    stacked = []
-    for j in range(ncols):
-        row = [b1[i][j] for i in range(k1)] + [(-b2[i][j]) % p for i in range(k2)]
-        stacked.append(tuple(row))
-    combos = nullspace(tuple(stacked), k1 + k2, p)
-    vecs = [matmul((c[:k1],), b1, p)[0] for c in combos]
-    return rref(vecs, ncols, p)

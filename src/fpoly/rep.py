@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
-from .errors import GenericityError, InvalidSubrepresentation
+from .errors import (GenericityError, InvalidSubrepresentation,
+                     InvariantViolation)
 from .quiver import Quiver, euler_form, vec_add
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
@@ -236,7 +237,7 @@ def ext_dim_hereditary(m, n):
         raise ValueError("hereditary ext formula requires an acyclic quiver")
     e = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
     if e < 0:
-        raise AssertionError("negative ext: hereditary identity violated")
+        raise InvariantViolation("negative ext: hereditary identity violated")
     return e
 
 
@@ -286,9 +287,10 @@ class RepRecipe:
     """One integral or seeded model of a representation across primes.
 
     With explicit integer matrices, reduction mod p always returns the
-    same object.  In seeded mode a fresh random representation is drawn
-    per prime and certified generic by matching the generic
-    endomorphism dimension sampled at large primes.
+    same object.  In seeded mode the representation mod p is a random
+    draw fixed by (seed, p), certified generic by matching the generic
+    endomorphism dimension sampled at large primes; it is drawn once
+    and reused within a process.
     """
 
     quiver: Quiver
@@ -306,14 +308,7 @@ class RepRecipe:
             mats = tuple(tuple(tuple(x % p for x in row) for row in mat)
                          for mat in self.int_matrices)
             return Representation(self.quiver, p, self.dims, mats)
-        target = _generic_end_dim(self)
-        for attempt in range(max_attempts):
-            rng = stable_rng(self.seed, p, attempt)
-            rep = random_representation(self.quiver, self.dims, p, rng)
-            if hom_dim(rep, rep) == target:
-                return rep
-        raise GenericityError(f"no generic representation found mod {p} "
-                              f"after {max_attempts} attempts")
+        return _generic_draw(self, p, max_attempts)
 
     @classmethod
     def from_json(cls, data):
@@ -336,6 +331,23 @@ class RepRecipe:
                 for i, mat in enumerate(self.int_matrices)
             }
         return out
+
+
+@lru_cache(maxsize=32)
+def _generic_draw(recipe, p, max_attempts):
+    """First seeded draw mod p with the generic endomorphism dimension.
+
+    Each attempt is fixed by (seed, p, attempt), so the result is a
+    function of the arguments and is memoized; errors are not cached.
+    """
+    target = _generic_end_dim(recipe)
+    for attempt in range(max_attempts):
+        rng = stable_rng(recipe.seed, p, attempt)
+        rep = random_representation(recipe.quiver, recipe.dims, p, rng)
+        if hom_dim(rep, rep) == target:
+            return rep
+    raise GenericityError(f"no generic representation found mod {p} "
+                          f"after {max_attempts} attempts")
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fpoly import polytope, stabilization
+from fpoly import cli, grassmannian, polytope, rep, stabilization
 from fpoly.cli import main
 from fpoly.errors import InvariantViolation
 from fpoly.polynomial import MultiPoly, f_polynomial
@@ -179,6 +179,42 @@ def test_exit_code_invariant_violation(capsys, monkeypatch, k2_json):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert captured.err == "error: zero ray; the cone is not pointed\n"
+
+
+def test_exit_code_invariant_violation_in_mutate(capsys, monkeypatch, k2_json):
+    monkeypatch.setattr(MultiPoly, "constant_term", lambda self: 0)
+    code = main(["mutate", "--quiver", k2_json, "--seq", "1"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: mutated F-polynomial lost its unit constant term\n"
+
+
+def test_verify_facets_draws_and_searches_each_representation_once(
+        capsys, monkeypatch, k2_json):
+    draws, searched = [], []
+    real_draw = rep.random_representation
+    real_search = grassmannian.subrep_dim_vectors
+
+    def spy_draw(quiver, dims, p, rng):
+        # The state of a stable_rng is fixed by its (seed, p, attempt).
+        draws.append((dims, p, rng.getstate()))
+        return real_draw(quiver, dims, p, rng)
+
+    def spy_search(m_rep, allow_large=False):
+        searched.append(m_rep)
+        return real_search(m_rep, allow_large)
+
+    monkeypatch.setattr(rep, "random_representation", spy_draw)
+    for module in (grassmannian, stabilization, cli):
+        monkeypatch.setattr(module, "subrep_dim_vectors", spy_search)
+    rep._generic_draw.cache_clear()
+    grassmannian._subrep_dims.cache_clear()
+    code, out = run(capsys, "verify", "--what", "facets", "--strict",
+                    "--quiver", k2_json, "--dims", "2,3")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert draws and len(set(draws)) == len(draws)
+    assert len(searched) > len(set(searched))
+    assert grassmannian._subrep_dims.cache_info().misses == len(set(searched))
 
 
 def test_rep_file_roundtrip(capsys, tmp_path):

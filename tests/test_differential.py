@@ -14,21 +14,30 @@ share one double description routine; they are checked for exact
 equality against the exhaustive subset searches in
 ``exhaustive_polytope``, on random point sets (with duplicates and
 lower-dimensional sets) and random inequality lists.
+
+``RepRecipe.at_prime`` and ``subrep_dim_vectors`` are memoized by value;
+their cached results are checked against the uncached computations, and
+the cost cap against a cache hit.
 """
 
 import itertools
 import random
 
+import pytest
+
 import exhaustive_polytope
-from fpoly import kernels
+from fpoly import grassmannian, rep as rep_module
+from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
-                                maximizer_dims)
+                                maximizer_dims, subrep_dim_vectors)
 from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
-from fpoly.rep import is_arrow_stable, random_representation
+from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
+                       random_representation)
 from fpoly.stabilization import torsion_split
 from test_grassmannian import brute_force_count
+from test_kernels import subspace_intersection, subspace_sum
 
 QUIVERS = {
     "K2": kronecker_quiver(2),
@@ -59,10 +68,9 @@ def _folded_extremes(rep, delta):
                 low, high = list(sub.bases), list(sub.bases)
                 continue
             for v, n in enumerate(rep.dims):
-                low[v] = kernels.subspace_intersection(low[v], sub.bases[v],
-                                                       n, rep.p)[0]
-                high[v] = kernels.subspace_sum(high[v], sub.bases[v],
+                low[v] = subspace_intersection(low[v], sub.bases[v],
                                                n, rep.p)[0]
+                high[v] = subspace_sum(high[v], sub.bases[v], n, rep.p)[0]
     return tuple(low), tuple(high)
 
 
@@ -94,6 +102,50 @@ def test_torsion_split_extremes_equal_fold_over_maximizers():
                 low, high = _folded_extremes(rep, delta)
                 assert split.l_min.bases == low, (name, rep.matrices, delta)
                 assert split.l_max.bases == high, (name, rep.matrices, delta)
+
+
+def test_per_prime_caches_return_the_uncached_values():
+    draw, dims_of = rep_module._generic_draw, grassmannian._subrep_dims
+    draw.cache_clear()
+    dims_of.cache_clear()
+    k2 = QUIVERS["K2"]
+    recipes = [RepRecipe(k2, (2, 3), seed=s) for s in (0, 1)]
+    reps = {}
+    for recipe in recipes:
+        for p in (2, 3):
+            cold = recipe.at_prime(p)
+            assert recipe.at_prime(p) is cold
+            assert cold == draw.__wrapped__(recipe, p, 500)
+            assert cold.p == p and cold.dims == recipe.dims
+            reps[recipe.seed, p] = cold
+            box = itertools.product(*(range(d + 1) for d in cold.dims))
+            expected = {g for g in box if has_subrep(cold, g)}
+            assert subrep_dim_vectors(cold) == expected
+            assert subrep_dim_vectors(cold) == expected
+    # Distinct seeds and primes are distinct draws, each its own entry.
+    assert len(set(reps.values())) == 4
+    assert draw.cache_info().misses == 4
+    assert dims_of.cache_info().misses == 4
+
+    # Equal representations built apart share one entry.
+    dims_of.cache_clear()
+    mats = random_representation(k2, (2, 2), 3, random.Random(34)).matrices
+    first, second = (Representation(k2, 3, (2, 2), mats) for _ in range(2))
+    assert first == second and first is not second
+    assert subrep_dim_vectors(first) == subrep_dim_vectors(second)
+    assert dims_of.cache_info()[:2] == (1, 1)   # hits, misses
+
+
+def test_cost_cap_is_checked_on_every_call():
+    one_vertex = Quiver(("1",), ())
+    big = Representation(one_vertex, 2, (grassmannian.MAX_VERTEX_DIM + 1,), ())
+    for _ in range(2):
+        with pytest.raises(CostCapExceeded):
+            subrep_dim_vectors(big)
+    # A cached value does not lift the cap either.
+    assert len(subrep_dim_vectors(big, allow_large=True)) == big.dims[0] + 1
+    with pytest.raises(CostCapExceeded):
+        subrep_dim_vectors(big)
 
 
 def _random_points(rng, dim):
