@@ -7,7 +7,7 @@ from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   ext_dim_hereditary, generic_hom_ext, hom_basis, hom_dim,
                   make_subrep, quotient, restrict_to_sub,
-                  simple_representation, universal_hom)
+                  simple_representation)
 from .grassmannian import (count_points, enumerate_subreps, has_subrep,
                            maximizer_dims, sub_dim_vectors,
                            subrep_dim_vectors, tropical_f, dual_tropical_f,

@@ -42,23 +42,28 @@ def check_cost(rep, allow_large=False):
         )
 
 
+@lru_cache(maxsize=32)
 def _vertex_plan(quiver):
     """Processing order plus per-vertex constraining and deferred arrows.
 
     Constraining arrows into a vertex come from already-processed sources;
     for acyclic quivers that is all of them.  Deferred arrows (only on
     quivers with cycles) are stability-checked once all choices are made.
+    A free vertex has no outgoing arrow and touches no deferred one.  The
+    plan depends on the quiver alone, so it is memoized; it is made of
+    tuples and frozensets (``constraining`` is indexed by vertex) so a
+    cached plan cannot change.
     """
     order = quiver.topo_order if quiver.acyclic else tuple(range(quiver.n))
     pos = {v: i for i, v in enumerate(order)}
-    constraining = {v: [] for v in order}
-    deferred = []
-    for a, (s, t) in enumerate(quiver.arrows):
-        if pos[s] < pos[t]:
-            constraining[t].append(a)
-        else:
-            deferred.append(a)
-    return order, constraining, deferred
+    forward = [pos[s] < pos[t] for s, t in quiver.arrows]
+    constraining = tuple(tuple(a for a in quiver.arrows_into(v) if forward[a])
+                         for v in range(quiver.n))
+    deferred = tuple(a for a, ok in enumerate(forward) if not ok)
+    touched = {v for a in deferred for v in quiver.arrows[a]}
+    free = frozenset(v for v in order
+                     if not quiver.arrows_from(v) and v not in touched)
+    return order, constraining, deferred, free
 
 
 def _forced_subspace(rep, bases, arrows_in):
@@ -119,13 +124,10 @@ def _walk(rep, gamma, allow_large, count_free):
     check_cost(rep, allow_large)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return
-    order, constraining, deferred = _vertex_plan(rep.quiver)
+    order, constraining, deferred, free = _vertex_plan(rep.quiver)
     p = rep.p
-    free = ()
-    if count_free:
-        touched = {rep.quiver.arrows[a][end] for a in deferred for end in (0, 1)}
-        free = {v for v in order
-                if not rep.quiver.arrows_from(v) and v not in touched}
+    if not count_free:
+        free = ()
     bases = [None] * rep.quiver.n
     pivots = [None] * rep.quiver.n
 

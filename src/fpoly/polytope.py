@@ -2,90 +2,90 @@
 
 Hulls, vertex enumeration and dual cones all go through one integer
 double description routine, ``_cone_rays`` (Motzkin et al. 1953;
-Fukuda and Prodon, "Double description method revisited", 1996).
-All arithmetic is integer/rational; facet normals are indivisible
-integer vectors oriented outward (polytope = {x : n.x <= h}).
+Fukuda and Prodon, "Double description method revisited", 1996).  Affine
+hulls, lineality spaces, starting rays and the lattice solves of
+``stabilization`` go through one fraction-free echelon, ``_echelon``.
+All arithmetic is integer; facet normals are indivisible integer vectors
+oriented outward (polytope = {x : n.x <= h}).
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 from .quiver import vec_dot, vec_sub
 
 
-def primitive_vector(v):
-    """Scale a rational vector to a primitive integer vector, same direction."""
-    fracs = [Fraction(x) for x in v]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+def _primitive_int(v):
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*v)
     if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+        raise InvariantViolation("zero vector has no primitive form")
+    return tuple(x // g for x in v)
 
 
-def rref_frac(rows, ncols):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+def _echelon(rows, ncols):
+    """Reduced echelon form of an integer matrix, without fractions.
+
+    Gauss-Jordan elimination by integer cross-multiplication, with each
+    row divided by its content so entries stay small.  Returns (rows,
+    pivots): one primitive row per pivot column, in pivot order, positive
+    at its own pivot and zero at every other pivot.  The pivots are the
+    leftmost columns that span the column space, so the rank is
+    ``len(pivots)``.
+    """
+    mat = [list(r) for r in rows if any(r)]
     pivots = []
-    r = 0
     for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
+        r = len(pivots)
+        i = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if i is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        mat[r], mat[i] = mat[i], mat[r]
+        top = mat[r]
+        a = top[col]
+        for k, row in enumerate(mat):
+            b = row[col]
+            if b and k != r:
+                row = [x * a - y * b for x, y in zip(row, top)]
+                g = gcd(*row)
+                mat[k] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-        r += 1
-        if r == len(mat):
+        if len(pivots) == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], tuple(pivots)
+    ech = [_primitive_int(row if row[c] > 0 else [-x for x in row])
+           for row, c in zip(mat, pivots)]
+    return ech, tuple(pivots)
 
 
-def rank_frac(rows, ncols):
-    return len(rref_frac(rows, ncols)[0])
-
-
-def nullspace_frac(rows, ncols):
-    """Basis of {x : rows @ x = 0} over Q."""
-    basis, pivots = rref_frac(rows, ncols)
-    pivset = set(pivots)
+def _nullspace(rows, ncols):
+    """Primitive integer basis of {x : rows @ x = 0}, one vector per
+    non-pivot column, positive there and zero at the other such columns."""
+    ech, pivots = _echelon(rows, ncols)
+    scale = lcm(*(row[c] for row, c in zip(ech, pivots)))
     out = []
     for free in range(ncols):
-        if free in pivset:
+        if free in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for brow, c in zip(basis, pivots):
-            v[c] = -brow[free]
-        out.append(tuple(v))
+        v = [0] * ncols
+        v[free] = scale
+        for row, c in zip(ech, pivots):
+            v[c] = -row[free] * (scale // row[c])
+        out.append(_primitive_int(v))
     return out
 
 
-def solve_frac(rows, rhs, ncols):
-    """Unique solution of rows @ x = rhs, or None if singular/inconsistent."""
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    basis, pivots = rref_frac(aug, ncols + 1)
-    if ncols in pivots:
-        return None  # inconsistent
-    if len(pivots) < ncols:
-        return None  # underdetermined
-    x = [Fraction(0)] * ncols
-    for brow, c in zip(basis, pivots):
-        x[c] = brow[ncols]
-    return tuple(x)
+def _solve(rows, rhs, ncols):
+    """The integer x with rows @ x = rhs, or None unless it exists, is
+    unique and is integral."""
+    ech, pivots = _echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)], ncols + 1)
+    if pivots != tuple(range(ncols)):
+        return None  # inconsistent or underdetermined
+    if any(row[ncols] % row[c] for row, c in zip(ech, pivots)):
+        return None  # not integral
+    return tuple(row[ncols] // row[c] for row, c in zip(ech, pivots))
 
 
 @dataclass(frozen=True)
@@ -125,49 +125,10 @@ class Polytope:
 def _affine_hull(points):
     """Pivot coordinates of the direction space and hull equations."""
     p0 = points[0]
-    diffs = [vec_sub(p, p0) for p in points[1:]]
-    n = len(p0)
-    _, pivots = rref_frac(diffs, n) if diffs else ([], ())
-    equations = []
-    for a in nullspace_frac(diffs, n) if diffs else nullspace_frac([(0,) * n], n):
-        normal = primitive_vector(a)
-        equations.append((normal, vec_dot(normal, p0)))
-    return tuple(pivots), tuple(equations)
-
-
-def _int_det(rows):
-    """Determinant of a small square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _cofactor_normal(diffs, d):
-    """Integer kernel vector of a (d-1) x d integer matrix via cofactors."""
-    return tuple((-1) ** i * _int_det([row[:i] + row[i + 1:] for row in diffs])
-                 for i in range(d))
-
-
-def _primitive_int(v):
-    g = gcd(*v)
-    if g == 0:
-        raise InvariantViolation("zero ray; the cone is not pointed")
-    return tuple(x // g for x in v)
+    ech, pivots = _echelon([vec_sub(p, p0) for p in points[1:]], len(p0))
+    equations = tuple((normal, vec_dot(normal, p0))
+                      for normal in _nullspace(ech, len(p0)))
+    return pivots, equations
 
 
 def _cone_rays(rows):
@@ -180,22 +141,14 @@ def _cone_rays(rows):
     (primitive ray, bitmask of the rows tight on it) pairs.
     """
     dim = len(rows[0])
-    basis, echelon = [], []
-    for i, r in enumerate(rows):
-        for e, c in echelon:
-            if r[c]:
-                r = [a * e[c] - b * r[c] for a, b in zip(r, e)]
-        pivot = next((j for j, x in enumerate(r) if x), None)
-        if pivot is not None:
-            echelon.append((r, pivot))
-            basis.append(i)
+    _, basis = _echelon(list(zip(*rows)), len(rows))
     if len(basis) < dim:
         raise ValueError("the rows do not span: the cone contains a line")
     rays = []
     for j in basis:
-        y = _primitive_int(_cofactor_normal([rows[k] for k in basis if k != j], dim))
+        y = _nullspace([rows[k] for k in basis if k != j], dim)[0]
         rays.append((y if vec_dot(rows[j], y) > 0 else tuple(-x for x in y), 0))
-    for i in basis + [i for i in range(len(rows)) if i not in basis]:
+    for i in basis + tuple(i for i in range(len(rows)) if i not in basis):
         bit = 1 << i
         scored = [(y, mask, vec_dot(rows[i], y)) for y, mask in rays]
         kept = [(y, mask | bit if s == 0 else mask) for y, mask, s in scored if s >= 0]
@@ -297,11 +250,8 @@ def dual_cone_rays(inequalities, ambient=None):
         raise ValueError(f"cone dimension {ambient} exceeds cap {MAX_CONE_DIM}")
 
     rays = []
-    lineality = nullspace_frac(inequalities or [(0,) * ambient], ambient)
-    for direction in lineality:
-        r = primitive_vector(direction)
-        rays.append(r)
-        rays.append(tuple(-x for x in r))
+    for r in _nullspace(inequalities, ambient):
+        rays += [r, tuple(-x for x in r)]
 
     # The pointed part lies in the span of the inequality vectors, where
     # each lineality ray r vanishes: r.y >= 0 and -r.y >= 0 are both rows.

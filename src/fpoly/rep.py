@@ -120,11 +120,6 @@ def make_subrep(rep, raw_bases, check=True):
     return sub
 
 
-def zero_subrep(rep):
-    return Subrep(tuple(() for _ in range(rep.quiver.n)),
-                  tuple(() for _ in range(rep.quiver.n)))
-
-
 def _coords_in_basis(row, basis, pivots, p):
     if any(kernels.residual(row, basis, pivots, p)):
         raise InvalidSubrepresentation("vector not in the subspace")
@@ -239,47 +234,6 @@ def ext_dim_hereditary(m, n):
     if e < 0:
         raise InvariantViolation("negative ext: hereditary identity violated")
     return e
-
-
-@dataclass(frozen=True)
-class UniversalHom:
-    """The canonical map h*C -> M built from a basis of Hom(C, M)."""
-
-    maps: tuple
-    domain: Representation
-    image: Subrep
-    kernel: Subrep
-
-    @property
-    def hom(self):
-        return len(self.maps)
-
-
-def universal_hom(c, m):
-    _check_compatible(c, m)
-    maps = hom_basis(c, m)
-    h = len(maps)
-    domain = c
-    for _ in range(h - 1):
-        domain = direct_sum(domain, c)
-    if h == 0:
-        domain = zero_representation(c.quiver, c.p)
-    image_rows = []
-    kernel_bases = []
-    for v in range(c.quiver.n):
-        stacked = []
-        for phi in maps:
-            stacked.extend(kernels.transpose(phi[v], c.dims[v]))
-        image_rows.append(stacked)
-        # Map h*C(v) -> M(v): columns grouped per hom-basis element.
-        big = tuple(
-            tuple(x for phi in maps for x in phi[v][r])
-            for r in range(m.dims[v])
-        )
-        kernel_bases.append(kernels.nullspace(big, h * c.dims[v], c.p))
-    image = make_subrep(m, image_rows)
-    kernel = make_subrep(domain, kernel_bases) if h else zero_subrep(domain)
-    return UniversalHom(maps, domain, image, kernel)
 
 
 @dataclass(frozen=True)

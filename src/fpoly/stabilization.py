@@ -20,8 +20,8 @@ from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
 from .polynomial import (MultiPoly, f_polynomial, first_primes,
                          interpolate_integer_polynomial, restrict_to_face)
-from .polytope import (convex_hull, dual_cone_rays, lattice_points,
-                       polytope_from_inequalities, rank_frac, solve_frac)
+from .polytope import (_echelon, _solve, convex_hull, dual_cone_rays,
+                       lattice_points, polytope_from_inequalities)
 from .quiver import Quiver, vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, ext_dim_hereditary,
                   generic_hom_ext, hom_dim, make_subrep, quotient,
@@ -183,16 +183,15 @@ def graded_counts(w_rep, delta, stables, allow_large=False):
     iota = [s.dims for s in stables]
     n = len(w_rep.dims)
     rows = _iota_rows(iota, n)
-    independent = rank_frac(rows, len(iota)) == len(iota)
+    independent = len(_echelon(rows, len(iota))[1]) == len(iota)
     for gamma in subrep_dim_vectors(w_rep, allow_large):
         if vec_dot(delta, gamma) != 0:
             continue
         if independent:
-            sol = solve_frac(rows, gamma, len(iota))
-            if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
+            m = _solve(rows, gamma, len(iota))
+            if m is None or any(x < 0 for x in m):
                 raise InvariantViolation(
                     "semistable dimension vector not in the stable lattice")
-            m = tuple(int(x) for x in sol)
             counts[m] = counts.get(m, 0) + count_points(w_rep, gamma,
                                                         allow_large)
         else:
@@ -289,16 +288,15 @@ def collapse_monomial(poly, images, nvars_out):
     Each exponent vector must be a unique nonnegative integer combination
     of the image vectors (their linear independence is required).
     """
-    n = len(images[0])
-    if rank_frac([list(r) for r in _iota_rows(images, n)], len(images)) != len(images):
+    rows = _iota_rows(images, len(images[0]))
+    if len(_echelon(rows, len(images))[1]) != len(images):
         raise ValueError("image vectors must be linearly independent")
-    rows = _iota_rows(images, n)
     terms = {}
     for exp, coef in poly.terms.items():
-        sol = solve_frac(rows, exp, len(images))
-        if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
+        sol = _solve(rows, exp, len(images))
+        if sol is None or any(x < 0 for x in sol):
             raise ValueError(f"exponent {exp} is not in the image cone")
-        terms[tuple(int(x) for x in sol)] = coef
+        terms[sol] = coef
     return MultiPoly(nvars_out, terms)
 
 

@@ -6,14 +6,132 @@ points, every ``ambient``-subset of facets and every (d-1)-subset of
 inequalities is tried.  They are kept here only as the reference that
 ``tests/test_differential.py`` compares the double description routine
 against, on small random inputs.
+
+The rational linear algebra they use (``rref_frac`` and the helpers on
+it, ``_affine_hull`` and the cofactor normal) is kept here as well, in
+``Fraction`` arithmetic, so that the library's integer echelon is
+checked against an independent implementation and not against itself.
 """
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
-from fpoly.polytope import (Cone, MAX_CONE_DIM, Polytope, _affine_hull,
-                            _cofactor_normal, nullspace_frac, primitive_vector,
-                            rank_frac, rref_frac, solve_frac)
-from fpoly.quiver import vec_dot
+from fpoly.polytope import Cone, MAX_CONE_DIM, Polytope
+from fpoly.quiver import vec_dot, vec_sub
+
+
+def primitive_vector(v):
+    """Scale a rational vector to a primitive integer vector, same direction."""
+    fracs = [Fraction(x) for x in v]
+    denom = 1
+    for f in fracs:
+        denom = denom * f.denominator // gcd(denom, f.denominator)
+    ints = [int(f * denom) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(x // g for x in ints)
+
+
+def rref_frac(rows, ncols):
+    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], tuple(pivots)
+
+
+def rank_frac(rows, ncols):
+    return len(rref_frac(rows, ncols)[0])
+
+
+def nullspace_frac(rows, ncols):
+    """Basis of {x : rows @ x = 0} over Q."""
+    basis, pivots = rref_frac(rows, ncols)
+    pivset = set(pivots)
+    out = []
+    for free in range(ncols):
+        if free in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for brow, c in zip(basis, pivots):
+            v[c] = -brow[free]
+        out.append(tuple(v))
+    return out
+
+
+def solve_frac(rows, rhs, ncols):
+    """Unique solution of rows @ x = rhs, or None if singular/inconsistent."""
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
+    basis, pivots = rref_frac(aug, ncols + 1)
+    if ncols in pivots:
+        return None  # inconsistent
+    if len(pivots) < ncols:
+        return None  # underdetermined
+    x = [Fraction(0)] * ncols
+    for brow, c in zip(basis, pivots):
+        x[c] = brow[ncols]
+    return tuple(x)
+
+
+def _affine_hull(points):
+    """Pivot coordinates of the direction space and hull equations."""
+    p0 = points[0]
+    diffs = [vec_sub(p, p0) for p in points[1:]]
+    n = len(p0)
+    _, pivots = rref_frac(diffs, n) if diffs else ([], ())
+    equations = []
+    for a in nullspace_frac(diffs, n) if diffs else nullspace_frac([(0,) * n], n):
+        normal = primitive_vector(a)
+        equations.append((normal, vec_dot(normal, p0)))
+    return tuple(pivots), tuple(equations)
+
+
+def _int_det(rows):
+    """Determinant of a small square integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _cofactor_normal(diffs, d):
+    """Integer kernel vector of a (d-1) x d integer matrix via cofactors."""
+    return tuple((-1) ** i * _int_det([row[:i] + row[i + 1:] for row in diffs])
+                 for i in range(d))
 
 
 def convex_hull(points):

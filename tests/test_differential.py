@@ -13,7 +13,12 @@ close a cycle, so its walks take the deferred-arrow path.
 share one double description routine; they are checked for exact
 equality against the exhaustive subset searches in
 ``exhaustive_polytope``, on random point sets (with duplicates and
-lower-dimensional sets) and random inequality lists.
+lower-dimensional sets) and random inequality lists.  The oracle keeps
+its own ``Fraction`` elimination, affine hull and cofactor normals and
+imports only ``Cone``, ``MAX_CONE_DIM`` and ``Polytope`` from the
+library, so a fault in the library's integer echelon cannot reach both
+sides.  That echelon, with its null space, solve and rank, is also
+compared directly with the oracle's ``Fraction`` elimination.
 
 ``RepRecipe.at_prime`` and ``subrep_dim_vectors`` are memoized by value;
 their cached results are checked against the uncached computations, and
@@ -22,6 +27,7 @@ the cost cap against a cache hit.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,8 +36,8 @@ from fpoly import grassmannian, rep as rep_module
 from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, subrep_dim_vectors)
-from fpoly.polytope import (convex_hull, dual_cone_rays,
-                            polytope_from_inequalities)
+from fpoly.polytope import (_echelon, _nullspace, _solve, convex_hull,
+                            dual_cone_rays, polytope_from_inequalities)
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
                        random_representation)
@@ -194,3 +200,61 @@ def test_dual_cone_rays_equal_exhaustive_search():
                  for _ in range(rng.randrange(8))]
         assert (dual_cone_rays(ineqs, ambient=ambient)
                 == exhaustive_polytope.dual_cone_rays(ineqs, ambient=ambient)), ineqs
+
+
+def _random_matrix(rng, ncols):
+    box = rng.choice((1, 3, 9))
+    rows = [[rng.randrange(-box, box + 1) for _ in range(ncols)]
+            for _ in range(rng.randrange(ncols + 3))]
+    if rows and rng.random() < 0.3:
+        rows.append([0] * ncols)
+    if rows and rng.random() < 0.3:
+        rows.append(list(rng.choice(rows)))
+    if len(rows) > 1 and rng.random() < 0.3:
+        # A dependent row that is neither zero nor a repeat.
+        a, b = rng.sample(rows, 2)
+        rows.append([2 * x - 3 * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _solve_kind(rows, rhs, ncols):
+    """How the oracle's rational solve of rows @ x = rhs turns out."""
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
+    if ncols in exhaustive_polytope.rref_frac(aug, ncols + 1)[1]:
+        return "inconsistent"
+    if exhaustive_polytope.rank_frac(rows, ncols) < ncols:
+        return "underdetermined"
+    x = exhaustive_polytope.solve_frac(rows, rhs, ncols)
+    return "integral" if all(f.denominator == 1 for f in x) else "non-integral"
+
+
+def test_integer_echelon_equals_rational_elimination():
+    oracle = exhaustive_polytope
+    rng = random.Random(34)
+    fixed = [([], 3), ([[0, 0, 0]], 3), ([[-2, 4, 6], [-2, 4, 6]], 3),
+             ([[0, -3], [-2, 1]], 2), ([[1, 2], [3, 4], [5, 6]], 2)]
+    cases = fixed + [(_random_matrix(rng, n), n) for n in
+                     (trial % 5 + 1 for trial in range(600))]
+    kinds = Counter()
+    for rows, ncols in cases:
+        ech, pivots = _echelon(rows, ncols)
+        frac_rows, frac_pivots = oracle.rref_frac(rows, ncols)
+        assert pivots == frac_pivots, rows
+        assert len(pivots) == oracle.rank_frac(rows, ncols)
+        assert ech == [oracle.primitive_vector(r) for r in frac_rows], rows
+        assert _nullspace(rows, ncols) == [
+            oracle.primitive_vector(v) for v in oracle.nullspace_frac(rows, ncols)]
+        for _ in range(3):
+            if rng.random() < 0.5:
+                x = [rng.randrange(-3, 4) for _ in range(ncols)]
+                rhs = [vec_dot(r, x) for r in rows]
+            else:
+                rhs = [rng.randrange(-5, 6) for _ in rows]
+            kind = _solve_kind(rows, rhs, ncols)
+            kinds[kind] += 1
+            sol = oracle.solve_frac(rows, rhs, ncols)
+            expected = tuple(int(f) for f in sol) if kind == "integral" else None
+            assert _solve(rows, rhs, ncols) == expected, (rows, rhs)
+    assert min(kinds[k] for k in ("inconsistent", "underdetermined",
+                                  "non-integral", "integral")) >= 20, kinds

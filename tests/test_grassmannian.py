@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fpoly import kernels
+from fpoly import grassmannian, kernels
 from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, sub_dim_vectors,
@@ -94,6 +94,16 @@ def test_sink_shortcut_consistency():
     m = random_representation(star, (2, 2, 3), 3, rng)
     for gamma in itertools.product(range(3), range(3), range(4)):
         assert count_points(m, gamma) == len(list(enumerate_subreps(m, gamma)))
+
+
+def test_vertex_plan_is_memoized_and_immutable():
+    # 1 -> 2 -> 1 closes a cycle; vertex 3 hangs off 2 and is free.
+    def quiver():
+        return Quiver(("1", "2", "3"), ((0, 1), (1, 0), (1, 2)))
+    plan = grassmannian._vertex_plan(quiver())
+    assert grassmannian._vertex_plan(quiver()) is plan
+    assert plan == ((0, 1, 2), ((), (0,), (2,)), (1,), frozenset({2}))
+    hash(plan)  # every part is immutable
 
 
 def test_cost_cap():

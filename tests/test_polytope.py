@@ -3,17 +3,20 @@ import random
 
 import pytest
 
-from fpoly.polytope import (Cone, convex_hull, dual_cone_rays, lattice_points,
-                            maximizing_face, polytope_from_inequalities,
-                            primitive_vector)
+from fpoly.errors import InvariantViolation
+from fpoly.polytope import (Cone, _primitive_int, convex_hull, dual_cone_rays,
+                            lattice_points, maximizing_face,
+                            polytope_from_inequalities)
 from fpoly.quiver import vec_dot
 
 
-def test_primitive_vector():
-    assert primitive_vector((2, 4, -6)) == (1, 2, -3)
-    assert primitive_vector(("1/2", 1)) == (1, 2)
-    with pytest.raises(ValueError):
-        primitive_vector((0, 0))
+def test_primitive_int():
+    assert _primitive_int((2, 4, -6)) == (1, 2, -3)
+    assert _primitive_int([-3, 0, 9]) == (-1, 0, 3)
+    assert _primitive_int((0, -5)) == (0, -1)
+    assert _primitive_int((7,)) == (1,)
+    with pytest.raises(InvariantViolation):
+        _primitive_int((0, 0))
 
 
 def test_square_hull():
@@ -111,6 +114,15 @@ def test_polytope_from_inequalities_rejects_unbounded():
     # 0 <= x <= 1 contains a line.
     with pytest.raises(ValueError):
         polytope_from_inequalities([((1, 0), 1), ((-1, 0), 0)], 2)
+
+
+def test_polytope_from_inequalities_rejects_fractional_vertex():
+    # 2x <= 1, x >= 0 is the segment [0, 1/2].
+    with pytest.raises(ValueError, match="non-integral vertex"):
+        polytope_from_inequalities([((2,), 1), ((-1,), 0)], 1)
+    # x + y <= 1, x - y <= 0, -x <= 0 has the vertex (1/2, 1/2).
+    with pytest.raises(ValueError, match="non-integral vertex"):
+        polytope_from_inequalities([((1, 1), 1), ((1, -1), 0), ((-1, 0), 0)], 2)
 
 
 def test_cone_duplicate_rays_rejected():

@@ -7,7 +7,7 @@ from fpoly.quiver import Quiver, euler_form, kronecker_quiver
 from fpoly.rep import (RepRecipe, Representation, direct_sum,
                        ext_dim_hereditary, generic_hom_ext, hom_basis,
                        hom_dim, make_subrep, quotient, random_representation,
-                       restrict_to_sub, simple_representation, universal_hom)
+                       restrict_to_sub, simple_representation)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 
@@ -80,19 +80,6 @@ def test_hereditary_euler_identity():
         m = random_representation(A3, a, p, rng)
         n = random_representation(A3, b, p, rng)
         assert hom_dim(m, n) - ext_dim_hereditary(m, n) == euler_form(A3, a, b)
-
-
-def test_universal_hom_image_and_kernel():
-    rng = random.Random(4)
-    p = 3
-    c = random_representation(A3, (1, 1, 1), p, rng)
-    m = random_representation(A3, (2, 2, 2), p, rng)
-    u = universal_hom(c, m)
-    assert u.hom == hom_dim(c, m)
-    assert u.domain.dims == tuple(u.hom * d for d in c.dims)
-    # rank-nullity per vertex
-    for v in range(3):
-        assert len(u.image.bases[v]) + len(u.kernel.bases[v]) == u.domain.dims[v]
 
 
 def test_recipe_reduction_and_roundtrip():
