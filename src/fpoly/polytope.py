@@ -3,89 +3,18 @@
 Hulls, vertex enumeration and dual cones all go through one integer
 double description routine, ``_cone_rays`` (Motzkin et al. 1953;
 Fukuda and Prodon, "Double description method revisited", 1996).  Affine
-hulls, lineality spaces, starting rays and the lattice solves of
-``stabilization`` go through one fraction-free echelon, ``_echelon``.
-All arithmetic is integer; facet normals are indivisible integer vectors
-oriented outward (polytope = {x : n.x <= h}).
+hulls, lineality spaces and starting rays come from the fraction-free
+echelon of ``intlinalg``.  All arithmetic is integer; facet normals are
+indivisible integer vectors oriented outward (polytope = {x : n.x <= h}).
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import InvariantViolation
+from .intlinalg import echelon, nullspace, primitive
 from .quiver import vec_dot, vec_sub
-
-
-def _primitive_int(v):
-    """Divide an integer vector by the gcd of its entries."""
-    g = gcd(*v)
-    if g == 0:
-        raise InvariantViolation("zero vector has no primitive form")
-    return tuple(x // g for x in v)
-
-
-def _echelon(rows, ncols):
-    """Reduced echelon form of an integer matrix, without fractions.
-
-    Gauss-Jordan elimination by integer cross-multiplication, with each
-    row divided by its content so entries stay small.  Returns (rows,
-    pivots): one primitive row per pivot column, in pivot order, positive
-    at its own pivot and zero at every other pivot.  The pivots are the
-    leftmost columns that span the column space, so the rank is
-    ``len(pivots)``.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if i is None:
-            continue
-        mat[r], mat[i] = mat[i], mat[r]
-        top = mat[r]
-        a = top[col]
-        for k, row in enumerate(mat):
-            b = row[col]
-            if b and k != r:
-                row = [x * a - y * b for x, y in zip(row, top)]
-                g = gcd(*row)
-                mat[k] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-        if len(pivots) == len(mat):
-            break
-    ech = [_primitive_int(row if row[c] > 0 else [-x for x in row])
-           for row, c in zip(mat, pivots)]
-    return ech, tuple(pivots)
-
-
-def _nullspace(rows, ncols):
-    """Primitive integer basis of {x : rows @ x = 0}, one vector per
-    non-pivot column, positive there and zero at the other such columns."""
-    ech, pivots = _echelon(rows, ncols)
-    scale = lcm(*(row[c] for row, c in zip(ech, pivots)))
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [0] * ncols
-        v[free] = scale
-        for row, c in zip(ech, pivots):
-            v[c] = -row[free] * (scale // row[c])
-        out.append(_primitive_int(v))
-    return out
-
-
-def _solve(rows, rhs, ncols):
-    """The integer x with rows @ x = rhs, or None unless it exists, is
-    unique and is integral."""
-    ech, pivots = _echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)], ncols + 1)
-    if pivots != tuple(range(ncols)):
-        return None  # inconsistent or underdetermined
-    if any(row[ncols] % row[c] for row, c in zip(ech, pivots)):
-        return None  # not integral
-    return tuple(row[ncols] // row[c] for row, c in zip(ech, pivots))
 
 
 @dataclass(frozen=True)
@@ -125,9 +54,9 @@ class Polytope:
 def _affine_hull(points):
     """Pivot coordinates of the direction space and hull equations."""
     p0 = points[0]
-    ech, pivots = _echelon([vec_sub(p, p0) for p in points[1:]], len(p0))
+    ech, pivots = echelon([vec_sub(p, p0) for p in points[1:]], len(p0))
     equations = tuple((normal, vec_dot(normal, p0))
-                      for normal in _nullspace(ech, len(p0)))
+                      for normal in nullspace(ech, pivots, len(p0)))
     return pivots, equations
 
 
@@ -140,15 +69,17 @@ def _cone_rays(rows):
     third ray is tight on every row both are tight on.  Returns
     (primitive ray, bitmask of the rows tight on it) pairs.
     """
-    dim = len(rows[0])
-    _, basis = _echelon(list(zip(*rows)), len(rows))
-    if len(basis) < dim:
+    n, dim = len(rows), len(rows[0])
+    # Each row of the echelon form of [rows^T | I] is (rows @ y, y) for
+    # some y.  Its pivots are the leftmost independent rows, and the row
+    # with pivot j has rows[j].y > 0 and rows[k].y = 0 at the other
+    # pivots k: y is the starting ray opposite row j.
+    ech, basis = echelon([col + tuple(int(i == j) for j in range(dim))
+                          for i, col in enumerate(zip(*rows))], n + dim)
+    if basis[-1] >= n:
         raise ValueError("the rows do not span: the cone contains a line")
-    rays = []
-    for j in basis:
-        y = _nullspace([rows[k] for k in basis if k != j], dim)[0]
-        rays.append((y if vec_dot(rows[j], y) > 0 else tuple(-x for x in y), 0))
-    for i in basis + tuple(i for i in range(len(rows)) if i not in basis):
+    rays = [(primitive(row[n:]), 0) for row in ech]
+    for i in basis + tuple(i for i in range(n) if i not in basis):
         bit = 1 << i
         scored = [(y, mask, vec_dot(rows[i], y)) for y, mask in rays]
         kept = [(y, mask | bit if s == 0 else mask) for y, mask, s in scored if s >= 0]
@@ -159,8 +90,10 @@ def _cone_rays(rows):
                 common = mp & mn
                 if (common.bit_count() >= dim - 2 and
                         sum((m & common) == common for _, m in rays) == 2):
-                    y = _primitive_int([sp * b - sn * a for a, b in zip(yp, yn)])
-                    kept.append((y, common | bit))
+                    y = [sp * b - sn * a for a, b in zip(yp, yn)]
+                    if not any(y):
+                        raise InvariantViolation("zero ray; the cone is not pointed")
+                    kept.append((primitive(y), common | bit))
         rays = kept
     return rays
 
@@ -250,7 +183,7 @@ def dual_cone_rays(inequalities, ambient=None):
         raise ValueError(f"cone dimension {ambient} exceeds cap {MAX_CONE_DIM}")
 
     rays = []
-    for r in _nullspace(inequalities, ambient):
+    for r in nullspace(*echelon(inequalities, ambient), ambient):
         rays += [r, tuple(-x for x in r)]
 
     # The pointed part lies in the span of the inequality vectors, where

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
 from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
+from .intlinalg import solver
 from .polynomial import (MultiPoly, f_polynomial, first_primes,
                          interpolate_integer_polynomial, restrict_to_face)
-from .polytope import (_echelon, _solve, convex_hull, dual_cone_rays,
-                       lattice_points, polytope_from_inequalities)
+from .polytope import (convex_hull, dual_cone_rays, lattice_points,
+                       polytope_from_inequalities)
 from .quiver import Quiver, vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, ext_dim_hereditary,
                   generic_hom_ext, hom_dim, make_subrep, quotient,
@@ -182,13 +183,12 @@ def graded_counts(w_rep, delta, stables, allow_large=False):
     counts = {}
     iota = [s.dims for s in stables]
     n = len(w_rep.dims)
-    rows = _iota_rows(iota, n)
-    independent = len(_echelon(rows, len(iota))[1]) == len(iota)
+    solve = solver(_iota_rows(iota, n), len(iota))
     for gamma in subrep_dim_vectors(w_rep, allow_large):
         if vec_dot(delta, gamma) != 0:
             continue
-        if independent:
-            m = _solve(rows, gamma, len(iota))
+        if solve is not None:
+            m = solve(gamma)
             if m is None or any(x < 0 for x in m):
                 raise InvariantViolation(
                     "semistable dimension vector not in the stable lattice")
@@ -288,12 +288,12 @@ def collapse_monomial(poly, images, nvars_out):
     Each exponent vector must be a unique nonnegative integer combination
     of the image vectors (their linear independence is required).
     """
-    rows = _iota_rows(images, len(images[0]))
-    if len(_echelon(rows, len(images))[1]) != len(images):
+    solve = solver(_iota_rows(images, len(images[0])), len(images))
+    if solve is None:
         raise ValueError("image vectors must be linearly independent")
     terms = {}
     for exp, coef in poly.terms.items():
-        sol = _solve(rows, exp, len(images))
+        sol = solve(exp)
         if sol is None or any(x < 0 for x in sol):
             raise ValueError(f"exponent {exp} is not in the image cone")
         terms[sol] = coef

@@ -16,9 +16,10 @@ equality against the exhaustive subset searches in
 lower-dimensional sets) and random inequality lists.  The oracle keeps
 its own ``Fraction`` elimination, affine hull and cofactor normals and
 imports only ``Cone``, ``MAX_CONE_DIM`` and ``Polytope`` from the
-library, so a fault in the library's integer echelon cannot reach both
-sides.  That echelon, with its null space, solve and rank, is also
-compared directly with the oracle's ``Fraction`` elimination.
+library, so a fault in the library's integer echelon (``intlinalg``)
+cannot reach both sides.  That echelon, with its rank, null space and
+solver, is also compared directly with the oracle's ``Fraction``
+elimination.
 
 ``RepRecipe.at_prime`` and ``subrep_dim_vectors`` are memoized by value;
 their cached results are checked against the uncached computations, and
@@ -36,8 +37,9 @@ from fpoly import grassmannian, rep as rep_module
 from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, subrep_dim_vectors)
-from fpoly.polytope import (_echelon, _nullspace, _solve, convex_hull,
-                            dual_cone_rays, polytope_from_inequalities)
+from fpoly.intlinalg import echelon, nullspace, solver
+from fpoly.polytope import (convex_hull, dual_cone_rays,
+                            polytope_from_inequalities)
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
                        random_representation)
@@ -238,13 +240,15 @@ def test_integer_echelon_equals_rational_elimination():
                      (trial % 5 + 1 for trial in range(600))]
     kinds = Counter()
     for rows, ncols in cases:
-        ech, pivots = _echelon(rows, ncols)
+        ech, pivots = echelon(rows, ncols)
         frac_rows, frac_pivots = oracle.rref_frac(rows, ncols)
         assert pivots == frac_pivots, rows
         assert len(pivots) == oracle.rank_frac(rows, ncols)
         assert ech == [oracle.primitive_vector(r) for r in frac_rows], rows
-        assert _nullspace(rows, ncols) == [
+        assert nullspace(ech, pivots, ncols) == [
             oracle.primitive_vector(v) for v in oracle.nullspace_frac(rows, ncols)]
+        solve = solver(rows, ncols)
+        assert (solve is None) == (len(pivots) < ncols), rows
         for _ in range(3):
             if rng.random() < 0.5:
                 x = [rng.randrange(-3, 4) for _ in range(ncols)]
@@ -253,8 +257,9 @@ def test_integer_echelon_equals_rational_elimination():
                 rhs = [rng.randrange(-5, 6) for _ in rows]
             kind = _solve_kind(rows, rhs, ncols)
             kinds[kind] += 1
-            sol = oracle.solve_frac(rows, rhs, ncols)
-            expected = tuple(int(f) for f in sol) if kind == "integral" else None
-            assert _solve(rows, rhs, ncols) == expected, (rows, rhs)
+            if solve is not None:
+                sol = oracle.solve_frac(rows, rhs, ncols)
+                expected = tuple(int(f) for f in sol) if kind == "integral" else None
+                assert solve(rhs) == expected, (rows, rhs)
     assert min(kinds[k] for k in ("inconsistent", "underdetermined",
                                   "non-integral", "integral")) >= 20, kinds

@@ -4,19 +4,19 @@ import random
 import pytest
 
 from fpoly.errors import InvariantViolation
-from fpoly.polytope import (Cone, _primitive_int, convex_hull, dual_cone_rays,
-                            lattice_points, maximizing_face,
-                            polytope_from_inequalities)
+from fpoly.intlinalg import primitive
+from fpoly.polytope import (Cone, convex_hull, dual_cone_rays, lattice_points,
+                            maximizing_face, polytope_from_inequalities)
 from fpoly.quiver import vec_dot
 
 
-def test_primitive_int():
-    assert _primitive_int((2, 4, -6)) == (1, 2, -3)
-    assert _primitive_int([-3, 0, 9]) == (-1, 0, 3)
-    assert _primitive_int((0, -5)) == (0, -1)
-    assert _primitive_int((7,)) == (1,)
+def test_primitive():
+    assert primitive((2, 4, -6)) == (1, 2, -3)
+    assert primitive([-3, 0, 9]) == (-1, 0, 3)
+    assert primitive((0, -5)) == (0, -1)
+    assert primitive((7,)) == (1,)
     with pytest.raises(InvariantViolation):
-        _primitive_int((0, 0))
+        primitive((0, 0))
 
 
 def test_square_hull():
