@@ -9,6 +9,7 @@ invariant (a bug, not a failed theorem check).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -16,7 +17,7 @@ from .cluster import b_matrix, find_by_delta, run_sequence
 from .errors import (CheckFailed, CostCapExceeded, GenericityError,
                      InvariantViolation, NonPolynomialCount)
 from .grassmannian import subrep_dim_vectors, sub_dim_vectors
-from .polynomial import MultiPoly, f_polynomial, first_primes
+from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
 from .quiver import Quiver
@@ -59,13 +60,11 @@ def _emit(args, report):
 def cmd_compute(args):
     recipe = _recipe_from_args(args)
     poly = f_polynomial(recipe)
-    degree = max(sum(g * (d - g) for g, d in zip(exp, recipe.dims))
-                 for exp in poly.terms)
     report = {
         "command": "compute",
         "dims": list(recipe.dims),
         "seed": recipe.seed,
-        "primes": first_primes(degree + 2),
+        "primes": counted_primes(recipe),
         "fpoly": poly.to_json(),
         "pretty": str(poly),
     }
@@ -169,7 +168,10 @@ def cmd_verify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="fpoly",
         description="F-polynomials and Newton polytopes of quiver representations")

@@ -3,17 +3,27 @@
 F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 interpolating the counting polynomial exactly over the rationals, and
-evaluating at q = 1.  At least one extra prime is always checked; a
-mismatch means the counts are not given by a single polynomial and is
-reported as an error rather than silently averaged away.
+evaluating at q = 1.  When every counted representation is certified
+rigid (over an acyclic quiver), Gr_gamma(M) is empty off the certified
+sub-dimension vectors and otherwise smooth and projective of dimension
+<gamma, alpha - gamma> (Caldero and Reineke 2008), so its counting
+polynomial has that degree and is palindromic and is fitted from about
+half as many primes.  Otherwise the degree is the box bound
+sum gamma_v (alpha_v - gamma_v), the dimension of the ambient product of
+Grassmannians.  At least one extra prime is always checked; a mismatch
+means the counts are not given by a single polynomial of that degree
+and is reported as an error rather than silently averaged away.
 """
 
 import itertools
 from fractions import Fraction
 
 from .errors import NonPolynomialCount
-from .grassmannian import count_points
-from .quiver import vec_dot
+from .grassmannian import count_points, sub_dim_vectors
+from .quiver import euler_form, vec_dot, vec_sub
+from .rep import _is_rigid, ext_dim_hereditary
+
+VERIFY_PRIMES = 1
 
 
 def _grlex_key(exp):
@@ -283,27 +293,96 @@ def interpolate_integer_polynomial(points, degree_bound, verify=1):
     return [int(c) for c in coeffs]
 
 
-def euler_characteristic(recipe, gamma, allow_large=False, extra_primes=1):
-    """chi of Gr_gamma of the recipe, by counting and interpolating."""
-    recipe.quiver.check_dim_vector(gamma)
-    if any(g < 0 or g > d for g, d in zip(gamma, recipe.dims)):
-        return 0
-    degree = sum(g * (d - g) for g, d in zip(gamma, recipe.dims))
-    primes = first_primes(degree + 1 + extra_primes)
-    points = []
-    for p in primes:
-        rep = recipe.at_prime(p)
-        points.append((p, count_points(rep, gamma, allow_large)))
+def _box(dims):
+    return itertools.product(*(range(d + 1) for d in dims))
+
+
+def _rigid_reductions(recipe, primes):
+    """Whether the recipe's reductions at ``primes`` are all rigid.
+
+    A seeded recipe of a rigid dimension vector passes at every prime,
+    since each draw is certified to have the generic endomorphism
+    dimension.  Explicit matrices are checked prime by prime.
+    """
+    if not _is_rigid(recipe):
+        return False
+    if recipe.int_matrices is None:
+        return True
+    return all(ext_dim_hereditary(rep, rep) == 0
+               for rep in map(recipe.at_prime, primes))
+
+
+def _count_plan(recipe, gamma, allow_large):
+    """``(primes, degree, palindromic)`` for counting Gr_gamma of a recipe.
+
+    For a rigid M over an acyclic quiver, Gr_gamma(M) is empty unless
+    gamma is a sub-dimension vector, and otherwise smooth and projective
+    of dimension <gamma, alpha - gamma>, so its counting polynomial has
+    that degree and is palindromic.  Such a polynomial is fitted from
+    degree // 2 + 1 counts.  Without certified rigidity the degree is the
+    box bound sum gamma_v (alpha_v - gamma_v), which needs degree + 1.
+    No primes means Gr_gamma is empty and nothing is counted.
+    """
+    alpha = recipe.dims
+    if any(g < 0 or g > d for g, d in zip(gamma, alpha)):
+        return [], 0, False
+    degree = euler_form(recipe.quiver, gamma, vec_sub(alpha, gamma))
+    primes = first_primes(max(degree, 0) // 2 + 1 + VERIFY_PRIMES)
+    # first_primes(>= 2) includes 2 and 3, the primes of sub_dim_vectors.
+    if _rigid_reductions(recipe, primes):
+        if gamma not in sub_dim_vectors(recipe, allow_large=allow_large):
+            return [], degree, True
+        return primes, degree, True
+    degree = sum(g * (d - g) for g, d in zip(gamma, alpha))
+    return first_primes(degree + 1 + VERIFY_PRIMES), degree, False
+
+
+def _chi_from_counts(points, degree, palindromic):
+    """P(1) for the counting polynomial P of ``degree`` through ``points``.
+
+    The leading points fit P and the rest, at least one, must lie on it.
+    A palindromic P of degree D is q^h R(q + 1/q) with h = D // 2, times
+    (1 + q) when D is odd, so R, of degree h, is fitted at the nodes
+    p + 1/p and P(1) = R(2), doubled when D is odd.  Counts that are all
+    zero give 0.
+    """
     if all(y == 0 for _, y in points):
         return 0
-    coeffs = interpolate_integer_polynomial(points, degree, verify=extra_primes)
-    return sum(coeffs)
+    half, odd = divmod(degree, 2)
+    verify = len(points) - (half if palindromic else degree) - 1
+    if degree < 0 or verify < VERIFY_PRIMES:
+        raise NonPolynomialCount(
+            f"{len(points)} point counts cannot fit and check a counting "
+            f"polynomial of degree {degree}")
+    if not palindromic:
+        return sum(interpolate_integer_polynomial(points, degree, verify))
+    nodes = [(Fraction(p * p + 1, p), Fraction(y, p ** half * (1 + p if odd else 1)))
+             for p, y in points]
+    r = interpolate_integer_polynomial(nodes, half, verify)
+    chi = sum(c * 2 ** k for k, c in enumerate(r))
+    return 2 * chi if odd else chi
+
+
+def euler_characteristic(recipe, gamma, allow_large=False):
+    """chi of Gr_gamma of the recipe, by counting and interpolating."""
+    recipe.quiver.check_dim_vector(gamma)
+    primes, degree, palindromic = _count_plan(recipe, gamma, allow_large)
+    points = [(p, count_points(recipe.at_prime(p), gamma, allow_large))
+              for p in primes]
+    return _chi_from_counts(points, degree, palindromic)
+
+
+def counted_primes(recipe, allow_large=False):
+    """The primes at which ``f_polynomial`` counts points, in order."""
+    # Every plan is a prefix of the primes, so the longest is their union.
+    return max((_count_plan(recipe, gamma, allow_large)[0]
+                for gamma in _box(recipe.dims)), key=len)
 
 
 def f_polynomial(recipe, allow_large=False):
     """Generating polynomial of Grassmannian Euler characteristics."""
     terms = {}
-    for gamma in itertools.product(*(range(d + 1) for d in recipe.dims)):
+    for gamma in _box(recipe.dims):
         chi = euler_characteristic(recipe, gamma, allow_large)
         if chi:
             terms[gamma] = chi

@@ -316,6 +316,21 @@ def _generic_end_dim(recipe, primes=DEFAULT_GENERIC_PRIMES, trials=6):
     return best
 
 
+def _is_rigid(recipe):
+    """Whether the general representation of the recipe's dimension
+    vector is rigid: on an acyclic quiver, ext(M, M) = 0 exactly when the
+    generic dim End(M) equals the Euler form <alpha, alpha>.
+
+    Each seeded draw is certified to have that generic endomorphism
+    dimension, so for a seeded recipe every reduction is then rigid.
+    Hom between two independent draws is not End of one draw: for an
+    isotropic root it vanishes while End does not.
+    """
+    return (recipe.quiver.acyclic
+            and _generic_end_dim(recipe) == euler_form(recipe.quiver,
+                                                       recipe.dims, recipe.dims))
+
+
 def generic_hom_ext(quiver, a, b, trials=8, primes=DEFAULT_GENERIC_PRIMES, seed=0):
     """Generic (hom, ext) of dimension vectors by large-prime sampling.
 

@@ -19,12 +19,12 @@ from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
 from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
 from .intlinalg import solver
-from .polynomial import (MultiPoly, f_polynomial, first_primes,
-                         interpolate_integer_polynomial, restrict_to_face)
+from .polynomial import (VERIFY_PRIMES, MultiPoly, _chi_from_counts,
+                         f_polynomial, first_primes, restrict_to_face)
 from .polytope import (convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities)
-from .quiver import Quiver, vec_dot, vec_sub
-from .rep import (Subrep, _coords_in_basis, ext_dim_hereditary,
+from .quiver import Quiver, euler_form, vec_dot, vec_sub
+from .rep import (Subrep, _coords_in_basis, _is_rigid, ext_dim_hereditary,
                   generic_hom_ext, hom_dim, make_subrep, quotient,
                   restrict_to_sub)
 
@@ -218,36 +218,64 @@ class GradedData:
     multiplicities: tuple
 
 
-def graded_semistable_f(recipe, delta, allow_large=False, extra_primes=1):
+def _rigid_perp(w_rep):
+    return w_rep.quiver.acyclic and ext_dim_hereditary(w_rep, w_rep) == 0
+
+
+def graded_semistable_f(recipe, delta, allow_large=False):
     """Euler-characteristic generating polynomial of semistable subreps
-    of perp(M, delta), graded by stable JH multiplicity."""
+    of perp(M, delta), graded by stable JH multiplicity.
+
+    With independent stable dimension vectors the grade m counts
+    Gr_gamma(W) for gamma = iota m.  When every counted W is rigid, that
+    Grassmannian is fitted as ``euler_characteristic`` fits a rigid one,
+    at degree <gamma, w - gamma>, and the primes are sized from the
+    grades found at the base prime; otherwise at the box bound.
+    """
     base_split, base_stables = _split_at_prime(recipe, delta, SMALL_PRIMES[0],
                                                allow_large)
     stable_dims = tuple(s.dims for s in base_stables.stables)
     w_dims = base_split.perp.dims
-    # max over gamma of sum gamma_v (w_v - gamma_v): bound for every grade
-    degree = sum((d // 2) * (d - d // 2) for d in w_dims)
-    primes = first_primes(degree + 1 + extra_primes)
-    per_prime = []
-    for p in primes:
-        if p == SMALL_PRIMES[0]:
-            split, stables = base_split, base_stables
-        else:
-            split, stables = _split_at_prime(recipe, delta, p, allow_large)
-        if tuple(s.dims for s in stables.stables) != stable_dims:
-            raise NonPolynomialCount(
-                f"stable classes at p={p} do not match the base prime")
-        per_prime.append(graded_counts(split.perp, delta,
-                                       stables.stables, allow_large))
-    terms = {}
-    for m in set(itertools.chain.from_iterable(per_prime)):
+    per_prime = {}
+
+    def counts_at(p):
+        """Graded counts of W mod p, and whether that W is rigid."""
+        if p not in per_prime:
+            if p == SMALL_PRIMES[0]:
+                split, stables = base_split, base_stables
+            else:
+                split, stables = _split_at_prime(recipe, delta, p, allow_large)
+            if tuple(s.dims for s in stables.stables) != stable_dims:
+                raise NonPolynomialCount(
+                    f"stable classes at p={p} do not match the base prime")
+            per_prime[p] = (graded_counts(split.perp, delta, stables.stables,
+                                          allow_large),
+                            _rigid_perp(split.perp))
+        return per_prime[p]
+
+    def degree(m, palindromic):
         gamma = tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
                       for v in range(len(w_dims)))
-        deg_m = sum(g * (d - g) for g, d in zip(gamma, w_dims))
-        points = [(p, c.get(m, 0)) for p, c in zip(primes, per_prime)]
-        coeffs = interpolate_integer_polynomial(points, deg_m,
-                                                verify=len(points) - deg_m - 1)
-        chi = sum(coeffs)
+        if palindromic:
+            return euler_form(recipe.quiver, gamma, vec_sub(w_dims, gamma))
+        return sum(g * (d - g) for g, d in zip(gamma, w_dims))
+
+    base_counts, palindromic = counts_at(SMALL_PRIMES[0])
+    palindromic = palindromic and solver(_iota_rows(stable_dims, len(w_dims)),
+                                         len(stable_dims)) is not None
+    if palindromic:
+        half = max(degree(m, True) for m in base_counts) // 2
+        primes = first_primes(max(half, 0) + 1 + VERIFY_PRIMES)
+        palindromic = all(counts_at(p)[1] for p in primes)
+    if not palindromic:
+        # max over gamma of sum gamma_v (w_v - gamma_v): bound for every grade
+        box = sum((d // 2) * (d - d // 2) for d in w_dims)
+        primes = first_primes(box + 1 + VERIFY_PRIMES)
+    per_grade = [counts_at(p)[0] for p in primes]
+    terms = {}
+    for m in set(itertools.chain.from_iterable(per_grade)):
+        points = [(p, c.get(m, 0)) for p, c in zip(primes, per_grade)]
+        chi = _chi_from_counts(points, degree(m, palindromic), palindromic)
         if chi:
             terms[m] = chi
     poly = MultiPoly(len(stable_dims), terms)
@@ -346,14 +374,6 @@ def newton_via_cones(recipe, allow_large=False):
             f"cone reconstruction disagrees with the direct hull; "
             f"witness facets: {sorted(missing)}")
     return rebuilt
-
-
-def _is_rigid(recipe):
-    if not recipe.quiver.acyclic:
-        return False
-    _, ext = generic_hom_ext(recipe.quiver, recipe.dims, recipe.dims,
-                             seed=recipe.seed)
-    return ext == 0
 
 
 def verify_vertex_theorems(recipe, primes=(2, 3, 5), allow_large=False):

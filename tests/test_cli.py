@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fpoly import cli, grassmannian, polytope, rep, stabilization
+from fpoly import cli, grassmannian, polynomial, polytope, rep, stabilization
 from fpoly.cli import main
 from fpoly.errors import InvariantViolation
 from fpoly.polynomial import MultiPoly, f_polynomial
@@ -110,6 +110,18 @@ def test_verify_vertices_ok(capsys, k2_json):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("dims,rigid", [("1,1", False), ("2,2", False),
+                                         ("3,3", False), ("1,2", True),
+                                         ("2,3", True)])
+def test_verify_vertices_rigid_verdict(capsys, k2_json, dims, rigid):
+    # (n,n) over the Kronecker quiver is an isotropic root: not rigid, so
+    # the perpendicularity test, which holds only for rigid M, is skipped.
+    code, out = run(capsys, "verify", "--what", "vertices", "--strict",
+                    "--quiver", k2_json, "--dims", dims, "--seed", "0")
+    report = json.loads(out)["report"]
+    assert code == 0 and report["rigid"] is rigid and not report["witnesses"]
+
+
 def test_verify_saturation_failure_is_exit_1_under_strict(capsys, k3_json):
     code, out = run(capsys, "verify", "--what", "saturation", "--strict",
                     "--quiver", k3_json, "--dims", "3,4")
@@ -138,6 +150,43 @@ def test_verify_facets(capsys, k2_json):
     assert report["pass"] is True and not report["report"]["witnesses"]
 
 
+@pytest.mark.parametrize("dims", ["2,3", "3,4", "2,2"])
+def test_compute_reports_the_primes_counted(capsys, monkeypatch, k2_json, dims):
+    # K2 (2,3) and (3,4) are rigid and take the palindromic fit; the
+    # isotropic (2,2) is counted at the box bound.
+    counted = set()
+    real = polynomial.count_points
+
+    def spy(m_rep, gamma, allow_large=False):
+        counted.add(m_rep.p)
+        return real(m_rep, gamma, allow_large)
+
+    monkeypatch.setattr(polynomial, "count_points", spy)
+    code, out = run(capsys, "compute", "--quiver", k2_json, "--dims", dims)
+    assert code == 0
+    assert json.loads(out)["primes"] == sorted(counted)
+
+
+def test_parser_is_built_once_and_keeps_no_options(capsys, k2_json, k3_json,
+                                                    tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "report.json"
+    code, out = run(capsys, "verify", "--what", "vertices", "--strict",
+                    "--out", str(path), "--seed", "3",
+                    "--quiver", k2_json, "--dims", "2,2")
+    assert code == 0 and out == ""
+    written = path.read_text()
+    assert json.loads(written)["instance"]["seed"] == 3
+    # The next call fails its check, but without --strict it exits 0,
+    # prints its report and uses the default seed.
+    code, out = run(capsys, "verify", "--what", "saturation",
+                    "--quiver", k3_json, "--dims", "3,4")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is False
+    assert report["instance"]["seed"] == 0
+    assert path.read_text() == written
+
+
 def test_exit_code_cost_cap(capsys, k2_json):
     code, _ = run(capsys, "subdims", "--quiver", k2_json, "--dims", "9,9")
     assert code == 2
@@ -146,6 +195,13 @@ def test_exit_code_cost_cap(capsys, k2_json):
 def test_exit_code_non_polynomial_count(capsys, k3_json):
     code, _ = run(capsys, "compute", "--quiver", k3_json, "--dims", "3,4")
     assert code == 3
+
+
+def test_exit_code_non_polynomial_count_of_a_non_rigid_root(capsys, k3_json):
+    # <(2,3), (2,3)> = -5 over the 3-arrow Kronecker quiver: counted at
+    # the box bound, the counts of seed 0 are not polynomial.
+    code, out = run(capsys, "compute", "--quiver", k3_json, "--dims", "2,3")
+    assert code == 3 and out == ""
 
 
 def test_exit_code_not_generic(capsys, k3_json):

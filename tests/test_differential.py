@@ -24,6 +24,12 @@ elimination.
 ``RepRecipe.at_prime`` and ``subrep_dim_vectors`` are memoized by value;
 their cached results are checked against the uncached computations, and
 the cost cap against a cache hit.
+
+For certified-rigid input, ``f_polynomial`` and ``graded_semistable_f``
+fit palindromic counting polynomials of degree <gamma, alpha - gamma>
+from fewer primes.  The box-bound fit, forced by patching the two
+rigidity gates, is their reference on the rigid instances of acceptance
+criteria 7 and 8.
 """
 
 import itertools
@@ -33,8 +39,8 @@ from collections import Counter
 import pytest
 
 import exhaustive_polytope
-from fpoly import grassmannian, rep as rep_module
-from fpoly.errors import CostCapExceeded
+from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
+from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, subrep_dim_vectors)
 from fpoly.intlinalg import echelon, nullspace, solver
@@ -43,7 +49,8 @@ from fpoly.polytope import (convex_hull, dual_cone_rays,
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
                        random_representation)
-from fpoly.stabilization import torsion_split
+from fpoly.stabilization import graded_semistable_f, torsion_split
+from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
 from test_kernels import subspace_intersection, subspace_sum
 
@@ -263,3 +270,60 @@ def test_integer_echelon_equals_rational_elimination():
                 assert solve(rhs) == expected, (rows, rhs)
     assert min(kinds[k] for k in ("inconsistent", "underdetermined",
                                   "non-integral", "integral")) >= 20, kinds
+
+
+def _f_and_facets(recipe, deltas=None):
+    """F-polynomial and the graded data of each facet, or the error type."""
+    try:
+        f = polynomial.f_polynomial(recipe)
+    except FpolyError as exc:
+        return type(exc).__name__, {}
+    if deltas is None:
+        deltas = [delta for delta, _ in convex_hull(f.support()).facets]
+    graded = {}
+    for delta in deltas:
+        try:
+            graded[delta] = graded_semistable_f(recipe, delta)
+        except FpolyError as exc:
+            graded[delta] = type(exc).__name__
+    return f, graded
+
+
+def test_rigid_fit_equals_box_bound_fit(monkeypatch):
+    fits = {polynomial: Counter(), stabilization: Counter()}
+    for module, counter in fits.items():
+        def spy(points, degree, palindromic, counter=counter,
+                real=module._chi_from_counts):
+            counter[palindromic] += 1
+            return real(points, degree, palindromic)
+        monkeypatch.setattr(module, "_chi_from_counts", spy)
+    for quiver, alpha in RIGID_INSTANCES:
+        recipe = RepRecipe(quiver, alpha, seed=0)
+        fast = _f_and_facets(recipe)
+        with monkeypatch.context() as box_bound:
+            box_bound.setattr(polynomial, "_is_rigid", lambda recipe: False)
+            box_bound.setattr(stabilization, "_rigid_perp", lambda w_rep: False)
+            box = _f_and_facets(recipe, list(fast[1]))
+        assert fast == box, (quiver.arrows, alpha)
+    # Both callers took the fast path on most of their fits.
+    for counter in fits.values():
+        assert counter[True] >= counter[False] > 0, fits
+
+
+def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
+    k2 = kronecker_quiver(2)
+    # (2,2) is isotropic: two independent draws have no homs between
+    # them, but a general module has a 2-dimensional End.
+    assert not rep_module._is_rigid(RepRecipe(k2, (2, 2), seed=1))
+    counted = []
+
+    def spy(m_rep, gamma, allow_large=False):
+        counted.append((gamma, m_rep.p))
+        return count_points(m_rep, gamma, allow_large)
+
+    monkeypatch.setattr(polynomial, "count_points", spy)
+    # Counted at the box bound, seed 1 is not polynomial; a palindromic
+    # fit at degree <gamma, alpha - gamma> would return a polynomial.
+    with pytest.raises(NonPolynomialCount):
+        polynomial.f_polynomial(RepRecipe(k2, (2, 2), seed=1))
+    assert [p for gamma, p in counted if gamma == (1, 1)] == [2, 3, 5, 7]

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from fpoly import polynomial
 from fpoly.errors import NonPolynomialCount
-from fpoly.polynomial import (MultiPoly, euler_characteristic, f_polynomial,
-                              first_primes, interpolate_integer_polynomial,
-                              restrict_to_face)
+from fpoly.grassmannian import count_points
+from fpoly.polynomial import (MultiPoly, counted_primes, euler_characteristic,
+                              f_polynomial, first_primes,
+                              interpolate_integer_polynomial, restrict_to_face)
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
 
@@ -97,6 +99,41 @@ def test_euler_characteristic_grassmannian_of_vector_space():
     pt = Quiver(("1",), ())
     r = RepRecipe(pt, (4,), seed=0)
     assert [euler_characteristic(r, (k,)) for k in range(5)] == [1, 4, 6, 4, 1]
+
+
+def _spy_counts(monkeypatch):
+    counted = []
+
+    def spy(m_rep, gamma, allow_large=False):
+        counted.append(m_rep.p)
+        return count_points(m_rep, gamma, allow_large)
+
+    monkeypatch.setattr(polynomial, "count_points", spy)
+    return counted
+
+
+def test_criterion_4_counts_at_few_small_primes(monkeypatch):
+    # The box bound counted 130 times here, at primes up to 17.
+    counted = _spy_counts(monkeypatch)
+    q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
+    assert len(f_polynomial(RepRecipe(q231, (2, 4, 1), seed=0))) == 13
+    assert len(counted) <= 33 and max(counted) <= 7
+
+
+def test_explicit_recipe_is_fitted_as_rigid_only_where_each_reduction_is(
+        monkeypatch):
+    k2 = kronecker_quiver(2)
+    general = RepRecipe(k2, (1, 2), int_matrices=(((1,), (0,)), ((0,), (1,))))
+    assert f_polynomial(general) == f_polynomial(RepRecipe(k2, (1, 2), seed=0))
+    assert counted_primes(general) == [2, 3]
+    # Mod 2 both arrows send the vertex-1 vector to (1, 0), so that
+    # reduction splits off S2 and is not rigid: the box bound is used.
+    split_mod_2 = RepRecipe(k2, (1, 2),
+                            int_matrices=(((1,), (0,)), ((1,), (2,))))
+    counted = _spy_counts(monkeypatch)
+    with pytest.raises(NonPolynomialCount):
+        f_polynomial(split_mod_2)
+    assert max(counted) == 5 == counted_primes(split_mod_2)[-1]
 
 
 def test_restrict_to_face():
