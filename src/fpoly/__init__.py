@@ -2,7 +2,8 @@
 representations, with stabilization functors and structural verifiers."""
 
 from .errors import (CheckFailed, CostCapExceeded, FpolyError, GenericityError,
-                     InvalidSubrepresentation, InvariantViolation, NonPolynomialCount)
+                     InvalidInput, InvalidSubrepresentation, InvariantViolation,
+                     NonPolynomialCount)
 from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   ext_dim_hereditary, generic_hom_ext, hom_basis, hom_dim,

@@ -3,20 +3,23 @@
 Subcommands: compute, subdims, mutate, polytope, verify.  All output is
 deterministic JSON (sorted keys) for a fixed seed; exit codes are a
 stable contract: 0 success, 1 failed verification under --strict,
-2 enumeration cost cap exceeded, 3 non-polynomial point counts,
-4 a seeded recipe that cannot be certified generic, 5 a broken internal
-invariant (a bug, not a failed theorem check).
+2 a dimension vector over the fixed enumeration cost cap (checked before
+any draw), 3 non-polynomial point counts, 4 a seeded recipe that cannot
+be certified generic, 5 a broken internal invariant (a bug, not a failed
+theorem check), 6 invalid input.  Each error prints one ``error:`` line.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import sys
 
 from .cluster import b_matrix, find_by_delta, run_sequence
 from .errors import (CheckFailed, CostCapExceeded, GenericityError,
-                     InvariantViolation, NonPolynomialCount)
-from .grassmannian import subrep_dim_vectors, sub_dim_vectors
+                     InvalidInput, InvariantViolation, NonPolynomialCount)
+from .grassmannian import check_cost, subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
@@ -27,31 +30,59 @@ from .stabilization import (newton_via_cones, verify_facet_restriction,
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 ERROR_EXITS = {CostCapExceeded: 2, NonPolynomialCount: 3, GenericityError: 4,
-               InvariantViolation: 5}
+               InvariantViolation: 5, InvalidInput: 6}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InvalidInput(message)
+
+
+def _prime(text):
+    p = int(text) if text.isdigit() else 0
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return p
+
+
+@contextlib.contextmanager
+def _reading(what):
+    """Report an unreadable or malformed input as InvalidInput."""
+    try:
+        yield
+    except (LookupError, OSError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"invalid {what}: {exc}") from None
 
 
 def _int_list(text):
-    return tuple(int(x) for x in text.split(","))
+    with _reading("integer list"):
+        return tuple(int(x) for x in text.split(","))
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path, parse):
+    with _reading(path), open(path) as fh:
+        return parse(json.load(fh))
 
 
 def _recipe_from_args(args):
+    """The recipe that the arguments name, its cost cap checked before
+    any representation is drawn."""
     if args.rep:
-        return RepRecipe.from_json(_load_json(args.rep))
-    if args.quiver and args.dims:
-        quiver = Quiver.from_json(_load_json(args.quiver))
-        return RepRecipe(quiver, _int_list(args.dims), seed=args.seed)
-    raise SystemExit("either --rep or both --quiver and --dims are required")
+        recipe = _load_json(args.rep, RepRecipe.from_json)
+    elif args.quiver and args.dims:
+        quiver = _load_json(args.quiver, Quiver.from_json)
+        with _reading("dimension vector"):
+            recipe = RepRecipe(quiver, _int_list(args.dims), seed=args.seed)
+    else:
+        raise InvalidInput("either --rep or both --quiver and --dims are required")
+    check_cost(recipe.dims)
+    return recipe
 
 
 def _emit(args, report):
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _reading(args.out), open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -60,7 +91,7 @@ def _emit(args, report):
 def cmd_compute(args):
     recipe = _recipe_from_args(args)
     poly = f_polynomial(recipe)
-    report = {
+    return {
         "command": "compute",
         "dims": list(recipe.dims),
         "seed": recipe.seed,
@@ -68,61 +99,50 @@ def cmd_compute(args):
         "fpoly": poly.to_json(),
         "pretty": str(poly),
     }
-    _emit(args, report)
-    return EXIT_OK
 
 
 def cmd_subdims(args):
     recipe = _recipe_from_args(args)
     dims = sorted(subrep_dim_vectors(recipe.at_prime(args.prime)))
-    report = {
+    return {
         "command": "subdims",
         "prime": args.prime,
         "seed": recipe.seed,
         "subdims": [list(g) for g in dims],
     }
-    _emit(args, report)
-    return EXIT_OK
 
 
 def cmd_mutate(args):
-    quiver = Quiver.from_json(_load_json(args.quiver))
-    seed = run_sequence(b_matrix(quiver), _int_list(args.seq))
+    if not args.quiver:
+        raise InvalidInput("mutate requires --quiver")
+    quiver = _load_json(args.quiver, Quiver.from_json)
+    seq = _int_list(args.seq)
+    if not all(1 <= k <= quiver.n for k in seq):
+        raise InvalidInput(f"mutation indices must lie in 1..{quiver.n}")
+    seed = run_sequence(b_matrix(quiver), seq)
+    report = {"command": "mutate", "seq": list(seq)}
     if args.delta:
-        poly = find_by_delta(seed, _int_list(args.delta), dual=args.dual)
-        report = {
-            "command": "mutate",
-            "seq": list(_int_list(args.seq)),
-            "delta": list(_int_list(args.delta)),
-            "fpoly": poly.to_json(),
-            "pretty": str(poly),
-        }
+        delta = _int_list(args.delta)
+        try:
+            poly = find_by_delta(seed, delta, dual=args.dual)
+        except KeyError as exc:
+            raise InvalidInput(exc.args[0]) from None
+        report.update(delta=list(delta), fpoly=poly.to_json(), pretty=str(poly))
     else:
-        report = {
-            "command": "mutate",
-            "seq": list(_int_list(args.seq)),
-            "slots": [{"g": list(seed.g[i]),
-                       "fpoly": seed.f[i].to_json(),
-                       "pretty": str(seed.f[i])}
-                      for i in range(seed.n)],
-        }
-    _emit(args, report)
-    return EXIT_OK
+        report["slots"] = [{"g": list(seed.g[i]),
+                            "fpoly": seed.f[i].to_json(),
+                            "pretty": str(seed.f[i])}
+                           for i in range(seed.n)]
+    return report
 
 
 def cmd_polytope(args):
     if args.fpoly:
-        poly = MultiPoly.from_json(_load_json(args.fpoly))
-        hull = convex_hull(poly.support())
+        points = _load_json(args.fpoly, MultiPoly.from_json).support()
         source = "fpoly"
     else:
-        recipe = _recipe_from_args(args)
-        hull = convex_hull(sub_dim_vectors(recipe))
-        source = "subdims"
-    report = {"command": "polytope", "source": source}
-    report.update(hull.to_json())
-    _emit(args, report)
-    return EXIT_OK
+        points, source = sub_dim_vectors(_recipe_from_args(args)), "subdims"
+    return {"command": "polytope", "source": source, **convex_hull(points).to_json()}
 
 
 def _verify_facets(recipe, fpoly):
@@ -139,8 +159,7 @@ def _verify_facets(recipe, fpoly):
 
 def cmd_verify(args):
     recipe = _recipe_from_args(args)
-    fpoly = (MultiPoly.from_json(_load_json(args.fpoly))
-             if args.fpoly else None)
+    fpoly = _load_json(args.fpoly, MultiPoly.from_json) if args.fpoly else None
     if args.what == "vertices":
         result = verify_vertex_theorems(recipe)
     elif args.what == "saturation":
@@ -155,75 +174,63 @@ def cmd_verify(args):
         except CheckFailed as exc:
             result = {"check": "cones", "pass": False,
                       "witnesses": [str(exc)]}
-    report = {
+    return {
         "command": "verify",
         "instance": {"dims": list(recipe.dims), "seed": recipe.seed},
         "check": result.get("check", args.what),
         "pass": result["pass"],
         "report": result,
     }
-    _emit(args, report)
-    if args.strict and not result["pass"]:
-        return EXIT_FAILED_CHECK
-    return EXIT_OK
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, and each call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpoly",
         description="F-polynomials and Newton polytopes of quiver representations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--rep", help="representation recipe JSON file")
         p.add_argument("--quiver", help="quiver JSON file")
         p.add_argument("--dims", help="dimension vector, e.g. 2,3")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report to this file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("compute", help="F-polynomial by point counting")
-    common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("subdims", help="sub-dimension vectors at one prime")
-    common(p)
-    p.add_argument("--prime", type=int, default=3)
-    p.set_defaults(func=cmd_subdims)
-
-    p = sub.add_parser("mutate", help="cluster mutation pipeline")
-    common(p)
+    command("compute", cmd_compute, "F-polynomial by point counting")
+    p = command("subdims", cmd_subdims, "sub-dimension vectors at one prime")
+    p.add_argument("--prime", type=_prime, default=3)
+    p = command("mutate", cmd_mutate, "cluster mutation pipeline")
     p.add_argument("--seq", required=True, help="mutation sequence, e.g. 3,4,1,2")
     p.add_argument("--delta", help="select the slot with this delta-vector")
     p.add_argument("--dual", action="store_true",
                    help="match the dual delta-vector instead")
-    p.set_defaults(func=cmd_mutate)
-
-    p = sub.add_parser("polytope", help="Newton polytope report")
-    common(p)
+    p = command("polytope", cmd_polytope, "Newton polytope report")
     p.add_argument("--fpoly", help="F-polynomial JSON file")
-    p.set_defaults(func=cmd_polytope)
-
-    p = sub.add_parser("verify", help="structural theorem verification")
-    common(p)
+    p = command("verify", cmd_verify, "structural theorem verification")
     p.add_argument("--what", required=True,
                    choices=("vertices", "saturation", "facets", "cones"))
     p.add_argument("--fpoly", help="precomputed F-polynomial JSON file")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when any check fails")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        report = args.func(args)
+        _emit(args, report)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXITS[type(exc)]
+    failed = getattr(args, "strict", False) and not report["pass"]
+    return EXIT_FAILED_CHECK if failed else EXIT_OK
 
 
 if __name__ == "__main__":

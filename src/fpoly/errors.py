@@ -3,11 +3,7 @@ class FpolyError(Exception):
 
 
 class CostCapExceeded(FpolyError):
-    """Raised when an enumeration would exceed the configured cost cap."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """Raised when a dimension vector exceeds the fixed enumeration cap."""
 
 
 class NonPolynomialCount(FpolyError):
@@ -28,3 +24,7 @@ class CheckFailed(FpolyError):
 
 class InvalidSubrepresentation(FpolyError):
     """Raised when subspaces are not stable under the arrow maps."""
+
+
+class InvalidInput(FpolyError):
+    """Raised at the command line for malformed or unusable input."""

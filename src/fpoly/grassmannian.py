@@ -8,6 +8,8 @@ considered.  Only when counting (``count_points``, and ``has_subrep``,
 which stops at the first point) does the walk skip a free vertex, one
 that constrains nothing downstream, and count its choices by a
 Gaussian binomial instead; ``enumerate_subreps`` visits every point.
+Every walk first checks the fixed cost cap on dim M (``MAX_VERTEX_DIM``
+per vertex, ``MAX_TOTAL_DIM`` in total); no argument lifts it.
 
 ``subrep_dim_vectors`` is memoized by value: a representation is
 immutable, so its sub-dimension set is found once and kept in a small
@@ -24,22 +26,15 @@ from .rep import Subrep
 
 MAX_VERTEX_DIM = 8
 MAX_TOTAL_DIM = 16
+CERTIFY_PRIMES = (2, 3)
 
 
-def check_cost(rep, allow_large=False):
-    """Refuse enumerations whose subspace lattice is clearly too large."""
-    if allow_large:
-        return
-    if max(rep.dims, default=0) > MAX_VERTEX_DIM or rep.total_dim > MAX_TOTAL_DIM:
-        estimate = 1
-        for n in rep.dims:
-            estimate *= sum(kernels.gauss_binom(n, k, rep.p) for k in range(n + 1))
+def check_cost(dims):
+    """Refuse a dimension vector whose subspace lattice is too large to walk."""
+    if max(dims, default=0) > MAX_VERTEX_DIM or sum(dims) > MAX_TOTAL_DIM:
         raise CostCapExceeded(
-            f"dimension vector {rep.dims} exceeds the enumeration cap "
-            f"({MAX_VERTEX_DIM} per vertex, {MAX_TOTAL_DIM} total); "
-            f"pass allow_large=True to override",
-            estimate=estimate,
-        )
+            f"dimension vector {dims} exceeds the fixed enumeration cap "
+            f"({MAX_VERTEX_DIM} per vertex, {MAX_TOTAL_DIM} total)")
 
 
 @lru_cache(maxsize=32)
@@ -89,28 +84,27 @@ def _deferred_ok(rep, bases, pivots, deferred):
     return True
 
 
-def enumerate_subreps(rep, gamma, allow_large=False):
+def enumerate_subreps(rep, gamma):
     """Yield every subrepresentation with dimension vector ``gamma``."""
-    for _, bases, pivots in _walk(rep, gamma, allow_large, count_free=False):
+    for _, bases, pivots in _walk(rep, gamma, count_free=False):
         yield Subrep(tuple(bases), tuple(pivots))
 
 
-def count_points(rep, gamma, allow_large=False):
+def count_points(rep, gamma):
     """|Gr_gamma(M)(F_p)|, with a closed-form shortcut at free vertices."""
-    return sum(weight for weight, _, _ in _walk(rep, gamma, allow_large,
-                                                count_free=True))
+    return sum(weight for weight, _, _ in _walk(rep, gamma, count_free=True))
 
 
-def has_subrep(rep, gamma, allow_large=False):
+def has_subrep(rep, gamma):
     """Whether M has a subrepresentation of dimension ``gamma``.
 
     An existence search: it takes the counting walk, free-vertex
     shortcut included, and stops at the first point it reaches.
     """
-    return next(_walk(rep, gamma, allow_large, count_free=True), None) is not None
+    return next(_walk(rep, gamma, count_free=True), None) is not None
 
 
-def _walk(rep, gamma, allow_large, count_free):
+def _walk(rep, gamma, count_free):
     """Yield ``(weight, bases, pivots)`` per point of Gr_gamma(M)(F_p) reached.
 
     Without ``count_free`` every point is reached once, with weight 1.
@@ -121,7 +115,7 @@ def _walk(rep, gamma, allow_large, count_free):
     overwritten as it goes on.
     """
     rep.quiver.check_dim_vector(gamma)
-    check_cost(rep, allow_large)
+    check_cost(rep.dims)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return
     order, constraining, deferred, free = _vertex_plan(rep.quiver)
@@ -169,56 +163,54 @@ def _pivots_of(rref_basis):
                 break
 
 
-def subrep_dim_vectors(rep, allow_large=False):
+def subrep_dim_vectors(rep):
     """All dimension vectors of subrepresentations of one representation.
 
     Each gamma in the box below dim M is tested with the existence search
-    ``has_subrep``; nothing is counted.  The cost cap is checked on every
-    call, cache hit or not.
+    ``has_subrep``; nothing is counted.  An over-cap representation raises
+    in its first walk, so it never enters the cache.
     """
-    check_cost(rep, allow_large)
     return _subrep_dims(rep)
 
 
 @lru_cache(maxsize=32)
 def _subrep_dims(rep):
-    # The caller has checked the cost cap, so the walks skip it.
     box = itertools.product(*(range(d + 1) for d in rep.dims))
-    return frozenset(gamma for gamma in box if has_subrep(rep, gamma, True))
+    return frozenset(gamma for gamma in box if has_subrep(rep, gamma))
 
 
-def sub_dim_vectors(recipe, primes=(2, 3), allow_large=False):
+def sub_dim_vectors(recipe):
     """Sub-dimension vectors of a recipe, certified across two primes."""
-    results = [subrep_dim_vectors(recipe.at_prime(p), allow_large) for p in primes]
+    results = [subrep_dim_vectors(recipe.at_prime(p)) for p in CERTIFY_PRIMES]
     if any(r != results[0] for r in results[1:]):
         raise GenericityError(
-            f"sub-dimension sets disagree across primes {primes}; "
+            f"sub-dimension sets disagree across primes {CERTIFY_PRIMES}; "
             f"the recipe is not certified generic")
     return results[0]
 
 
-def tropical_f(rep, delta, allow_large=False):
+def tropical_f(rep, delta):
     """max over subrepresentations L of <delta, dim L>."""
-    return max(vec_dot(delta, g) for g in subrep_dim_vectors(rep, allow_large))
+    return max(vec_dot(delta, g) for g in subrep_dim_vectors(rep))
 
 
-def dual_tropical_f(rep, delta, allow_large=False):
+def dual_tropical_f(rep, delta):
     """Dual tropical value, via f^(delta) = f(-delta) + <delta, dim M>."""
     neg = tuple(-x for x in delta)
-    return tropical_f(rep, neg, allow_large) + vec_dot(delta, rep.dims)
+    return tropical_f(rep, neg) + vec_dot(delta, rep.dims)
 
 
-def maximizer_dims(rep, delta, allow_large=False):
+def maximizer_dims(rep, delta):
     """Dimension vectors of subrepresentations attaining the tropical max."""
-    dims = subrep_dim_vectors(rep, allow_large)
+    dims = subrep_dim_vectors(rep)
     best = max(vec_dot(delta, g) for g in dims)
     return frozenset(g for g in dims if vec_dot(delta, g) == best)
 
 
-def unique_subrep(rep, gamma, allow_large=False):
+def unique_subrep(rep, gamma):
     """The unique subrepresentation of dimension ``gamma``, or None."""
     found = None
-    for sub in enumerate_subreps(rep, gamma, allow_large):
+    for sub in enumerate_subreps(rep, gamma):
         if found is not None:
             return None
         found = sub

@@ -312,7 +312,7 @@ def _rigid_reductions(recipe, primes):
                for rep in map(recipe.at_prime, primes))
 
 
-def _count_plan(recipe, gamma, allow_large):
+def _count_plan(recipe, gamma):
     """``(primes, degree, palindromic)`` for counting Gr_gamma of a recipe.
 
     For a rigid M over an acyclic quiver, Gr_gamma(M) is empty unless
@@ -330,7 +330,7 @@ def _count_plan(recipe, gamma, allow_large):
     primes = first_primes(max(degree, 0) // 2 + 1 + VERIFY_PRIMES)
     # first_primes(>= 2) includes 2 and 3, the primes of sub_dim_vectors.
     if _rigid_reductions(recipe, primes):
-        if gamma not in sub_dim_vectors(recipe, allow_large=allow_large):
+        if gamma not in sub_dim_vectors(recipe):
             return [], degree, True
         return primes, degree, True
     degree = sum(g * (d - g) for g, d in zip(gamma, alpha))
@@ -363,27 +363,27 @@ def _chi_from_counts(points, degree, palindromic):
     return 2 * chi if odd else chi
 
 
-def euler_characteristic(recipe, gamma, allow_large=False):
+def euler_characteristic(recipe, gamma):
     """chi of Gr_gamma of the recipe, by counting and interpolating."""
     recipe.quiver.check_dim_vector(gamma)
-    primes, degree, palindromic = _count_plan(recipe, gamma, allow_large)
-    points = [(p, count_points(recipe.at_prime(p), gamma, allow_large))
+    primes, degree, palindromic = _count_plan(recipe, gamma)
+    points = [(p, count_points(recipe.at_prime(p), gamma))
               for p in primes]
     return _chi_from_counts(points, degree, palindromic)
 
 
-def counted_primes(recipe, allow_large=False):
+def counted_primes(recipe):
     """The primes at which ``f_polynomial`` counts points, in order."""
     # Every plan is a prefix of the primes, so the longest is their union.
-    return max((_count_plan(recipe, gamma, allow_large)[0]
-                for gamma in _box(recipe.dims)), key=len)
+    return max((_count_plan(recipe, gamma)[0] for gamma in _box(recipe.dims)),
+               key=len)
 
 
-def f_polynomial(recipe, allow_large=False):
+def f_polynomial(recipe):
     """Generating polynomial of Grassmannian Euler characteristics."""
     terms = {}
     for gamma in _box(recipe.dims):
-        chi = euler_characteristic(recipe, gamma, allow_large)
+        chi = euler_characteristic(recipe, gamma)
         if chi:
             terms[gamma] = chi
     poly = MultiPoly(len(recipe.dims), terms)

@@ -13,8 +13,9 @@ from functools import lru_cache
 
 from . import kernels
 from .quiver import pos_neg_parts, vec_dot
-from .rep import (Representation, make_subrep, quotient, restrict_to_sub,
-                  stable_rng, zero_representation)
+from .rep import (DEFAULT_GENERIC_PRIMES, GENERIC_TRIALS, Representation,
+                  make_subrep, quotient, restrict_to_sub, stable_rng,
+                  zero_representation)
 
 
 class PathBasis:
@@ -268,13 +269,12 @@ def nakayama_kernel(pres):
     return restrict_to_sub(source, sub)
 
 
-def generic_hom_e(quiver, delta, recipe, trials=8,
-                  primes=(101, 103, 107), seed=0):
+def generic_hom_e(quiver, delta, recipe, seed=0):
     """Generic (hom(delta, M), e(delta, M)) by sampling presentations."""
     best = None
-    for p in primes:
+    for p in DEFAULT_GENERIC_PRIMES:
         n_rep = recipe.at_prime(p)
-        for i in range(trials):
+        for i in range(GENERIC_TRIALS):
             rng = stable_rng(seed, p, i)
             d = random_presentation(quiver, delta, p, rng)
             h, _ = hom_e(d, n_rep)
@@ -284,14 +284,14 @@ def generic_hom_e(quiver, delta, recipe, trials=8,
     return best, best - vec_dot(delta, recipe.dims)
 
 
-def generic_cokernel(quiver, delta, p, trials=8, seed=0):
+def generic_cokernel(quiver, delta, p, seed=0):
     """Cokernel of a rigidity-checked random presentation of weight delta.
 
     A sample d is accepted when e(d, Coker d) = 0 twice in a row; the
     orbit of rigid presentations is dense whenever one exists.
     """
     last = None
-    for i in range(trials):
+    for i in range(GENERIC_TRIALS):
         rng = stable_rng(seed, p, i)
         d = random_presentation(quiver, delta, p, rng)
         coker = cokernel(d)

@@ -87,6 +87,9 @@ class Quiver:
     @classmethod
     def from_ids(cls, vertex_ids, arrow_ids):
         index = {v: i for i, v in enumerate(vertex_ids)}
+        unknown = sorted({v for arrow in arrow_ids for v in arrow} - index.keys())
+        if unknown:
+            raise ValueError(f"arrows name unknown vertices {unknown}")
         arrows = tuple((index[s], index[t]) for s, t in arrow_ids)
         return cls(tuple(vertex_ids), arrows)
 

@@ -16,6 +16,9 @@ from .errors import (GenericityError, InvalidSubrepresentation,
 from .quiver import Quiver, euler_form, vec_add
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
+END_DIM_TRIALS = 6       # seed-0 draws per large prime for the generic End
+GENERIC_TRIALS = 8       # draws per prime for a generic hom or cokernel
+DRAW_ATTEMPTS = 500      # seeded draws tried per prime before giving up
 
 
 def stable_rng(*parts):
@@ -257,12 +260,12 @@ class RepRecipe:
         if any(d < 0 for d in self.dims):
             raise ValueError("dimension vector must be nonnegative")
 
-    def at_prime(self, p, max_attempts=500):
+    def at_prime(self, p):
         if self.int_matrices is not None:
             mats = tuple(tuple(tuple(x % p for x in row) for row in mat)
                          for mat in self.int_matrices)
             return Representation(self.quiver, p, self.dims, mats)
-        return _generic_draw(self, p, max_attempts)
+        return _generic_draw(self, p)
 
     @classmethod
     def from_json(cls, data):
@@ -288,29 +291,31 @@ class RepRecipe:
 
 
 @lru_cache(maxsize=32)
-def _generic_draw(recipe, p, max_attempts):
+def _generic_draw(recipe, p):
     """First seeded draw mod p with the generic endomorphism dimension.
 
     Each attempt is fixed by (seed, p, attempt), so the result is a
     function of the arguments and is memoized; errors are not cached.
     """
-    target = _generic_end_dim(recipe)
-    for attempt in range(max_attempts):
+    target = _generic_end_dim(recipe.quiver, recipe.dims)
+    for attempt in range(DRAW_ATTEMPTS):
         rng = stable_rng(recipe.seed, p, attempt)
         rep = random_representation(recipe.quiver, recipe.dims, p, rng)
         if hom_dim(rep, rep) == target:
             return rep
     raise GenericityError(f"no generic representation found mod {p} "
-                          f"after {max_attempts} attempts")
+                          f"after {DRAW_ATTEMPTS} attempts")
 
 
-@lru_cache(maxsize=None)
-def _generic_end_dim(recipe, primes=DEFAULT_GENERIC_PRIMES, trials=6):
+@lru_cache(maxsize=32)
+def _generic_end_dim(quiver, dims):
+    """Generic dim End of a dims-dimensional representation: the least
+    over seed-0 draws at large primes, shared by every seed."""
     best = None
-    for p in primes:
-        for i in range(trials):
-            rng = stable_rng(recipe.seed, p, 1_000_000 + i)
-            rep = random_representation(recipe.quiver, recipe.dims, p, rng)
+    for p in DEFAULT_GENERIC_PRIMES:
+        for i in range(END_DIM_TRIALS):
+            rng = stable_rng(0, p, 1_000_000 + i)
+            rep = random_representation(quiver, dims, p, rng)
             d = hom_dim(rep, rep)
             best = d if best is None else min(best, d)
     return best
@@ -326,12 +331,12 @@ def _is_rigid(recipe):
     Hom between two independent draws is not End of one draw: for an
     isotropic root it vanishes while End does not.
     """
-    return (recipe.quiver.acyclic
-            and _generic_end_dim(recipe) == euler_form(recipe.quiver,
-                                                       recipe.dims, recipe.dims))
+    quiver, alpha = recipe.quiver, recipe.dims
+    return (quiver.acyclic
+            and _generic_end_dim(quiver, alpha) == euler_form(quiver, alpha, alpha))
 
 
-def generic_hom_ext(quiver, a, b, trials=8, primes=DEFAULT_GENERIC_PRIMES, seed=0):
+def generic_hom_ext(quiver, a, b, seed=0):
     """Generic (hom, ext) of dimension vectors by large-prime sampling.
 
     The generic hom is the minimum over the representation space, so the
@@ -341,8 +346,8 @@ def generic_hom_ext(quiver, a, b, trials=8, primes=DEFAULT_GENERIC_PRIMES, seed=
     if not quiver.acyclic:
         raise ValueError("generic hom/ext sampling requires an acyclic quiver")
     best = None
-    for p in primes:
-        for i in range(trials):
+    for p in DEFAULT_GENERIC_PRIMES:
+        for i in range(GENERIC_TRIALS):
             rng = stable_rng(seed, p, i)
             m = random_representation(quiver, a, p, rng)
             n = random_representation(quiver, b, p, rng)

@@ -29,18 +29,15 @@ from .rep import (Subrep, _coords_in_basis, _is_rigid, ext_dim_hereditary,
                   restrict_to_sub)
 
 SMALL_PRIMES = (2, 3)
+VERTEX_PRIMES = (2, 3, 5)
 
 
 @dataclass(frozen=True)
 class TorsionSplit:
-    delta: tuple
-    value: int
+    """The extreme delta-maximizers L_min <= L_max and perp = L_max/L_min."""
+
     l_min: Subrep
     l_max: Subrep
-    t: object
-    f_part: object
-    t_check: object
-    f_check: object
     perp: object
 
 
@@ -51,7 +48,7 @@ def _sub_within(m_rep, outer, inner):
             for v in range(m_rep.quiver.n)]
 
 
-def torsion_split(m_rep, delta, allow_large=False):
+def torsion_split(m_rep, delta):
     """Split M at the delta-maximizing subrepresentations L_min <= L_max.
 
     The maximizers form a lattice, so L_min (their intersection) is the
@@ -60,40 +57,34 @@ def torsion_split(m_rep, delta, allow_large=False):
     subrepresentation of its dimension vector; no other maximizer is
     enumerated.
     """
-    best_dims = maximizer_dims(m_rep, delta, allow_large)
-    value = vec_dot(delta, next(iter(best_dims)))
+    best_dims = maximizer_dims(m_rep, delta)
     extremes = []
     for pick in (min, max):
         size = pick(sum(g) for g in best_dims)
         ties = [g for g in best_dims if sum(g) == size]
-        sub = unique_subrep(m_rep, ties[0], allow_large) if len(ties) == 1 else None
+        sub = unique_subrep(m_rep, ties[0]) if len(ties) == 1 else None
         if sub is None:
             raise InvariantViolation(
                 "extreme maximizer is not unique; the maximizers are not a lattice")
         extremes.append(sub)
     l_min, l_max = extremes
-    t = restrict_to_sub(m_rep, l_min)
-    f_part = quotient(m_rep, l_min)
-    t_check = restrict_to_sub(m_rep, l_max)
-    f_check = quotient(m_rep, l_max)
-    outer_rep = t_check
+    outer_rep = restrict_to_sub(m_rep, l_max)
     inner_rows = _sub_within(m_rep, l_max, l_min)
     perp = quotient(outer_rep, make_subrep(outer_rep, inner_rows))
-    return TorsionSplit(tuple(delta), value, l_min, l_max,
-                        t, f_part, t_check, f_check, perp)
+    return TorsionSplit(l_min, l_max, perp)
 
 
-def is_semistable(m_rep, delta, allow_large=False):
+def is_semistable(m_rep, delta):
     if vec_dot(delta, m_rep.dims) != 0:
         return False
     return all(vec_dot(delta, g) <= 0
-               for g in subrep_dim_vectors(m_rep, allow_large))
+               for g in subrep_dim_vectors(m_rep))
 
 
-def is_stable(m_rep, delta, allow_large=False):
+def is_stable(m_rep, delta):
     if m_rep.total_dim == 0 or vec_dot(delta, m_rep.dims) != 0:
         return False
-    for g in subrep_dim_vectors(m_rep, allow_large):
+    for g in subrep_dim_vectors(m_rep):
         if g == (0,) * m_rep.quiver.n or g == m_rep.dims:
             continue
         if vec_dot(delta, g) >= 0:
@@ -111,28 +102,28 @@ def _same_brick(a, b):
     return (a.dims == b.dims and hom_dim(a, b) == 1 and hom_dim(b, a) == 1)
 
 
-def _minimal_stable_sub(w_rep, delta, allow_large=False):
-    dims_with_sub = sorted(subrep_dim_vectors(w_rep, allow_large),
+def _minimal_stable_sub(w_rep, delta):
+    dims_with_sub = sorted(subrep_dim_vectors(w_rep),
                            key=lambda g: (sum(g), g))
     for gamma in dims_with_sub:
         if sum(gamma) == 0 or vec_dot(delta, gamma) != 0:
             continue
-        for sub in enumerate_subreps(w_rep, gamma, allow_large):
+        for sub in enumerate_subreps(w_rep, gamma):
             cand = restrict_to_sub(w_rep, sub)
-            if is_stable(cand, delta, allow_large):
+            if is_stable(cand, delta):
                 return sub, cand
     return None
 
 
-def stable_factors(w_rep, delta, allow_large=False):
+def stable_factors(w_rep, delta):
     """Stable Jordan-Holder classes and multiplicities of a semistable W."""
-    if not is_semistable(w_rep, delta, allow_large):
+    if not is_semistable(w_rep, delta):
         raise ValueError("representation is not semistable for this weight")
     classes = []
     counts = []
     current = w_rep
     while current.total_dim > 0:
-        found = _minimal_stable_sub(current, delta, allow_large)
+        found = _minimal_stable_sub(current, delta)
         if found is None:
             raise InvariantViolation("semistable representation with no stable subrep")
         sub, factor = found
@@ -149,7 +140,7 @@ def stable_factors(w_rep, delta, allow_large=False):
                             tuple(counts[i] for i in order))
 
 
-def multiplicity_vector(l_rep, delta, stables, allow_large=False):
+def multiplicity_vector(l_rep, delta, stables):
     """Stable JH multiplicities of a semistable subquotient L.
 
     Read off L's own stable filtration, matching each factor to one of
@@ -157,7 +148,7 @@ def multiplicity_vector(l_rep, delta, stables, allow_large=False):
     dimension vectors are linearly dependent, so the dimension vector of
     L alone cannot determine them.
     """
-    data = stable_factors(l_rep, delta, allow_large)
+    data = stable_factors(l_rep, delta)
     m = [0] * len(stables)
     for rep, cnt in zip(data.stables, data.multiplicities):
         for i, s in enumerate(stables):
@@ -173,7 +164,7 @@ def _iota_rows(iota, n):
     return [[iota[j][v] for j in range(len(iota))] for v in range(n)]
 
 
-def graded_counts(w_rep, delta, stables, allow_large=False):
+def graded_counts(w_rep, delta, stables):
     """Count semistable subreps of W per multiplicity vector, one prime.
 
     When the stable dimension vectors are linearly independent the
@@ -184,7 +175,7 @@ def graded_counts(w_rep, delta, stables, allow_large=False):
     iota = [s.dims for s in stables]
     n = len(w_rep.dims)
     solve = solver(_iota_rows(iota, n), len(iota))
-    for gamma in subrep_dim_vectors(w_rep, allow_large):
+    for gamma in subrep_dim_vectors(w_rep):
         if vec_dot(delta, gamma) != 0:
             continue
         if solve is not None:
@@ -192,20 +183,19 @@ def graded_counts(w_rep, delta, stables, allow_large=False):
             if m is None or any(x < 0 for x in m):
                 raise InvariantViolation(
                     "semistable dimension vector not in the stable lattice")
-            counts[m] = counts.get(m, 0) + count_points(w_rep, gamma,
-                                                        allow_large)
+            counts[m] = counts.get(m, 0) + count_points(w_rep, gamma)
         else:
-            for sub in enumerate_subreps(w_rep, gamma, allow_large):
+            for sub in enumerate_subreps(w_rep, gamma):
                 l_rep = restrict_to_sub(w_rep, sub)
-                m = multiplicity_vector(l_rep, delta, stables, allow_large)
+                m = multiplicity_vector(l_rep, delta, stables)
                 counts[m] = counts.get(m, 0) + 1
     return counts
 
 
-def _split_at_prime(recipe, delta, p, allow_large=False):
+def _split_at_prime(recipe, delta, p):
     m_rep = recipe.at_prime(p)
-    split = torsion_split(m_rep, delta, allow_large)
-    stables = stable_factors(split.perp, delta, allow_large)
+    split = torsion_split(m_rep, delta)
+    stables = stable_factors(split.perp, delta)
     return split, stables
 
 
@@ -222,7 +212,7 @@ def _rigid_perp(w_rep):
     return w_rep.quiver.acyclic and ext_dim_hereditary(w_rep, w_rep) == 0
 
 
-def graded_semistable_f(recipe, delta, allow_large=False):
+def graded_semistable_f(recipe, delta):
     """Euler-characteristic generating polynomial of semistable subreps
     of perp(M, delta), graded by stable JH multiplicity.
 
@@ -232,8 +222,7 @@ def graded_semistable_f(recipe, delta, allow_large=False):
     at degree <gamma, w - gamma>, and the primes are sized from the
     grades found at the base prime; otherwise at the box bound.
     """
-    base_split, base_stables = _split_at_prime(recipe, delta, SMALL_PRIMES[0],
-                                               allow_large)
+    base_split, base_stables = _split_at_prime(recipe, delta, SMALL_PRIMES[0])
     stable_dims = tuple(s.dims for s in base_stables.stables)
     w_dims = base_split.perp.dims
     per_prime = {}
@@ -244,12 +233,11 @@ def graded_semistable_f(recipe, delta, allow_large=False):
             if p == SMALL_PRIMES[0]:
                 split, stables = base_split, base_stables
             else:
-                split, stables = _split_at_prime(recipe, delta, p, allow_large)
+                split, stables = _split_at_prime(recipe, delta, p)
             if tuple(s.dims for s in stables.stables) != stable_dims:
                 raise NonPolynomialCount(
                     f"stable classes at p={p} do not match the base prime")
-            per_prime[p] = (graded_counts(split.perp, delta, stables.stables,
-                                          allow_large),
+            per_prime[p] = (graded_counts(split.perp, delta, stables.stables),
                             _rigid_perp(split.perp))
         return per_prime[p]
 
@@ -283,7 +271,7 @@ def graded_semistable_f(recipe, delta, allow_large=False):
                       base_split.l_max.dims, base_stables.multiplicities)
 
 
-def verify_facet_restriction(recipe, delta, fpoly=None, allow_large=False):
+def verify_facet_restriction(recipe, delta, fpoly=None):
     """Check the face-restriction factorization of the F-polynomial.
 
     restrict_to_face(F_M, delta) must equal y^{dim t} times the graded
@@ -291,9 +279,9 @@ def verify_facet_restriction(recipe, delta, fpoly=None, allow_large=False):
     each stable class to y^{dim V_i}.
     """
     if fpoly is None:
-        fpoly = f_polynomial(recipe, allow_large)
+        fpoly = f_polynomial(recipe)
     lhs = restrict_to_face(fpoly, delta)
-    graded = graded_semistable_f(recipe, delta, allow_large)
+    graded = graded_semistable_f(recipe, delta)
     substituted = graded.poly.substitute_monomial(graded.stable_dims,
                                                   nvars_out=len(recipe.dims))
     rhs = MultiPoly.monomial(len(recipe.dims), graded.dim_t) * substituted
@@ -345,9 +333,9 @@ def perpendicular_quiver(quiver, stables):
     return Quiver(names, tuple(arrows)), iota
 
 
-def delta_cones(recipe, allow_large=False):
+def delta_cones(recipe):
     """Extremal rays of the hom-vanishing and ext-vanishing weight cones."""
-    vertices = convex_hull(sub_dim_vectors(recipe, allow_large=allow_large)).vertices
+    vertices = convex_hull(sub_dim_vectors(recipe)).vertices
     r0 = dual_cone_rays(vertices, ambient=len(recipe.dims))
     alpha = recipe.dims
     r1 = dual_cone_rays([vec_sub(v, alpha) for v in vertices],
@@ -355,15 +343,15 @@ def delta_cones(recipe, allow_large=False):
     return r0, r1
 
 
-def newton_via_cones(recipe, allow_large=False):
+def newton_via_cones(recipe):
     """Rebuild the Newton polytope from the weight cones and cross-check.
 
     H-representation: delta(gamma) <= 0 for rays of the hom cone and
     delta(gamma) <= delta(alpha) for rays of the ext cone.  CheckFailed is
     raised unless it agrees facet-for-facet with the hull of the sub-dims.
     """
-    direct = convex_hull(sub_dim_vectors(recipe, allow_large=allow_large))
-    r0, r1 = delta_cones(recipe, allow_large)
+    direct = convex_hull(sub_dim_vectors(recipe))
+    r0, r1 = delta_cones(recipe)
     alpha = recipe.dims
     ineqs = [(ray, 0) for ray in r0.rays]
     ineqs += [(ray, vec_dot(ray, alpha)) for ray in r1.rays]
@@ -376,20 +364,20 @@ def newton_via_cones(recipe, allow_large=False):
     return rebuilt
 
 
-def verify_vertex_theorems(recipe, primes=(2, 3, 5), allow_large=False):
+def verify_vertex_theorems(recipe):
     """Vertex subrepresentations are unique points with Hom(L, M/L) = 0;
     for rigid acyclic M, vertices are exactly the perpendicular splittings."""
-    dims = sub_dim_vectors(recipe, allow_large=allow_large)
+    dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)
     witnesses = []
     for gamma in hull.vertices:
-        for p in primes:
+        for p in VERTEX_PRIMES:
             m_rep = recipe.at_prime(p)
-            if count_points(m_rep, gamma, allow_large) != 1:
+            if count_points(m_rep, gamma) != 1:
                 witnesses.append({"gamma": list(gamma), "prime": p,
                                   "fail": "vertex count != 1"})
-        m_rep = recipe.at_prime(primes[0])
-        sub = unique_subrep(m_rep, gamma, allow_large)
+        m_rep = recipe.at_prime(VERTEX_PRIMES[0])
+        sub = unique_subrep(m_rep, gamma)
         if sub is None:
             witnesses.append({"gamma": list(gamma), "fail": "no unique subrep"})
             continue
@@ -430,7 +418,7 @@ def generic_sub_dims(quiver, alpha, seed=0):
     return frozenset(out)
 
 
-def verify_saturation(recipe, allow_large=False):
+def verify_saturation(recipe):
     """Every lattice point of the Newton polytope should carry both a
     nonzero coefficient and a subrepresentation; witnesses otherwise.
 
@@ -441,12 +429,12 @@ def verify_saturation(recipe, allow_large=False):
     if recipe.int_matrices is None and recipe.quiver.acyclic:
         dims = generic_sub_dims(recipe.quiver, recipe.dims, seed=recipe.seed)
     else:
-        dims = sub_dim_vectors(recipe, allow_large=allow_large)
+        dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)
     missing_sub = [list(point) for point in lattice_points(hull)
                    if point not in dims]
     try:
-        support = f_polynomial(recipe, allow_large).support()
+        support = f_polynomial(recipe).support()
     except NonPolynomialCount as exc:
         return {"check": "saturation", "pass": not missing_sub,
                 "support_witnesses": None,

@@ -157,9 +157,9 @@ def test_compute_reports_the_primes_counted(capsys, monkeypatch, k2_json, dims):
     counted = set()
     real = polynomial.count_points
 
-    def spy(m_rep, gamma, allow_large=False):
+    def spy(m_rep, gamma):
         counted.add(m_rep.p)
-        return real(m_rep, gamma, allow_large)
+        return real(m_rep, gamma)
 
     monkeypatch.setattr(polynomial, "count_points", spy)
     code, out = run(capsys, "compute", "--quiver", k2_json, "--dims", dims)
@@ -187,9 +187,48 @@ def test_parser_is_built_once_and_keeps_no_options(capsys, k2_json, k3_json,
     assert path.read_text() == written
 
 
-def test_exit_code_cost_cap(capsys, k2_json):
-    code, _ = run(capsys, "subdims", "--quiver", k2_json, "--dims", "9,9")
-    assert code == 2
+def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
+    draws = []
+    monkeypatch.setattr(rep, "random_representation",
+                        lambda *args: draws.append(args))
+    code = main(["subdims", "--quiver", k2_json, "--dims", "9,9"])
+    err = capsys.readouterr().err
+    assert code == 2 and not draws
+    assert err.startswith("error: dimension vector (9, 9) exceeds the fixed "
+                          "enumeration cap") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--quiver", "{k2}", "--dims", "2"],
+    ["compute", "--quiver", "{k2}", "--dims", "2,-1"],
+    ["compute", "--quiver", "{k2}", "--dims", "2,x"],
+    ["compute", "--quiver", "{bad_arrow}", "--dims", "1,1"],
+    ["compute", "--quiver", "{missing}", "--dims", "1,1"],
+    ["compute", "--quiver", "{not_json}", "--dims", "1,1"],
+    ["compute", "--dims", "1,1"],
+    ["polytope", "--fpoly", "{not_json}"],
+    ["mutate", "--quiver", "{k2}", "--seq", "5"],
+    ["mutate", "--quiver", "{k2}", "--seq", "1", "--delta", "7,7"],
+    ["mutate", "--seq", "1"],
+    ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--prime", "0"],
+    ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--prime", "1"],
+    ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--prime", "4"],
+    ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--prime", "x"],
+    ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--out", "{missing}/out.json"],
+    ["verify", "--what", "everything", "--quiver", "{k2}", "--dims", "1,1"],
+    ["no-such-command"],
+])
+def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
+    bad_arrow = tmp_path / "bad_arrow.json"
+    bad_arrow.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [["1", "3"]]}))
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{")
+    paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
+             "missing": tmp_path / "missing.json"}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 6 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_exit_code_non_polynomial_count(capsys, k3_json):
@@ -256,9 +295,9 @@ def test_verify_facets_draws_and_searches_each_representation_once(
         draws.append((dims, p, rng.getstate()))
         return real_draw(quiver, dims, p, rng)
 
-    def spy_search(m_rep, allow_large=False):
+    def spy_search(m_rep):
         searched.append(m_rep)
-        return real_search(m_rep, allow_large)
+        return real_search(m_rep)
 
     monkeypatch.setattr(rep, "random_representation", spy_draw)
     for module in (grassmannian, stabilization, cli):

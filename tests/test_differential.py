@@ -130,7 +130,7 @@ def test_per_prime_caches_return_the_uncached_values():
         for p in (2, 3):
             cold = recipe.at_prime(p)
             assert recipe.at_prime(p) is cold
-            assert cold == draw.__wrapped__(recipe, p, 500)
+            assert cold == draw.__wrapped__(recipe, p)
             assert cold.p == p and cold.dims == recipe.dims
             reps[recipe.seed, p] = cold
             box = itertools.product(*(range(d + 1) for d in cold.dims))
@@ -154,13 +154,13 @@ def test_per_prime_caches_return_the_uncached_values():
 def test_cost_cap_is_checked_on_every_call():
     one_vertex = Quiver(("1",), ())
     big = Representation(one_vertex, 2, (grassmannian.MAX_VERTEX_DIM + 1,), ())
+    grassmannian._subrep_dims.cache_clear()
     for _ in range(2):
         with pytest.raises(CostCapExceeded):
             subrep_dim_vectors(big)
-    # A cached value does not lift the cap either.
-    assert len(subrep_dim_vectors(big, allow_large=True)) == big.dims[0] + 1
-    with pytest.raises(CostCapExceeded):
-        subrep_dim_vectors(big)
+    # The first walk raises, so nothing is cached and each call misses.
+    info = grassmannian._subrep_dims.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 def _random_points(rng, dim):
@@ -317,9 +317,9 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
     assert not rep_module._is_rigid(RepRecipe(k2, (2, 2), seed=1))
     counted = []
 
-    def spy(m_rep, gamma, allow_large=False):
+    def spy(m_rep, gamma):
         counted.append((gamma, m_rep.p))
-        return count_points(m_rep, gamma, allow_large)
+        return count_points(m_rep, gamma)
 
     monkeypatch.setattr(polynomial, "count_points", spy)
     # Counted at the box bound, seed 1 is not polynomial; a palindromic

@@ -104,9 +104,9 @@ def test_euler_characteristic_grassmannian_of_vector_space():
 def _spy_counts(monkeypatch):
     counted = []
 
-    def spy(m_rep, gamma, allow_large=False):
+    def spy(m_rep, gamma):
         counted.append(m_rep.p)
-        return count_points(m_rep, gamma, allow_large)
+        return count_points(m_rep, gamma)
 
     monkeypatch.setattr(polynomial, "count_points", spy)
     return counted

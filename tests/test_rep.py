@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fpoly import rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import Quiver, euler_form, kronecker_quiver
 from fpoly.rep import (RepRecipe, Representation, direct_sum,
@@ -101,9 +102,22 @@ def test_seeded_recipe_deterministic_and_generic():
     assert ext_dim_hereditary(m, m) == 0
 
 
-def test_seeded_recipe_out_of_attempts():
+def test_seeded_recipe_out_of_attempts(monkeypatch):
+    monkeypatch.setattr(rep_module, "DRAW_ATTEMPTS", 0)
+    rep_module._generic_draw.cache_clear()
     with pytest.raises(GenericityError):
-        RepRecipe(kronecker_quiver(2), (2, 3), seed=0).at_prime(5, max_attempts=0)
+        RepRecipe(kronecker_quiver(2), (2, 3), seed=0).at_prime(5)
+
+
+def test_generic_end_dim_is_shared_across_seeds():
+    end_dim = rep_module._generic_end_dim
+    end_dim.cache_clear()
+    rep_module._generic_draw.cache_clear()
+    k2 = kronecker_quiver(2)
+    draws = [RepRecipe(k2, (2, 3), seed=s).at_prime(5) for s in (0, 1)]
+    assert end_dim.cache_info()[:2] == (1, 1)   # hits, misses
+    assert draws[0] != draws[1]
+    assert all(hom_dim(m, m) == end_dim(k2, (2, 3)) == 1 for m in draws)
 
 
 def test_generic_hom_ext_known_values():

@@ -3,8 +3,9 @@ import pytest
 from fpoly.grassmannian import count_points
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.polytope import convex_hull
-from fpoly.quiver import Quiver, kronecker_quiver, unit_vector
-from fpoly.rep import RepRecipe, generic_hom_ext, hom_dim
+from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
+from fpoly.rep import (RepRecipe, generic_hom_ext, hom_dim, quotient,
+                       restrict_to_sub)
 from fpoly.stabilization import (collapse_monomial, delta_cones,
                                  generic_sub_dims, graded_semistable_f,
                                  is_semistable, is_stable, newton_via_cones,
@@ -31,16 +32,17 @@ def test_torsion_split_whole_module_is_torsion():
     # weight positive on the whole dimension vector: t(M) = M
     for nar in (2, 3):
         r = RepRecipe(kronecker_quiver(nar), (2, 1), seed=0)
-        split = torsion_split(r.at_prime(3), (1, -1))
-        assert split.value == 1
-        assert split.t.dims == (2, 1)
-        assert split.f_part.dims == (0, 0)
+        m = r.at_prime(3)
+        split = torsion_split(m, (1, -1))
+        assert vec_dot((1, -1), split.l_min.dims) == 1
+        assert restrict_to_sub(m, split.l_min).dims == (2, 1)
+        assert quotient(m, split.l_min).dims == (0, 0)
         assert split.l_min.dims == split.l_max.dims == (2, 1)
 
 
 def test_torsion_split_brick_sum():
     split = torsion_split(K22_BRICKS.at_prime(3), (1, -1))
-    assert split.value == 0
+    assert vec_dot((1, -1), split.l_min.dims) == 0
     assert split.l_min.dims == (0, 0)
     assert split.l_max.dims == (2, 2)
     assert split.perp.dims == (2, 2)
