@@ -10,7 +10,7 @@ from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   make_subrep, quotient, restrict_to_sub,
                   simple_representation)
 from .grassmannian import (count_points, enumerate_subreps, has_subrep,
-                           maximizer_dims, sub_dim_vectors,
+                           maximizer_dims, sub_dim_vectors, subrep_counts,
                            subrep_dim_vectors, tropical_f, dual_tropical_f,
                            unique_subrep)
 from .polynomial import (MultiPoly, euler_characteristic, f_polynomial,

@@ -1,40 +1,31 @@
-"""Quiver Grassmannians over F_p: enumeration, point counts, tropical values.
+"""Quiver Grassmannians over F_p: point counts, enumeration, tropical values.
 
-Counting, existence and enumeration share one walk over the vertices.
-For acyclic quivers the topological order guarantees that when a vertex
-is processed, the images of the already-chosen subspaces along incoming
-arrows are known, so only subspaces containing that span need to be
-considered.  Only when counting (``count_points``, and ``has_subrep``,
-which stops at the first point) does the walk skip a free vertex, one
-that constrains nothing downstream, and count its choices by a
-Gaussian binomial instead; ``enumerate_subreps`` visits every point.
-Every walk first checks the fixed cost cap on dim M (``MAX_VERTEX_DIM``
-per vertex, ``MAX_TOTAL_DIM`` in total); no argument lifts it.
-
-``subrep_dim_vectors`` is memoized by value: a representation is
-immutable, so its sub-dimension set is found once and kept in a small
-bounded LRU cache, shared by every equal representation.
+``subrep_counts`` gives every count of one representation from one
+memoized frontier walk over the vertices.  A vertex's subspace must
+contain the span that the arrows from chosen vertices force on it; on a
+quiver with cycles the other, deferred, arrows are checked once their
+source is chosen.  The walk's state is the forced span of each later
+vertex (its dimension alone at a free vertex, which constrains nothing
+downstream, once its sources are chosen) and the chosen subspaces a
+deferred arrow still checks.  Choices leading to one state are counted
+together, counts below a state are memoized, and free vertices are
+counted by Gaussian binomials.  The sub-dimension set, existence and
+uniqueness tests, graded counts and rigid fits of a representation read
+that table, memoized by value in a small LRU cache.  ``_walk`` serves
+enumeration and the single-gamma ``count_points``, for counts that may
+stop at their first gamma.  Every walk first checks the fixed cost cap
+on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM`` in total).
 """
 
-import itertools
-from functools import lru_cache
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 from . import kernels
-from .errors import CostCapExceeded, GenericityError
-from .quiver import vec_dot
+from .errors import GenericityError
+from .quiver import MAX_TOTAL_DIM, MAX_VERTEX_DIM, check_cost, vec_dot
 from .rep import Subrep
 
-MAX_VERTEX_DIM = 8
-MAX_TOTAL_DIM = 16
 CERTIFY_PRIMES = (2, 3)
-
-
-def check_cost(dims):
-    """Refuse a dimension vector whose subspace lattice is too large to walk."""
-    if max(dims, default=0) > MAX_VERTEX_DIM or sum(dims) > MAX_TOTAL_DIM:
-        raise CostCapExceeded(
-            f"dimension vector {dims} exceeds the fixed enumeration cap "
-            f"({MAX_VERTEX_DIM} per vertex, {MAX_TOTAL_DIM} total)")
 
 
 @lru_cache(maxsize=32)
@@ -61,27 +52,28 @@ def _vertex_plan(quiver):
     return order, constraining, deferred, free
 
 
-def _forced_subspace(rep, bases, arrows_in):
-    """Span of the images of chosen source subspaces along given arrows."""
-    stacked = []
+def _forced_subspace(rep, mats, bases, v, arrows_in):
+    """Span of the images of chosen source subspaces along arrows into v."""
+    rows = ()
     for a in arrows_in:
-        s, _ = rep.quiver.arrows[a]
+        s = rep.quiver.arrows[a][0]
         if bases[s]:
-            stacked.extend(kernels.matmul(bases[s], rep.matrix_t(a), rep.p))
-    t = rep.quiver.arrows[arrows_in[0]][1] if arrows_in else None
-    ncols = rep.dims[t] if t is not None else 0
-    return kernels.rref(tuple(stacked), ncols, rep.p)
+            rows += kernels.matmul(bases[s], mats[a], rep.p)
+    return kernels.rref(rows, rep.dims[v], rep.p)
 
 
-def _deferred_ok(rep, bases, pivots, deferred):
+def _deferred_ok(rep, mats, bases, pivots, deferred):
     for a in deferred:
         s, t = rep.quiver.arrows[a]
-        if not bases[s]:
-            continue
-        for row in kernels.matmul(bases[s], rep.matrix_t(a), rep.p):
-            if not kernels.in_rowspace(row, bases[t], pivots[t], rep.p):
-                return False
+        if not _maps_into(bases[s], mats[a], bases[t], pivots[t], rep.p):
+            return False
     return True
+
+
+def _maps_into(basis, mat, target, target_pivots, p):
+    """Whether the row space of ``basis`` times ``mat`` lies in ``target``."""
+    return all(kernels.in_rowspace(row, target, target_pivots, p)
+               for row in kernels.matmul(basis, mat, p))
 
 
 def enumerate_subreps(rep, gamma):
@@ -96,12 +88,9 @@ def count_points(rep, gamma):
 
 
 def has_subrep(rep, gamma):
-    """Whether M has a subrepresentation of dimension ``gamma``.
-
-    An existence search: it takes the counting walk, free-vertex
-    shortcut included, and stops at the first point it reaches.
-    """
-    return next(_walk(rep, gamma, count_free=True), None) is not None
+    """Whether M has a subrepresentation of dimension ``gamma``."""
+    rep.quiver.check_dim_vector(gamma)
+    return tuple(gamma) in subrep_counts(rep)
 
 
 def _walk(rep, gamma, count_free):
@@ -120,6 +109,7 @@ def _walk(rep, gamma, count_free):
         return
     order, constraining, deferred, free = _vertex_plan(rep.quiver)
     p = rep.p
+    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
     if not count_free:
         free = ()
     bases = [None] * rep.quiver.n
@@ -127,14 +117,15 @@ def _walk(rep, gamma, count_free):
 
     def recurse(i, weight):
         if i == len(order):
-            if _deferred_ok(rep, bases, pivots, deferred):
+            if _deferred_ok(rep, mats, bases, pivots, deferred):
                 yield weight, bases, pivots
             return
         v = order[i]
         n, k = rep.dims[v], gamma[v]
         forced = forced_piv = ()
         if constraining[v]:
-            forced, forced_piv = _forced_subspace(rep, bases, constraining[v])
+            forced, forced_piv = _forced_subspace(rep, mats, bases, v,
+                                                  constraining[v])
             if len(forced) > k:
                 return
         if v in free:
@@ -142,11 +133,9 @@ def _walk(rep, gamma, count_free):
             yield from recurse(i + 1, weight * kernels.count_subspaces_containing(
                 n, k, p, len(forced)))
             return
-        if constraining[v]:
-            candidates = kernels.subspaces_containing(n, k, p, forced, forced_piv)
-        else:
-            # subspaces_containing would re-reduce every candidate; skip that.
-            candidates = kernels.subspaces(n, k, p)
+        # subspaces_containing would re-reduce every candidate; skip that.
+        candidates = (kernels.subspaces_containing(n, k, p, forced, forced_piv)
+                      if forced else kernels.subspaces(n, k, p))
         for basis in candidates:
             bases[v] = basis
             pivots[v] = tuple(_pivots_of(basis))
@@ -163,20 +152,96 @@ def _pivots_of(rref_basis):
                 break
 
 
-def subrep_dim_vectors(rep):
-    """All dimension vectors of subrepresentations of one representation.
-
-    Each gamma in the box below dim M is tested with the existence search
-    ``has_subrep``; nothing is counted.  An over-cap representation raises
-    in its first walk, so it never enters the cache.
-    """
-    return _subrep_dims(rep)
+@lru_cache(maxsize=32)
+def _frontier_plan(quiver):
+    """Per vertex v, what choosing its subspace does in ``subrep_counts``:
+    its images join the spans forced on the later vertices it constrains
+    (``pushes``), the deferred arrows out of v are checked (``checks``), it
+    is kept if a deferred arrow ends at v (``kept``), and each free vertex
+    whose last source is v keeps only a dimension (``settle``).  Made of
+    tuples and frozensets, like ``_vertex_plan``, so it cannot change."""
+    order, constraining, deferred, free = _vertex_plan(quiver)
+    arrows, vertices = quiver.arrows, range(quiver.n)
+    pos = {v: i for i, v in enumerate(order)}
+    pushes = [{} for _ in vertices]
+    for w in vertices:
+        for a in constraining[w]:
+            pushes[arrows[a][0]].setdefault(w, []).append(a)
+    checks = tuple(tuple((a, t) for a in deferred for s, t in [arrows[a]] if s == v)
+                   for v in vertices)
+    settle = tuple(tuple(w for w in pushes[v] if w in free and pos[v] == max(
+        pos[arrows[a][0]] for a in constraining[w])) for v in vertices)
+    pushes = tuple(tuple((w, tuple(into)) for w, into in d.items()) for d in pushes)
+    kept = frozenset(arrows[a][1] for a in deferred)
+    start = tuple(0 if v in free and not constraining[v] else ((), ())
+                  for v in vertices)
+    positions = tuple(pos[v] for v in vertices)
+    return order, free, positions, pushes, checks, kept, settle, start
 
 
 @lru_cache(maxsize=32)
-def _subrep_dims(rep):
-    box = itertools.product(*(range(d + 1) for d in rep.dims))
-    return frozenset(gamma for gamma in box if has_subrep(rep, gamma))
+def subrep_counts(rep):
+    """Read-only ``{gamma: |Gr_gamma(M)(F_p)|}`` over every gamma with a
+    point, sorted, from one memoized walk (see the module docstring).  An
+    over-cap representation raises first, so it never enters the cache."""
+    check_cost(rep.dims)
+    order, free, pos, pushes, checks, kept, settle, start = _frontier_plan(rep.quiver)
+    p, dims = rep.p, rep.dims
+    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
+
+    def advance(state, v, basis):
+        """The state after choosing ``basis`` at v; None if it breaks a check."""
+        pivots = tuple(_pivots_of(basis)) if v in kept else ()
+        for a, t in checks[v]:
+            if not _maps_into(basis, mats[a],
+                              *(state[t] if t != v else (basis, pivots)), p):
+                return None
+        nxt = list(state)
+        nxt[v] = (basis, pivots) if v in kept else None
+        if basis:
+            for w, into in pushes[v]:
+                rows = nxt[w][0]
+                for a in into:
+                    rows += kernels.matmul(basis, mats[a], p)
+                nxt[w] = kernels.rref(rows, dims[w], p)
+        for w in settle[v]:
+            nxt[w] = len(nxt[w][0])
+        return tuple(nxt)
+
+    @cache
+    def suffixes(i, state):
+        """``{gamma restricted to order[i:]: count}`` below one state."""
+        if i == len(order):
+            return {(): 1}
+        v, table = order[i], {}
+        n = dims[v]
+        if v in free:
+            f, rest = state[v], suffixes(i + 1, state[:v] + (None,) + state[v + 1:])
+            table = {(k,) + suffix: c * kernels.count_subspaces_containing(n, k, p, f)
+                     for k in range(f, n + 1) for suffix, c in rest.items()}
+        else:
+            forced, forced_piv = state[v]
+            groups = {}
+            for k in range(len(forced), n + 1):
+                for basis in (kernels.subspaces_containing(n, k, p, forced, forced_piv)
+                              if forced else kernels.subspaces(n, k, p)):
+                    key = k, advance(state, v, basis)
+                    groups[key] = groups.get(key, 0) + 1
+            for (k, nxt), mult in groups.items():
+                if nxt is not None:
+                    for suffix, c in suffixes(i + 1, nxt).items():
+                        table[(k,) + suffix] = table.get((k,) + suffix, 0) + mult * c
+        return table
+
+    counts = {tuple(suffix[i] for i in pos): c
+              for suffix, c in suffixes(0, start).items()}
+    suffixes.cache_clear()  # the memo can be large; release it now
+    return MappingProxyType(dict(sorted(counts.items())))
+
+
+def subrep_dim_vectors(rep):
+    """All dimension vectors of subrepresentations of one representation."""
+    return frozenset(subrep_counts(rep))
 
 
 def sub_dim_vectors(recipe):
@@ -208,10 +273,9 @@ def maximizer_dims(rep, delta):
 
 
 def unique_subrep(rep, gamma):
-    """The unique subrepresentation of dimension ``gamma``, or None."""
-    found = None
-    for sub in enumerate_subreps(rep, gamma):
-        if found is not None:
-            return None
-        found = sub
-    return found
+    """The unique subrepresentation of dimension ``gamma``, or None:
+    a count of 1 in the table, then the first enumerated point."""
+    rep.quiver.check_dim_vector(gamma)
+    if subrep_counts(rep).get(tuple(gamma)) != 1:
+        return None
+    return next(enumerate_subreps(rep, gamma))

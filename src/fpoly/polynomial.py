@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import NonPolynomialCount
-from .grassmannian import count_points, sub_dim_vectors
+from .grassmannian import count_points, sub_dim_vectors, subrep_counts
 from .quiver import euler_form, vec_dot, vec_sub
 from .rep import _is_rigid, ext_dim_hereditary
 
@@ -367,8 +367,10 @@ def euler_characteristic(recipe, gamma):
     """chi of Gr_gamma of the recipe, by counting and interpolating."""
     recipe.quiver.check_dim_vector(gamma)
     primes, degree, palindromic = _count_plan(recipe, gamma)
-    points = [(p, count_points(recipe.at_prime(p), gamma))
-              for p in primes]
+    if palindromic:  # a rigid fit counts every gamma: read the tables
+        points = [(p, subrep_counts(recipe.at_prime(p)).get(gamma, 0)) for p in primes]
+    else:  # a box-bound fit may stop at its first non-polynomial gamma
+        points = [(p, count_points(recipe.at_prime(p), gamma)) for p in primes]
     return _chi_from_counts(points, degree, palindromic)
 
 

@@ -1,7 +1,12 @@
-"""Quivers, dimension vectors and the Euler form."""
+"""Quivers, dimension vectors, the enumeration cost cap and the Euler form."""
 
 import json
 from dataclasses import dataclass, field
+
+from .errors import CostCapExceeded
+
+MAX_VERTEX_DIM = 8
+MAX_TOTAL_DIM = 16
 
 
 def vec_add(a, b):
@@ -105,6 +110,14 @@ class Quiver:
             "vertices": list(self.vertices),
             "arrows": [[self.vertices[s], self.vertices[t]] for s, t in self.arrows],
         }
+
+
+def check_cost(dims):
+    """Refuse a dimension vector whose subspace lattice is too large to walk."""
+    if max(dims, default=0) > MAX_VERTEX_DIM or sum(dims) > MAX_TOTAL_DIM:
+        raise CostCapExceeded(
+            f"dimension vector {dims} exceeds the fixed enumeration cap "
+            f"({MAX_VERTEX_DIM} per vertex, {MAX_TOTAL_DIM} total)")
 
 
 def euler_form(quiver, a, b):

@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import kernels
 from .errors import (GenericityError, InvalidSubrepresentation,
                      InvariantViolation)
-from .quiver import Quiver, euler_form, vec_add
+from .quiver import Quiver, check_cost, euler_form, vec_add
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
 END_DIM_TRIALS = 6       # seed-0 draws per large prime for the generic End
@@ -26,6 +26,15 @@ def stable_rng(*parts):
     return random.Random(":".join(str(x) for x in parts))
 
 
+def _check_shapes(quiver, dims, matrices):
+    """One matrix per arrow, each of shape dims[target] x dims[source]."""
+    if len(matrices) != len(quiver.arrows):
+        raise ValueError("one matrix per arrow required")
+    for (s, t), mat in zip(quiver.arrows, matrices):
+        if len(mat) != dims[t] or any(len(r) != dims[s] for r in mat):
+            raise ValueError(f"matrix shape mismatch on arrow {(s, t)}")
+
+
 @dataclass(frozen=True)
 class Representation:
     quiver: Quiver
@@ -35,13 +44,10 @@ class Representation:
 
     def __post_init__(self):
         self.quiver.check_dim_vector(self.dims)
-        if len(self.matrices) != len(self.quiver.arrows):
-            raise ValueError("one matrix per arrow required")
-        for (s, t), mat in zip(self.quiver.arrows, self.matrices):
-            if len(mat) != self.dims[t] or any(len(r) != self.dims[s] for r in mat):
-                raise ValueError(f"matrix shape mismatch on arrow {(s, t)}")
-            if any(not (0 <= x < self.p) for r in mat for x in r):
-                raise ValueError("matrix entries must be reduced mod p")
+        _check_shapes(self.quiver, self.dims, self.matrices)
+        if any(not (0 <= x < self.p) for mat in self.matrices
+               for r in mat for x in r):
+            raise ValueError("matrix entries must be reduced mod p")
 
     @property
     def total_dim(self):
@@ -259,8 +265,11 @@ class RepRecipe:
         self.quiver.check_dim_vector(self.dims)
         if any(d < 0 for d in self.dims):
             raise ValueError("dimension vector must be nonnegative")
+        if self.int_matrices is not None:
+            _check_shapes(self.quiver, self.dims, self.int_matrices)
 
     def at_prime(self, p):
+        check_cost(self.dims)  # before anything is drawn
         if self.int_matrices is not None:
             mats = tuple(tuple(tuple(x % p for x in row) for row in mat)
                          for mat in self.int_matrices)

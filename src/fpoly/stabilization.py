@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
 from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
-                           subrep_dim_vectors, sub_dim_vectors, unique_subrep)
+                           subrep_counts, subrep_dim_vectors, sub_dim_vectors,
+                           unique_subrep)
 from .intlinalg import solver
 from .polynomial import (VERIFY_PRIMES, MultiPoly, _chi_from_counts,
                          f_polynomial, first_primes, restrict_to_face)
@@ -175,7 +176,7 @@ def graded_counts(w_rep, delta, stables):
     iota = [s.dims for s in stables]
     n = len(w_rep.dims)
     solve = solver(_iota_rows(iota, n), len(iota))
-    for gamma in subrep_dim_vectors(w_rep):
+    for gamma, count in subrep_counts(w_rep).items():
         if vec_dot(delta, gamma) != 0:
             continue
         if solve is not None:
@@ -183,7 +184,7 @@ def graded_counts(w_rep, delta, stables):
             if m is None or any(x < 0 for x in m):
                 raise InvariantViolation(
                     "semistable dimension vector not in the stable lattice")
-            counts[m] = counts.get(m, 0) + count_points(w_rep, gamma)
+            counts[m] = counts.get(m, 0) + count
         else:
             for sub in enumerate_subreps(w_rep, gamma):
                 l_rep = restrict_to_sub(w_rep, sub)

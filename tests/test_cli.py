@@ -4,7 +4,7 @@ import pytest
 
 from fpoly import cli, grassmannian, polynomial, polytope, rep, stabilization
 from fpoly.cli import main
-from fpoly.errors import InvariantViolation
+from fpoly.errors import InvariantViolation, NonPolynomialCount
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
@@ -155,13 +155,18 @@ def test_compute_reports_the_primes_counted(capsys, monkeypatch, k2_json, dims):
     # K2 (2,3) and (3,4) are rigid and take the palindromic fit; the
     # isotropic (2,2) is counted at the box bound.
     counted = set()
-    real = polynomial.count_points
+    real_count, real_table = polynomial.count_points, polynomial.subrep_counts
 
-    def spy(m_rep, gamma):
+    def spy_count(m_rep, gamma):
         counted.add(m_rep.p)
-        return real(m_rep, gamma)
+        return real_count(m_rep, gamma)
 
-    monkeypatch.setattr(polynomial, "count_points", spy)
+    def spy_table(m_rep):
+        counted.add(m_rep.p)
+        return real_table(m_rep)
+
+    monkeypatch.setattr(polynomial, "count_points", spy_count)
+    monkeypatch.setattr(polynomial, "subrep_counts", spy_table)
     code, out = run(capsys, "compute", "--quiver", k2_json, "--dims", dims)
     assert code == 0
     assert json.loads(out)["primes"] == sorted(counted)
@@ -217,14 +222,19 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["subdims", "--quiver", "{k2}", "--dims", "1,1", "--out", "{missing}/out.json"],
     ["verify", "--what", "everything", "--quiver", "{k2}", "--dims", "1,1"],
     ["no-such-command"],
+    ["compute", "--rep", "{bad_shape}"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
     bad_arrow.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [["1", "3"]]}))
     not_json = tmp_path / "not.json"
     not_json.write_text("{")
+    # K2 with dims (1,2) needs 2x1 matrices; these are 1x2.
+    bad_shape = tmp_path / "bad_shape.json"
+    bad_shape.write_text(json.dumps({**kronecker_quiver(2).to_json(), "dims": [1, 2],
+                                     "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
-             "missing": tmp_path / "missing.json"}
+             "bad_shape": bad_shape, "missing": tmp_path / "missing.json"}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""
@@ -303,13 +313,43 @@ def test_verify_facets_draws_and_searches_each_representation_once(
     for module in (grassmannian, stabilization, cli):
         monkeypatch.setattr(module, "subrep_dim_vectors", spy_search)
     rep._generic_draw.cache_clear()
-    grassmannian._subrep_dims.cache_clear()
+    grassmannian.subrep_counts.cache_clear()
     code, out = run(capsys, "verify", "--what", "facets", "--strict",
                     "--quiver", k2_json, "--dims", "2,3")
     assert code == 0 and json.loads(out)["pass"] is True
     assert draws and len(set(draws)) == len(draws)
     assert len(searched) > len(set(searched))
-    assert grassmannian._subrep_dims.cache_info().misses == len(set(searched))
+    assert grassmannian.subrep_counts.cache_info().misses == len(set(searched))
+
+
+def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,
+                                                        k2_json):
+    """A work-count guard: a rigid facet check reads every count from
+    the per-representation tables; a box-bound fit, which may stop at
+    its first non-polynomial gamma, counts one gamma at a time."""
+    counted, tables = [], []
+    real_count, real_table = grassmannian.count_points, grassmannian.subrep_counts
+
+    def spy_count(m_rep, gamma):
+        counted.append((m_rep.p, gamma))
+        return real_count(m_rep, gamma)
+
+    def spy_table(m_rep):
+        tables.append(m_rep)
+        return real_table(m_rep)
+
+    for module in (grassmannian, polynomial, stabilization):
+        monkeypatch.setattr(module, "count_points", spy_count)
+        monkeypatch.setattr(module, "subrep_counts", spy_table)
+    code, out = run(capsys, "verify", "--what", "facets", "--strict",
+                    "--quiver", k2_json, "--dims", "2,3", "--seed", "0")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert tables and not counted
+
+    del tables[:]
+    with pytest.raises(NonPolynomialCount):
+        f_polynomial(RepRecipe(kronecker_quiver(3), (3, 4), seed=0))
+    assert counted and not tables
 
 
 def test_rep_file_roundtrip(capsys, tmp_path):

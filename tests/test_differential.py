@@ -1,13 +1,16 @@
-"""Randomized differential checks of the vertex walk and the torsion paths.
+"""Randomized differential checks of the Grassmannian walks and the
+torsion paths.
 
-``count_points``, ``has_subrep`` and ``enumerate_subreps`` share one
-vertex walk, so they are checked against an independent oracle, the
-brute-force count over every tuple of subspaces, and not only against
-each other.  ``torsion_split`` reads L_min and L_max off the extreme
-maximizing dimension vectors; it is checked against the fold of
-intersections and sums over every maximizing subrepresentation.  All
-cases are small random representations.  The 4-cycle has arrows that
-close a cycle, so its walks take the deferred-arrow path.
+``subrep_counts`` counts every Grassmannian of a representation in one
+memoized walk, and ``has_subrep`` and ``unique_subrep`` read its table;
+``count_points`` and ``enumerate_subreps`` share the single-gamma vertex
+walk.  Both are checked against an independent oracle, the brute-force
+count over every tuple of subspaces, and not only against each other.
+``torsion_split`` reads L_min and L_max off the extreme maximizing
+dimension vectors; it is checked against the fold of intersections and
+sums over every maximizing subrepresentation.  All cases are small
+random representations, some with sparse matrices.  The 4-cycle has
+arrows that close a cycle, so its walks take the deferred-arrow path.
 
 ``convex_hull``, ``polytope_from_inequalities`` and ``dual_cone_rays``
 share one double description routine; they are checked for exact
@@ -21,7 +24,7 @@ cannot reach both sides.  That echelon, with its rank, null space and
 solver, is also compared directly with the oracle's ``Fraction``
 elimination.
 
-``RepRecipe.at_prime`` and ``subrep_dim_vectors`` are memoized by value;
+``RepRecipe.at_prime`` and ``subrep_counts`` are memoized by value;
 their cached results are checked against the uncached computations, and
 the cost cap against a cache hit.
 
@@ -42,7 +45,8 @@ import exhaustive_polytope
 from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
 from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
-                                maximizer_dims, subrep_dim_vectors)
+                                maximizer_dims, subrep_counts,
+                                subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
@@ -107,6 +111,34 @@ def test_has_subrep_agrees_with_point_count():
                 assert has_subrep(rep, gamma) == (count > 0), where
 
 
+def test_count_table_equals_brute_force():
+    rng = random.Random(35)
+    for name, quiver in QUIVERS.items():
+        for p in (2, 3, 5):
+            for trial in range(12):
+                dims = tuple(rng.randrange(3) for _ in range(quiver.n))
+                rep = random_representation(quiver, dims, p, rng)
+                if trial % 2:
+                    # Sparse matrices give special, non-generic Grassmannians.
+                    rep = Representation(quiver, p, dims, tuple(
+                        tuple(tuple(x if rng.random() < 0.3 else 0 for x in row)
+                              for row in mat) for mat in rep.matrices))
+                table = subrep_counts(rep)
+                where = (name, p, rep.matrices)
+                box = itertools.product(*(range(d + 1) for d in dims))
+                expected = {}
+                for gamma in box:
+                    count = count_points(rep, gamma)
+                    assert count == brute_force_count(rep, gamma), (where, gamma)
+                    if count:
+                        expected[gamma] = count
+                    sub = unique_subrep(rep, gamma)
+                    assert (sub is not None) == (count == 1), (where, gamma)
+                    assert sub is None or sub.dims == gamma, (where, gamma)
+                assert dict(table) == expected, where
+                assert list(table) == sorted(expected), where
+
+
 def test_torsion_split_extremes_equal_fold_over_maximizers():
     rng = random.Random(31)
     for name, quiver in QUIVERS.items():
@@ -120,7 +152,7 @@ def test_torsion_split_extremes_equal_fold_over_maximizers():
 
 
 def test_per_prime_caches_return_the_uncached_values():
-    draw, dims_of = rep_module._generic_draw, grassmannian._subrep_dims
+    draw, dims_of = rep_module._generic_draw, grassmannian.subrep_counts
     draw.cache_clear()
     dims_of.cache_clear()
     k2 = QUIVERS["K2"]
@@ -134,7 +166,7 @@ def test_per_prime_caches_return_the_uncached_values():
             assert cold.p == p and cold.dims == recipe.dims
             reps[recipe.seed, p] = cold
             box = itertools.product(*(range(d + 1) for d in cold.dims))
-            expected = {g for g in box if has_subrep(cold, g)}
+            expected = {g for g in box if count_points(cold, g) > 0}
             assert subrep_dim_vectors(cold) == expected
             assert subrep_dim_vectors(cold) == expected
     # Distinct seeds and primes are distinct draws, each its own entry.
@@ -154,12 +186,13 @@ def test_per_prime_caches_return_the_uncached_values():
 def test_cost_cap_is_checked_on_every_call():
     one_vertex = Quiver(("1",), ())
     big = Representation(one_vertex, 2, (grassmannian.MAX_VERTEX_DIM + 1,), ())
-    grassmannian._subrep_dims.cache_clear()
+    grassmannian.subrep_counts.cache_clear()
     for _ in range(2):
         with pytest.raises(CostCapExceeded):
             subrep_dim_vectors(big)
-    # The first walk raises, so nothing is cached and each call misses.
-    info = grassmannian._subrep_dims.cache_info()
+    # The table raises before its walk, so nothing is cached and each
+    # call misses.
+    info = grassmannian.subrep_counts.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fpoly import grassmannian, kernels
+from fpoly import grassmannian, kernels, rep as rep_module
 from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, sub_dim_vectors,
@@ -106,10 +106,15 @@ def test_vertex_plan_is_memoized_and_immutable():
     hash(plan)  # every part is immutable
 
 
-def test_cost_cap():
+def test_cost_cap(monkeypatch):
+    draws = []
+    monkeypatch.setattr(rep_module, "random_representation",
+                        lambda *args: draws.append(args))
     big = RepRecipe(kronecker_quiver(2), (9, 9), seed=0)
     with pytest.raises(CostCapExceeded):
         subrep_dim_vectors(big.at_prime(2))
+    # at_prime checks the cap before it draws anything.
+    assert not draws
 
 
 def test_sub_dim_vectors_certified():

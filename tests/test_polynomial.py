@@ -4,7 +4,7 @@ import pytest
 
 from fpoly import polynomial
 from fpoly.errors import NonPolynomialCount
-from fpoly.grassmannian import count_points
+from fpoly.grassmannian import count_points, subrep_counts
 from fpoly.polynomial import (MultiPoly, counted_primes, euler_characteristic,
                               f_polynomial, first_primes,
                               interpolate_integer_polynomial, restrict_to_face)
@@ -102,13 +102,19 @@ def test_euler_characteristic_grassmannian_of_vector_space():
 
 
 def _spy_counts(monkeypatch):
+    """Primes of the point counts and count-table reads of ``polynomial``."""
     counted = []
 
-    def spy(m_rep, gamma):
+    def spy_count(m_rep, gamma):
         counted.append(m_rep.p)
         return count_points(m_rep, gamma)
 
-    monkeypatch.setattr(polynomial, "count_points", spy)
+    def spy_table(m_rep):
+        counted.append(m_rep.p)
+        return subrep_counts(m_rep)
+
+    monkeypatch.setattr(polynomial, "count_points", spy_count)
+    monkeypatch.setattr(polynomial, "subrep_counts", spy_table)
     return counted
 
 
