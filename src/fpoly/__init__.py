@@ -22,8 +22,8 @@ from .presentations import (Presentation, cokernel, generic_cokernel,
                             generic_hom_e, hom_e, injective_representation,
                             nakayama_kernel, projective_representation,
                             random_presentation)
-from .cluster import (Seed, b_matrix, find_by_delta, find_by_top_dim,
-                      initial_seed, mutate, run_sequence, seed_from_quiver)
+from .cluster import (Seed, b_matrix, find_by_delta, initial_seed, mutate,
+                      run_sequence, seed_from_quiver)
 from .stabilization import (GradedData, StableFactorData, TorsionSplit,
                             collapse_monomial, delta_cones, generic_sub_dims,
                             graded_semistable_f, is_semistable, is_stable,

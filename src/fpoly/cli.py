@@ -6,7 +6,8 @@ stable contract: 0 success, 1 failed verification under --strict,
 2 a dimension vector over the fixed enumeration cost cap (checked before
 any draw), 3 non-polynomial point counts, 4 a seeded recipe that cannot
 be certified generic, 5 a broken internal invariant (a bug, not a failed
-theorem check), 6 invalid input.  Each error prints one ``error:`` line.
+theorem check), 6 invalid input, an unwritable ``--out`` file or a closed
+standard output.  Each error prints one ``error:`` line.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 from .cluster import b_matrix, find_by_delta, run_sequence
@@ -85,7 +87,14 @@ def _emit(args, report):
         with _reading(args.out), open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # Send the interpreter's flush at exit to devnull, not the pipe.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InvalidInput(f"invalid standard output: {exc}") from None
 
 
 def cmd_compute(args):

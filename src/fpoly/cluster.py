@@ -142,14 +142,3 @@ def find_by_delta(seed, delta, dual=False):
         raise KeyError(f"delta-vector {delta} is ambiguous (slots {matches})")
     return seed.f[matches[0]]
 
-
-def find_by_top_dim(seed, dims):
-    """F-polynomial of the unique slot whose top exponent matches dims."""
-    dims = tuple(dims)
-    matches = [i for i in range(seed.n)
-               if max(seed.f[i].terms, key=sum, default=None) == dims]
-    if not matches:
-        raise KeyError(f"no cluster variable with top dimension {dims}")
-    if len(matches) > 1:
-        raise KeyError(f"top dimension {dims} is ambiguous (slots {matches})")
-    return seed.f[matches[0]]

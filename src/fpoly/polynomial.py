@@ -15,6 +15,7 @@ means the counts are not given by a single polynomial of that degree
 and is reported as an error rather than silently averaged away.
 """
 
+import heapq
 import itertools
 from fractions import Fraction
 
@@ -112,16 +113,18 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self ** k by binary powering: bit_length(k) - 1 squarings and
+        popcount(k) - 1 further products, none of them by one."""
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.one(self.nvars)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return MultiPoly.one(self.nvars) if result is None else result
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -135,28 +138,39 @@ class MultiPoly:
         return exp, self.terms[exp]
 
     def exact_div(self, divisor):
-        """Quotient self / divisor, requiring zero remainder."""
+        """Quotient self / divisor, requiring zero remainder.
+
+        Leading terms of the remainder come off a heap keyed by
+        (-degree, exponent), the order of ``leading()``: each key is pushed
+        when its term appears and skipped when popped after it cancelled.
+        """
         divisor = self._coerce(divisor)
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         dexp, dcoef = divisor.leading()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
         rem = dict(self.terms)
+        heap = [(-sum(e), e) for e in rem]
+        heapq.heapify(heap)
         quot = {}
         while rem:
-            exp = max(rem, key=_grlex_key)
-            coef = rem[exp]
+            exp = heapq.heappop(heap)[1]
+            if exp not in rem:
+                continue
+            coef = rem.pop(exp)
             qexp = tuple(a - b for a, b in zip(exp, dexp))
             if any(e < 0 for e in qexp) or coef % dcoef:
                 raise ArithmeticError("polynomial division is not exact")
-            qcoef = coef // dcoef
-            quot[qexp] = quot.get(qexp, 0) + qcoef
-            for e2, c2 in divisor.terms.items():
+            qcoef = quot[qexp] = coef // dcoef
+            for e2, c2 in tail:
                 key = tuple(a + b for a, b in zip(qexp, e2))
                 c = rem.get(key, 0) - qcoef * c2
-                if c:
-                    rem[key] = c
-                else:
-                    rem.pop(key, None)
+                if not c:
+                    del rem[key]
+                    continue
+                if key not in rem:
+                    heapq.heappush(heap, (-sum(key), key))
+                rem[key] = c
         return MultiPoly(self.nvars, quot)
 
     def constant_term(self):

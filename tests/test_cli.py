@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fpoly
 from fpoly import cli, grassmannian, polynomial, polytope, rep, stabilization
 from fpoly.cli import main
 from fpoly.errors import InvariantViolation, NonPolynomialCount
@@ -292,6 +297,24 @@ def test_exit_code_invariant_violation_in_mutate(capsys, monkeypatch, k2_json):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert captured.err == "error: mutated F-polynomial lost its unit constant term\n"
+
+
+def test_closed_standard_output_is_exit_6(k2_json):
+    # The pipe has no reader, so the report's write fails with EPIPE.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(pathlib.Path(fpoly.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpoly.cli", "compute", "--quiver", k2_json,
+             "--dims", "1,2"], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_verify_facets_draws_and_searches_each_representation_once(

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from fpoly.cluster import (Seed, b_matrix, find_by_delta, find_by_top_dim,
-                           initial_seed, mutate, run_sequence,
-                           seed_from_quiver)
+from fpoly.cluster import (b_matrix, find_by_delta, initial_seed, mutate,
+                           run_sequence, seed_from_quiver)
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver
@@ -51,6 +50,18 @@ def test_a3_finite_type():
     assert len(seen) == 7
 
 
+def find_by_top_dim(seed, dims):
+    """F-polynomial of the unique slot whose top exponent matches dims."""
+    dims = tuple(dims)
+    matches = [i for i in range(seed.n)
+               if max(seed.f[i].terms, key=sum, default=None) == dims]
+    if not matches:
+        raise KeyError(f"no cluster variable with top dimension {dims}")
+    if len(matches) > 1:
+        raise KeyError(f"top dimension {dims} is ambiguous (slots {matches})")
+    return seed.f[matches[0]]
+
+
 def test_kronecker_preprojective_chain():
     # alternating mutations walk through the (1,2), (2,3), (3,4) modules;
     # each F-polynomial must match the point-counting one
@@ -95,6 +106,22 @@ def test_dual_delta_examples():
     f = find_by_delta(seed, (1, -1, 2, 0), dual=True)
     normals = {n for n, _ in convex_hull(f.support()).facets}
     assert (0, 1, -1, -1) in normals
+
+
+def test_criterion_3_sequence_product_count(monkeypatch):
+    # Work-count guard on the exchange relation: powering without a
+    # product by one or a squaring past the top bit takes the 51
+    # polynomial products of this sequence down to 19.
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def spy(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    run_sequence(b_matrix(CYCLE4), (2, 3, 4, 1, 2, 3))
+    assert len(products) == 19
 
 
 def test_f_polynomials_have_unit_constant_and_positive_coeffs():

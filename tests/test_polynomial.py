@@ -33,6 +33,45 @@ def test_ring_axioms_randomized():
         assert a * MultiPoly.one(2) == a
 
 
+def _max_scan_div(num, den):
+    """Long division that rescans the remainder for each leading term."""
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    dexp, dcoef = den.leading()
+    rem, quot = dict(num.terms), {}
+    while rem:
+        exp = max(rem, key=lambda e: (sum(e), tuple(-x for x in e)))
+        qexp = tuple(a - b for a, b in zip(exp, dexp))
+        if any(e < 0 for e in qexp) or rem[exp] % dcoef:
+            raise ArithmeticError("polynomial division is not exact")
+        qcoef = rem[exp] // dcoef
+        quot[qexp] = quot.get(qexp, 0) + qcoef
+        for e2, c2 in den.terms.items():
+            key = tuple(a + b for a, b in zip(qexp, e2))
+            rem[key] = rem.get(key, 0) - qcoef * c2
+            if not rem[key]:
+                del rem[key]
+    return MultiPoly(num.nvars, quot)
+
+
+def _square_and_multiply(base, k):
+    """Binary powering that starts from one and squares past the top bit."""
+    result = MultiPoly.one(base.nvars)
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+def _quotient_or_error(num, den, divide):
+    try:
+        return divide(num, den)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
 def test_pow_and_exact_div():
     rng = random.Random(1)
     for _ in range(30):
@@ -42,6 +81,49 @@ def test_pow_and_exact_div():
         assert a ** 3 == a * a * a
     with pytest.raises(ArithmeticError):
         (MultiPoly.monomial(1, (1,)) + 1).exact_div(MultiPoly.monomial(1, (1,), 2))
+    # Differential test against the max-scan division and the plain
+    # square-and-multiply loop, exact and non-exact dividends alike.
+    exact = inexact = 0
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        a = rand_poly(rng, nvars, rng.randint(1, 10))
+        b = rand_poly(rng, nvars, rng.randint(1, 6)) + 1
+        for num in (a * b, a * b + rand_poly(rng, nvars, 2), a):
+            expect = _quotient_or_error(num, b, _max_scan_div)
+            assert _quotient_or_error(num, b, MultiPoly.exact_div) == expect
+            if expect is ArithmeticError:
+                inexact += 1
+            else:
+                exact += 1
+        for k in range(5):
+            assert b ** k == _square_and_multiply(b, k)
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(MultiPoly(nvars))
+    assert exact > 400 and inexact > 100
+    with pytest.raises(ValueError):
+        MultiPoly.one(1) ** -1
+
+
+def test_pow_makes_the_minimal_number_of_products(monkeypatch):
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def spy(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    base = MultiPoly.monomial(2, (1, 0)) + MultiPoly.monomial(2, (0, 1)) + 1
+    counts = []
+    for k in range(9):
+        products.clear()
+        power = base ** k
+        counts.append(len(products))
+        assert power == _square_and_multiply(base, k)
+    # bit_length(k) - 1 squarings and popcount(k) - 1 further products;
+    # squaring once past the top bit and starting from one made
+    # 0, 2, 3, 4, 4, 5, 5, 6, 5.
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3]
 
 
 def test_substitute_monomial_is_ring_hom():
