@@ -169,6 +169,9 @@ def _verify_facets(recipe, fpoly):
 def cmd_verify(args):
     recipe = _recipe_from_args(args)
     fpoly = _load_json(args.fpoly, MultiPoly.from_json) if args.fpoly else None
+    if fpoly is not None and fpoly.nvars != recipe.quiver.n:
+        raise InvalidInput(f"invalid {args.fpoly}: {fpoly.nvars} variables "
+                           f"for a quiver with {recipe.quiver.n} vertices")
     if args.what == "vertices":
         result = verify_vertex_theorems(recipe)
     elif args.what == "saturation":

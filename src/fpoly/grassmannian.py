@@ -1,23 +1,25 @@
 """Quiver Grassmannians over F_p: point counts, enumeration, tropical values.
 
-``subrep_counts`` gives every count of one representation from one
-memoized frontier walk over the vertices.  A vertex's subspace must
-contain the span that the arrows from chosen vertices force on it; on a
-quiver with cycles the other, deferred, arrows are checked once their
-source is chosen.  The walk's state is the forced span of each later
-vertex (its dimension alone at a free vertex, which constrains nothing
-downstream, once its sources are chosen) and the chosen subspaces a
-deferred arrow still checks.  Choices leading to one state are counted
-together, counts below a state are memoized, and free vertices are
-counted by Gaussian binomials.  The sub-dimension set, existence and
-uniqueness tests, graded counts and rigid fits of a representation read
-that table, memoized by value in a small LRU cache.  ``_walk`` serves
-enumeration and the single-gamma ``count_points``, for counts that may
-stop at their first gamma.  Every walk first checks the fixed cost cap
-on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM`` in total).
+Every count comes from one memoized frontier walk over the vertices.  A
+vertex's subspace must contain the span that the arrows from chosen
+vertices force on it; on a quiver with cycles the other, deferred,
+arrows are checked once their source is chosen.  The walk's state is the
+forced span of each later vertex (its dimension alone at a free vertex,
+which constrains nothing downstream, once its sources are chosen) and
+the chosen subspaces a deferred arrow still checks.  Choices leading to
+one state are counted together, counts below a state are memoized, and
+free vertices are counted by Gaussian binomials.  ``subrep_counts`` runs
+it over every dimension at every vertex and is memoized by value in a
+small LRU cache; the sub-dimension set, existence and uniqueness tests,
+graded counts and rigid fits of a representation read that table.
+``count_points`` runs it at the one dimension gamma_v per vertex, for
+counts that may stop at their first gamma.  ``enumerate_subreps`` walks
+depth first and yields every point.  Every walk first checks the fixed
+cost cap on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM`` in
+total).
 """
 
-from functools import cache, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 from . import kernels
@@ -52,24 +54,6 @@ def _vertex_plan(quiver):
     return order, constraining, deferred, free
 
 
-def _forced_subspace(rep, mats, bases, v, arrows_in):
-    """Span of the images of chosen source subspaces along arrows into v."""
-    rows = ()
-    for a in arrows_in:
-        s = rep.quiver.arrows[a][0]
-        if bases[s]:
-            rows += kernels.matmul(bases[s], mats[a], rep.p)
-    return kernels.rref(rows, rep.dims[v], rep.p)
-
-
-def _deferred_ok(rep, mats, bases, pivots, deferred):
-    for a in deferred:
-        s, t = rep.quiver.arrows[a]
-        if not _maps_into(bases[s], mats[a], bases[t], pivots[t], rep.p):
-            return False
-    return True
-
-
 def _maps_into(basis, mat, target, target_pivots, p):
     """Whether the row space of ``basis`` times ``mat`` lies in ``target``."""
     return all(kernels.in_rowspace(row, target, target_pivots, p)
@@ -77,61 +61,34 @@ def _maps_into(basis, mat, target, target_pivots, p):
 
 
 def enumerate_subreps(rep, gamma):
-    """Yield every subrepresentation with dimension vector ``gamma``."""
-    for _, bases, pivots in _walk(rep, gamma, count_free=False):
-        yield Subrep(tuple(bases), tuple(pivots))
+    """Yield every subrepresentation with dimension vector ``gamma``.
 
-
-def count_points(rep, gamma):
-    """|Gr_gamma(M)(F_p)|, with a closed-form shortcut at free vertices."""
-    return sum(weight for weight, _, _ in _walk(rep, gamma, count_free=True))
-
-
-def has_subrep(rep, gamma):
-    """Whether M has a subrepresentation of dimension ``gamma``."""
-    rep.quiver.check_dim_vector(gamma)
-    return tuple(gamma) in subrep_counts(rep)
-
-
-def _walk(rep, gamma, count_free):
-    """Yield ``(weight, bases, pivots)`` per point of Gr_gamma(M)(F_p) reached.
-
-    Without ``count_free`` every point is reached once, with weight 1.
-    With it, a free vertex (no outgoing or deferred arrows) constrains
-    nothing later, so its subspace is left empty and its choices enter
-    the weight in closed form; the weights, each positive, then sum to
-    the point count.  ``bases`` and ``pivots`` are the walk's own lists,
-    overwritten as it goes on.
+    A depth-first walk over the vertices in plan order: each vertex's
+    subspace contains the span forced by its constraining arrows, and
+    deferred arrows are checked once every subspace is chosen.
     """
     rep.quiver.check_dim_vector(gamma)
     check_cost(rep.dims)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return
-    order, constraining, deferred, free = _vertex_plan(rep.quiver)
-    p = rep.p
-    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
-    if not count_free:
-        free = ()
+    order, constraining, deferred, _ = _vertex_plan(rep.quiver)
+    p, arrows = rep.p, rep.quiver.arrows
+    mats = tuple(map(rep.matrix_t, range(len(arrows))))
     bases = [None] * rep.quiver.n
     pivots = [None] * rep.quiver.n
 
-    def recurse(i, weight):
+    def recurse(i):
         if i == len(order):
-            if _deferred_ok(rep, mats, bases, pivots, deferred):
-                yield weight, bases, pivots
+            if all(_maps_into(bases[s], mats[a], bases[t], pivots[t], p)
+                   for a in deferred for s, t in [arrows[a]]):
+                yield Subrep(tuple(bases), tuple(pivots))
             return
         v = order[i]
         n, k = rep.dims[v], gamma[v]
-        forced = forced_piv = ()
-        if constraining[v]:
-            forced, forced_piv = _forced_subspace(rep, mats, bases, v,
-                                                  constraining[v])
-            if len(forced) > k:
-                return
-        if v in free:
-            bases[v] = pivots[v] = ()
-            yield from recurse(i + 1, weight * kernels.count_subspaces_containing(
-                n, k, p, len(forced)))
+        rows = sum((kernels.matmul(bases[arrows[a][0]], mats[a], p)
+                    for a in constraining[v]), ())
+        forced, forced_piv = kernels.rref(rows, n, p) if rows else ((), ())
+        if len(forced) > k:
             return
         # subspaces_containing would re-reduce every candidate; skip that.
         candidates = (kernels.subspaces_containing(n, k, p, forced, forced_piv)
@@ -139,9 +96,22 @@ def _walk(rep, gamma, count_free):
         for basis in candidates:
             bases[v] = basis
             pivots[v] = tuple(_pivots_of(basis))
-            yield from recurse(i + 1, weight)
+            yield from recurse(i + 1)
 
-    yield from recurse(0, 1)
+    yield from recurse(0)
+
+
+def count_points(rep, gamma):
+    """|Gr_gamma(M)(F_p)|, from the counting walk restricted to ``gamma``."""
+    rep.quiver.check_dim_vector(gamma)
+    check_cost(rep.dims)
+    return sum(_count_walk(rep, gamma).values())
+
+
+def has_subrep(rep, gamma):
+    """Whether M has a subrepresentation of dimension ``gamma``."""
+    rep.quiver.check_dim_vector(gamma)
+    return tuple(gamma) in subrep_counts(rep)
 
 
 def _pivots_of(rref_basis):
@@ -182,12 +152,28 @@ def _frontier_plan(quiver):
 @lru_cache(maxsize=32)
 def subrep_counts(rep):
     """Read-only ``{gamma: |Gr_gamma(M)(F_p)|}`` over every gamma with a
-    point, sorted, from one memoized walk (see the module docstring).  An
-    over-cap representation raises first, so it never enters the cache."""
+    point, sorted, from one counting walk.  An over-cap representation
+    raises first, so it never enters the cache."""
     check_cost(rep.dims)
-    order, free, pos, pushes, checks, kept, settle, start = _frontier_plan(rep.quiver)
+    pos = _frontier_plan(rep.quiver)[2]
+    counts = {tuple(suffix[i] for i in pos): c
+              for suffix, c in _count_walk(rep).items()}
+    return MappingProxyType(dict(sorted(counts.items())))
+
+
+def _count_walk(rep, gamma=None):
+    """``{gamma in processing order: count}`` from one memoized frontier
+    walk (see the module docstring): over every gamma with a point, or,
+    given ``gamma``, with k = gamma_v at each vertex v."""
+    order, free, _, pushes, checks, kept, settle, start = _frontier_plan(rep.quiver)
     p, dims = rep.p, rep.dims
     mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
+
+    def ranks(v, low):
+        """The subspace dimensions to try at v, given a forced span of ``low``."""
+        if gamma is None:
+            return range(low, dims[v] + 1)
+        return (gamma[v],) if gamma[v] >= low else ()
 
     def advance(state, v, basis):
         """The state after choosing ``basis`` at v; None if it breaks a check."""
@@ -208,21 +194,25 @@ def subrep_counts(rep):
             nxt[w] = len(nxt[w][0])
         return tuple(nxt)
 
-    @cache
+    memo = {}
+
     def suffixes(i, state):
         """``{gamma restricted to order[i:]: count}`` below one state."""
         if i == len(order):
             return {(): 1}
+        table = memo.get((i, state))
+        if table is not None:
+            return table
         v, table = order[i], {}
         n = dims[v]
         if v in free:
             f, rest = state[v], suffixes(i + 1, state[:v] + (None,) + state[v + 1:])
             table = {(k,) + suffix: c * kernels.count_subspaces_containing(n, k, p, f)
-                     for k in range(f, n + 1) for suffix, c in rest.items()}
+                     for k in ranks(v, f) for suffix, c in rest.items()}
         else:
             forced, forced_piv = state[v]
             groups = {}
-            for k in range(len(forced), n + 1):
+            for k in ranks(v, len(forced)):
                 for basis in (kernels.subspaces_containing(n, k, p, forced, forced_piv)
                               if forced else kernels.subspaces(n, k, p)):
                     key = k, advance(state, v, basis)
@@ -231,12 +221,12 @@ def subrep_counts(rep):
                 if nxt is not None:
                     for suffix, c in suffixes(i + 1, nxt).items():
                         table[(k,) + suffix] = table.get((k,) + suffix, 0) + mult * c
+        memo[i, state] = table
         return table
 
-    counts = {tuple(suffix[i] for i in pos): c
-              for suffix, c in suffixes(0, start).items()}
-    suffixes.cache_clear()  # the memo can be large; release it now
-    return MappingProxyType(dict(sorted(counts.items())))
+    table = suffixes(0, start)
+    memo.clear()  # the memo can be large; release it now
+    return table
 
 
 def subrep_dim_vectors(rep):

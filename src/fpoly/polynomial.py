@@ -261,6 +261,13 @@ def first_primes(n):
     return primes
 
 
+def _fit_primes(degree, palindromic):
+    """Primes to fit a counting polynomial of ``degree`` (from degree // 2 + 1
+    counts if palindromic, else degree + 1) and check it at VERIFY_PRIMES more."""
+    fitted = max(degree, 0) // 2 if palindromic else degree
+    return first_primes(fitted + 1 + VERIFY_PRIMES)
+
+
 def interpolate_integer_polynomial(points, degree_bound, verify=1):
     """Exact polynomial through the first degree_bound+1 points.
 
@@ -341,14 +348,14 @@ def _count_plan(recipe, gamma):
     if any(g < 0 or g > d for g, d in zip(gamma, alpha)):
         return [], 0, False
     degree = euler_form(recipe.quiver, gamma, vec_sub(alpha, gamma))
-    primes = first_primes(max(degree, 0) // 2 + 1 + VERIFY_PRIMES)
-    # first_primes(>= 2) includes 2 and 3, the primes of sub_dim_vectors.
+    primes = _fit_primes(degree, palindromic=True)
+    # _fit_primes includes 2 and 3, the primes of sub_dim_vectors.
     if _rigid_reductions(recipe, primes):
         if gamma not in sub_dim_vectors(recipe):
             return [], degree, True
         return primes, degree, True
     degree = sum(g * (d - g) for g, d in zip(gamma, alpha))
-    return first_primes(degree + 1 + VERIFY_PRIMES), degree, False
+    return _fit_primes(degree, palindromic=False), degree, False
 
 
 def _chi_from_counts(points, degree, palindromic):

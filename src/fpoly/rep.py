@@ -160,12 +160,8 @@ def quotient(rep, sub):
 
     mats = []
     for a, (s, t) in enumerate(rep.quiver.arrows):
-        at = rep.matrix_t(a)
-        cols = []
-        for j in comp[s]:
-            lift = tuple(1 if i == j else 0 for i in range(rep.dims[s]))
-            image = kernels.matmul((lift,), at, p)[0]
-            cols.append(project(t, image))
+        at = rep.matrix_t(a)  # row j is the image of basis vector e_j
+        cols = [project(t, at[j]) for j in comp[s]]
         mats.append(tuple(tuple(col[i] for col in cols) for i in range(dims[t])))
     return Representation(rep.quiver, p, dims, tuple(mats))
 

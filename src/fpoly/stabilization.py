@@ -10,6 +10,11 @@ other maximizers.  The subquotient perp = L_max/L_min is
 delta-semistable; its semistable subrepresentations, graded by stable
 Jordan-Holder multiplicities and counted across primes, recover the
 restriction of the F-polynomial to the corresponding face.
+
+The stable filtration of a semistable W needs no stability search: a
+nonzero delta-null subrepresentation of least total dimension is
+already stable (King, 1994), so each step takes the first point of the
+least such dimension vector and passes to the quotient.
 """
 
 import itertools
@@ -20,8 +25,8 @@ from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
                            subrep_counts, subrep_dim_vectors, sub_dim_vectors,
                            unique_subrep)
 from .intlinalg import solver
-from .polynomial import (VERIFY_PRIMES, MultiPoly, _chi_from_counts,
-                         f_polynomial, first_primes, restrict_to_face)
+from .polynomial import (MultiPoly, _chi_from_counts, _fit_primes,
+                         f_polynomial, restrict_to_face)
 from .polytope import (convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities)
 from .quiver import Quiver, euler_form, vec_dot, vec_sub
@@ -29,7 +34,7 @@ from .rep import (Subrep, _coords_in_basis, _is_rigid, ext_dim_hereditary,
                   generic_hom_ext, hom_dim, make_subrep, quotient,
                   restrict_to_sub)
 
-SMALL_PRIMES = (2, 3)
+BASE_PRIME = 2  # the prime whose stable classes the others must match
 VERTEX_PRIMES = (2, 3, 5)
 
 
@@ -104,16 +109,15 @@ def _same_brick(a, b):
 
 
 def _minimal_stable_sub(w_rep, delta):
-    dims_with_sub = sorted(subrep_dim_vectors(w_rep),
-                           key=lambda g: (sum(g), g))
-    for gamma in dims_with_sub:
-        if sum(gamma) == 0 or vec_dot(delta, gamma) != 0:
-            continue
-        for sub in enumerate_subreps(w_rep, gamma):
-            cand = restrict_to_sub(w_rep, sub)
-            if is_stable(cand, delta):
-                return sub, cand
-    return None
+    """A delta-stable subrepresentation of a semistable W, and it as a
+    representation: the first point of the least delta-null nonzero
+    sub-dimension vector, by (total dimension, gamma).  A proper nonzero
+    delta-null subrepresentation of it would be a smaller one of W."""
+    gamma = min((g for g in subrep_dim_vectors(w_rep)
+                 if sum(g) and vec_dot(delta, g) == 0),
+                key=lambda g: (sum(g), g))
+    sub = next(enumerate_subreps(w_rep, gamma))
+    return sub, restrict_to_sub(w_rep, sub)
 
 
 def stable_factors(w_rep, delta):
@@ -124,10 +128,8 @@ def stable_factors(w_rep, delta):
     counts = []
     current = w_rep
     while current.total_dim > 0:
-        found = _minimal_stable_sub(current, delta)
-        if found is None:
-            raise InvariantViolation("semistable representation with no stable subrep")
-        sub, factor = found
+        # current is delta-null and nonzero, so it is a candidate itself.
+        sub, factor = _minimal_stable_sub(current, delta)
         for i, rep in enumerate(classes):
             if _same_brick(rep, factor):
                 counts[i] += 1
@@ -206,7 +208,6 @@ class GradedData:
     stable_dims: tuple    # iota: image of each variable in K_0(Q)
     dim_t: tuple
     dim_t_check: tuple
-    multiplicities: tuple
 
 
 def _rigid_perp(w_rep):
@@ -223,7 +224,7 @@ def graded_semistable_f(recipe, delta):
     at degree <gamma, w - gamma>, and the primes are sized from the
     grades found at the base prime; otherwise at the box bound.
     """
-    base_split, base_stables = _split_at_prime(recipe, delta, SMALL_PRIMES[0])
+    base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
     stable_dims = tuple(s.dims for s in base_stables.stables)
     w_dims = base_split.perp.dims
     per_prime = {}
@@ -231,7 +232,7 @@ def graded_semistable_f(recipe, delta):
     def counts_at(p):
         """Graded counts of W mod p, and whether that W is rigid."""
         if p not in per_prime:
-            if p == SMALL_PRIMES[0]:
+            if p == BASE_PRIME:
                 split, stables = base_split, base_stables
             else:
                 split, stables = _split_at_prime(recipe, delta, p)
@@ -249,17 +250,16 @@ def graded_semistable_f(recipe, delta):
             return euler_form(recipe.quiver, gamma, vec_sub(w_dims, gamma))
         return sum(g * (d - g) for g, d in zip(gamma, w_dims))
 
-    base_counts, palindromic = counts_at(SMALL_PRIMES[0])
+    base_counts, palindromic = counts_at(BASE_PRIME)
     palindromic = palindromic and solver(_iota_rows(stable_dims, len(w_dims)),
                                          len(stable_dims)) is not None
     if palindromic:
-        half = max(degree(m, True) for m in base_counts) // 2
-        primes = first_primes(max(half, 0) + 1 + VERIFY_PRIMES)
+        primes = _fit_primes(max(degree(m, True) for m in base_counts), palindromic=True)
         palindromic = all(counts_at(p)[1] for p in primes)
     if not palindromic:
         # max over gamma of sum gamma_v (w_v - gamma_v): bound for every grade
         box = sum((d // 2) * (d - d // 2) for d in w_dims)
-        primes = first_primes(box + 1 + VERIFY_PRIMES)
+        primes = _fit_primes(box, palindromic=False)
     per_grade = [counts_at(p)[0] for p in primes]
     terms = {}
     for m in set(itertools.chain.from_iterable(per_grade)):
@@ -269,7 +269,7 @@ def graded_semistable_f(recipe, delta):
             terms[m] = chi
     poly = MultiPoly(len(stable_dims), terms)
     return GradedData(poly, stable_dims, base_split.l_min.dims,
-                      base_split.l_max.dims, base_stables.multiplicities)
+                      base_split.l_max.dims)
 
 
 def verify_facet_restriction(recipe, delta, fpoly=None):

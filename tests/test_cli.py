@@ -228,6 +228,7 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["verify", "--what", "everything", "--quiver", "{k2}", "--dims", "1,1"],
     ["no-such-command"],
     ["compute", "--rep", "{bad_shape}"],
+    ["verify", "--what", "facets", "--fpoly", "{f3}", "--quiver", "{k2}", "--dims", "1,1"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
@@ -238,8 +239,11 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_shape = tmp_path / "bad_shape.json"
     bad_shape.write_text(json.dumps({**kronecker_quiver(2).to_json(), "dims": [1, 2],
                                      "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}))
+    # A 3-variable polynomial for the 2-vertex Kronecker quiver.
+    f3 = tmp_path / "f3.json"
+    f3.write_text(json.dumps(MultiPoly(3, {(0, 0, 0): 1, (1, 1, 1): 1}).to_json()))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
-             "bad_shape": bad_shape, "missing": tmp_path / "missing.json"}
+             "bad_shape": bad_shape, "f3": f3, "missing": tmp_path / "missing.json"}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""

@@ -1,16 +1,19 @@
 """Randomized differential checks of the Grassmannian walks and the
 torsion paths.
 
-``subrep_counts`` counts every Grassmannian of a representation in one
-memoized walk, and ``has_subrep`` and ``unique_subrep`` read its table;
-``count_points`` and ``enumerate_subreps`` share the single-gamma vertex
-walk.  Both are checked against an independent oracle, the brute-force
-count over every tuple of subspaces, and not only against each other.
-``torsion_split`` reads L_min and L_max off the extreme maximizing
-dimension vectors; it is checked against the fold of intersections and
-sums over every maximizing subrepresentation.  All cases are small
-random representations, some with sparse matrices.  The 4-cycle has
-arrows that close a cycle, so its walks take the deferred-arrow path.
+``subrep_counts`` (every gamma) and ``count_points`` (one gamma) run one
+memoized counting walk, and ``has_subrep`` and ``unique_subrep`` read
+the table; ``enumerate_subreps`` walks depth first.  All are checked
+against an independent oracle, the brute-force count over every tuple
+of subspaces, and not only against each other.  ``torsion_split`` reads
+L_min and L_max off the extreme maximizing dimension vectors; it is
+checked against the fold of intersections and sums over every
+maximizing subrepresentation.  ``stable_factors`` takes the first point
+of the least delta-null dimension vector as each stable factor; it is
+checked against the stability search it replaced, which tests every
+candidate with ``is_stable``.  All cases are small random
+representations, some with sparse matrices.  The 4-cycle has arrows
+that close a cycle, so its walks take the deferred-arrow path.
 
 ``convex_hull``, ``polytope_from_inequalities`` and ``dual_cone_rays``
 share one double description routine; they are checked for exact
@@ -52,8 +55,9 @@ from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
-                       random_representation)
-from fpoly.stabilization import graded_semistable_f, torsion_split
+                       random_representation, restrict_to_sub)
+from fpoly.stabilization import (graded_semistable_f, is_stable,
+                                 stable_factors, torsion_split)
 from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
 from test_kernels import subspace_intersection, subspace_sum
@@ -76,6 +80,14 @@ def _random_reps(quiver, rng):
             continue
         yield random_representation(quiver, dims, rng.choice((2, 3)), rng)
         done += 1
+
+
+def _sparse(rep, rng):
+    """``rep`` with most matrix entries zeroed: sparse matrices give
+    special, non-generic Grassmannians."""
+    return Representation(rep.quiver, rep.p, rep.dims, tuple(
+        tuple(tuple(x if rng.random() < 0.3 else 0 for x in row) for row in mat)
+        for mat in rep.matrices))
 
 
 def _folded_extremes(rep, delta):
@@ -119,10 +131,7 @@ def test_count_table_equals_brute_force():
                 dims = tuple(rng.randrange(3) for _ in range(quiver.n))
                 rep = random_representation(quiver, dims, p, rng)
                 if trial % 2:
-                    # Sparse matrices give special, non-generic Grassmannians.
-                    rep = Representation(quiver, p, dims, tuple(
-                        tuple(tuple(x if rng.random() < 0.3 else 0 for x in row)
-                              for row in mat) for mat in rep.matrices))
+                    rep = _sparse(rep, rng)
                 table = subrep_counts(rep)
                 where = (name, p, rep.matrices)
                 box = itertools.product(*(range(d + 1) for d in dims))
@@ -149,6 +158,43 @@ def test_torsion_split_extremes_equal_fold_over_maximizers():
                 low, high = _folded_extremes(rep, delta)
                 assert split.l_min.bases == low, (name, rep.matrices, delta)
                 assert split.l_max.bases == high, (name, rep.matrices, delta)
+
+
+def _searched_minimal_stable_sub(w_rep, delta):
+    """The stability search: every point of every delta-null nonzero
+    sub-dimension vector, by (total dimension, gamma), until one is
+    stable by its own count table."""
+    for gamma in sorted(subrep_dim_vectors(w_rep), key=lambda g: (sum(g), g)):
+        if sum(gamma) == 0 or vec_dot(delta, gamma) != 0:
+            continue
+        for sub in enumerate_subreps(w_rep, gamma):
+            cand = restrict_to_sub(w_rep, sub)
+            if is_stable(cand, delta):
+                return sub, cand
+    return None
+
+
+def test_stable_factors_equal_the_stability_search(monkeypatch):
+    rng = random.Random(36)
+    cases = []
+    for name in ("K2", "A3", "1=>2->3"):
+        quiver = QUIVERS[name]
+        for trial in range(TRIALS):
+            dims = tuple(rng.randrange(3) for _ in range(quiver.n))
+            rep = random_representation(quiver, dims, rng.choice((2, 3)), rng)
+            if trial % 2:
+                rep = _sparse(rep, rng)
+            # Small weights tie often, so perp is often nonzero.
+            delta = tuple(rng.randrange(-1, 2) for _ in range(quiver.n))
+            cases.append((name, torsion_split(rep, delta).perp, delta))
+    found = [stable_factors(perp, delta) for _, perp, delta in cases]
+    monkeypatch.setattr(stabilization, "_minimal_stable_sub",
+                        _searched_minimal_stable_sub)
+    for (name, perp, delta), data in zip(cases, found):
+        assert stable_factors(perp, delta) == data, (name, perp.matrices, delta)
+    lengths = Counter(sum(data.multiplicities) for data in found)
+    assert lengths[0] and lengths[1] and sum(
+        n for length, n in lengths.items() if length > 1) >= 20, lengths
 
 
 def test_per_prime_caches_return_the_uncached_values():

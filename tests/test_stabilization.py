@@ -1,6 +1,6 @@
 import pytest
 
-from fpoly.grassmannian import count_points
+from fpoly.grassmannian import count_points, subrep_counts
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
@@ -65,6 +65,17 @@ def test_stable_factors_two_bricks():
     assert data.multiplicities == (1, 1)
     a, b = data.stables
     assert hom_dim(a, b) == 0 and hom_dim(b, a) == 0
+
+
+def test_stable_filtration_builds_one_count_table_per_step():
+    """A work-count guard: each step of the stable filtration reads the
+    count table of the representation it filters and of no candidate."""
+    m = K22_BRICKS.at_prime(3)
+    subrep_counts.cache_clear()
+    data = stable_factors(m, (1, -1))
+    assert data.multiplicities == (1, 1)
+    # M, then M modulo its first stable factor.
+    assert subrep_counts.cache_info().misses == 2
 
 
 def test_graded_semistable_brick_sum():
