@@ -26,7 +26,7 @@ from .cluster import (Seed, b_matrix, find_by_delta, initial_seed, mutate,
                       run_sequence, seed_from_quiver)
 from .stabilization import (GradedData, StableFactorData, TorsionSplit,
                             collapse_monomial, delta_cones, generic_sub_dims,
-                            graded_semistable_f, is_semistable, is_stable,
+                            graded_semistable_f, is_semistable,
                             newton_via_cones, perpendicular_quiver,
                             stable_factors, torsion_split,
                             verify_facet_restriction, verify_saturation,

@@ -1,22 +1,29 @@
 """Quiver Grassmannians over F_p: point counts, enumeration, tropical values.
 
-Every count comes from one memoized frontier walk over the vertices.  A
-vertex's subspace must contain the span that the arrows from chosen
-vertices force on it; on a quiver with cycles the other, deferred,
-arrows are checked once their source is chosen.  The walk's state is the
-forced span of each later vertex (its dimension alone at a free vertex,
-which constrains nothing downstream, once its sources are chosen) and
-the chosen subspaces a deferred arrow still checks.  Choices leading to
-one state are counted together, counts below a state are memoized, and
-free vertices are counted by Gaussian binomials.  ``subrep_counts`` runs
-it over every dimension at every vertex and is memoized by value in a
-small LRU cache; the sub-dimension set, existence and uniqueness tests,
-graded counts and rigid fits of a representation read that table.
-``count_points`` runs it at the one dimension gamma_v per vertex, for
-counts that may stop at their first gamma.  ``enumerate_subreps`` walks
-depth first and yields every point.  Every walk first checks the fixed
-cost cap on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM`` in
-total).
+Every count and every point comes from one frontier walk over the
+vertices, with one plan per quiver and one step.  A vertex's subspace
+must contain the span that the arrows from chosen vertices force on it;
+on a quiver with cycles the other, deferred, arrows are checked as soon
+as their source is chosen.  The step chooses a subspace at one vertex:
+it pushes the subspace's images into the forced spans of later vertices
+and checks the deferred arrows out of that vertex.
+
+The counting walk's state is the forced span of each later vertex (its
+dimension alone at a free vertex, which constrains nothing downstream,
+once its sources are chosen) and the chosen subspaces a deferred arrow
+still checks.  Choices leading to one state are counted together,
+counts below a state are memoized, and free vertices are counted by
+Gaussian binomials.  ``subrep_counts`` runs it over every dimension at
+every vertex and is memoized by value in a small LRU cache; the
+sub-dimension set, existence and uniqueness tests, graded counts and
+rigid fits of a representation read that table.  ``count_points`` runs
+it at the one dimension gamma_v per vertex; its only library caller is
+the box-bound fit, which may stop at its first non-polynomial gamma.
+``enumerate_subreps`` runs the same step depth first at k = gamma_v,
+with no memo and no grouping, and keeps every chosen subspace, free
+vertices included, to yield every point.  Every walk first checks the
+fixed cost cap on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM``
+in total).
 """
 
 from functools import lru_cache
@@ -30,75 +37,120 @@ from .rep import Subrep
 CERTIFY_PRIMES = (2, 3)
 
 
-@lru_cache(maxsize=32)
-def _vertex_plan(quiver):
-    """Processing order plus per-vertex constraining and deferred arrows.
-
-    Constraining arrows into a vertex come from already-processed sources;
-    for acyclic quivers that is all of them.  Deferred arrows (only on
-    quivers with cycles) are stability-checked once all choices are made.
-    A free vertex has no outgoing arrow and touches no deferred one.  The
-    plan depends on the quiver alone, so it is memoized; it is made of
-    tuples and frozensets (``constraining`` is indexed by vertex) so a
-    cached plan cannot change.
-    """
-    order = quiver.topo_order if quiver.acyclic else tuple(range(quiver.n))
-    pos = {v: i for i, v in enumerate(order)}
-    forward = [pos[s] < pos[t] for s, t in quiver.arrows]
-    constraining = tuple(tuple(a for a in quiver.arrows_into(v) if forward[a])
-                         for v in range(quiver.n))
-    deferred = tuple(a for a, ok in enumerate(forward) if not ok)
-    touched = {v for a in deferred for v in quiver.arrows[a]}
-    free = frozenset(v for v in order
-                     if not quiver.arrows_from(v) and v not in touched)
-    return order, constraining, deferred, free
-
-
 def _maps_into(basis, mat, target, target_pivots, p):
     """Whether the row space of ``basis`` times ``mat`` lies in ``target``."""
     return all(kernels.in_rowspace(row, target, target_pivots, p)
                for row in kernels.matmul(basis, mat, p))
 
 
-def enumerate_subreps(rep, gamma):
-    """Yield every subrepresentation with dimension vector ``gamma``.
+def _pivots_of(rref_basis):
+    for row in rref_basis:
+        for j, x in enumerate(row):
+            if x:
+                yield j
+                break
 
-    A depth-first walk over the vertices in plan order: each vertex's
-    subspace contains the span forced by its constraining arrows, and
-    deferred arrows are checked once every subspace is chosen.
+
+def _subspaces(n, k, p, forced, forced_pivots):
+    """The k-dimensional subspaces of F_p^n containing the rref ``forced``."""
+    return (kernels.subspaces_containing(n, k, p, forced, forced_pivots)
+            if forced else kernels.subspaces(n, k, p))
+
+
+@lru_cache(maxsize=32)
+def _frontier_plan(quiver):
+    """The walk's plan for one quiver.
+
+    Vertices go in topological order, or in index order on a quiver with
+    cycles.  An arrow whose source comes first constrains its target;
+    the others are deferred.  Per vertex v, choosing its subspace pushes
+    its images into the spans forced on the later vertices it constrains
+    (``pushes``) and checks the deferred arrows out of v (``checks``).
+    The counting walk keeps the subspace only if a deferred arrow ends at
+    v (``kept``), reduces each free vertex (no arrow out, no deferred
+    arrow in) whose last source is v to a dimension (``settle``), and
+    starts from ``start``.  The plan depends on the quiver alone, so it
+    is memoized; it is made of tuples and frozensets so a cached plan
+    cannot change.
     """
+    order = quiver.topo_order if quiver.acyclic else tuple(range(quiver.n))
+    arrows, vertices = quiver.arrows, range(quiver.n)
+    pos = {v: i for i, v in enumerate(order)}
+    forward = [pos[s] < pos[t] for s, t in arrows]
+    kept = frozenset(t for (_, t), ok in zip(arrows, forward) if not ok)
+    free = frozenset(v for v in vertices if not quiver.arrows_from(v)) - kept
+    pushes, last = [{} for _ in vertices], {}
+    for w in vertices:
+        for a in quiver.arrows_into(w):
+            if forward[a]:
+                s = arrows[a][0]
+                pushes[s].setdefault(w, []).append(a)
+                last[w] = max(last.get(w, -1), pos[s])
+    checks = tuple(tuple((a, t) for a, (s, t) in enumerate(arrows)
+                         if s == v and not forward[a]) for v in vertices)
+    settle = tuple(tuple(w for w in pushes[v] if w in free and last[w] == pos[v])
+                   for v in vertices)
+    pushes = tuple(tuple((w, tuple(into)) for w, into in d.items()) for d in pushes)
+    start = tuple(0 if v in free and v not in last else ((), ()) for v in vertices)
+    positions = tuple(pos[v] for v in vertices)
+    return order, free, positions, pushes, checks, kept, settle, start
+
+
+def _stepper(rep, plan, keep, settle):
+    """The one step of every walk on ``rep``: ``step(state, v, basis)`` is
+    the state after choosing ``basis`` at v, or None if a deferred arrow
+    out of v leaves the subspace kept at its target.  The basis joins the
+    spans it forces on later vertices; v then holds ``(basis, pivots)`` if
+    it is in ``keep``, else None, and each vertex in ``settle[v]`` holds
+    the dimension of its forced span."""
+    pushes, checks = plan[3:5]
+    p, dims = rep.p, rep.dims
+    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
+
+    def step(state, v, basis):
+        pivots = tuple(_pivots_of(basis)) if v in keep else ()
+        for a, t in checks[v]:
+            if not _maps_into(basis, mats[a],
+                              *(state[t] if t != v else (basis, pivots)), p):
+                return None
+        nxt = list(state)
+        nxt[v] = (basis, pivots) if v in keep else None
+        if basis:
+            for w, into in pushes[v]:
+                rows = nxt[w][0]
+                for a in into:
+                    rows += kernels.matmul(basis, mats[a], p)
+                nxt[w] = kernels.rref(rows, dims[w], p)
+        for w in settle[v]:
+            nxt[w] = len(nxt[w][0])
+        return tuple(nxt)
+
+    return step
+
+
+def enumerate_subreps(rep, gamma):
+    """Yield every subrepresentation with dimension vector ``gamma``: the
+    walk's step, depth first in plan order, at k = gamma_v per vertex,
+    keeping every chosen subspace."""
     rep.quiver.check_dim_vector(gamma)
     check_cost(rep.dims)
     if any(g < 0 or g > d for g, d in zip(gamma, rep.dims)):
         return
-    order, constraining, deferred, _ = _vertex_plan(rep.quiver)
-    p, arrows = rep.p, rep.quiver.arrows
-    mats = tuple(map(rep.matrix_t, range(len(arrows))))
-    bases = [None] * rep.quiver.n
-    pivots = [None] * rep.quiver.n
+    n, p, dims = rep.quiver.n, rep.p, rep.dims
+    plan = _frontier_plan(rep.quiver)
+    order, step = plan[0], _stepper(rep, plan, range(n), ((),) * n)
 
-    def recurse(i):
+    def points(i, state):
         if i == len(order):
-            if all(_maps_into(bases[s], mats[a], bases[t], pivots[t], p)
-                   for a in deferred for s, t in [arrows[a]]):
-                yield Subrep(tuple(bases), tuple(pivots))
+            yield Subrep(tuple(b for b, _ in state), tuple(q for _, q in state))
             return
         v = order[i]
-        n, k = rep.dims[v], gamma[v]
-        rows = sum((kernels.matmul(bases[arrows[a][0]], mats[a], p)
-                    for a in constraining[v]), ())
-        forced, forced_piv = kernels.rref(rows, n, p) if rows else ((), ())
-        if len(forced) > k:
-            return
-        # subspaces_containing would re-reduce every candidate; skip that.
-        candidates = (kernels.subspaces_containing(n, k, p, forced, forced_piv)
-                      if forced else kernels.subspaces(n, k, p))
-        for basis in candidates:
-            bases[v] = basis
-            pivots[v] = tuple(_pivots_of(basis))
-            yield from recurse(i + 1)
+        for basis in _subspaces(dims[v], gamma[v], p, *state[v]):
+            nxt = step(state, v, basis)
+            if nxt is not None:
+                yield from points(i + 1, nxt)
 
-    yield from recurse(0)
+    yield from points(0, (((), ()),) * n)
 
 
 def count_points(rep, gamma):
@@ -112,41 +164,6 @@ def has_subrep(rep, gamma):
     """Whether M has a subrepresentation of dimension ``gamma``."""
     rep.quiver.check_dim_vector(gamma)
     return tuple(gamma) in subrep_counts(rep)
-
-
-def _pivots_of(rref_basis):
-    for row in rref_basis:
-        for j, x in enumerate(row):
-            if x:
-                yield j
-                break
-
-
-@lru_cache(maxsize=32)
-def _frontier_plan(quiver):
-    """Per vertex v, what choosing its subspace does in ``subrep_counts``:
-    its images join the spans forced on the later vertices it constrains
-    (``pushes``), the deferred arrows out of v are checked (``checks``), it
-    is kept if a deferred arrow ends at v (``kept``), and each free vertex
-    whose last source is v keeps only a dimension (``settle``).  Made of
-    tuples and frozensets, like ``_vertex_plan``, so it cannot change."""
-    order, constraining, deferred, free = _vertex_plan(quiver)
-    arrows, vertices = quiver.arrows, range(quiver.n)
-    pos = {v: i for i, v in enumerate(order)}
-    pushes = [{} for _ in vertices]
-    for w in vertices:
-        for a in constraining[w]:
-            pushes[arrows[a][0]].setdefault(w, []).append(a)
-    checks = tuple(tuple((a, t) for a in deferred for s, t in [arrows[a]] if s == v)
-                   for v in vertices)
-    settle = tuple(tuple(w for w in pushes[v] if w in free and pos[v] == max(
-        pos[arrows[a][0]] for a in constraining[w])) for v in vertices)
-    pushes = tuple(tuple((w, tuple(into)) for w, into in d.items()) for d in pushes)
-    kept = frozenset(arrows[a][1] for a in deferred)
-    start = tuple(0 if v in free and not constraining[v] else ((), ())
-                  for v in vertices)
-    positions = tuple(pos[v] for v in vertices)
-    return order, free, positions, pushes, checks, kept, settle, start
 
 
 @lru_cache(maxsize=32)
@@ -165,34 +182,16 @@ def _count_walk(rep, gamma=None):
     """``{gamma in processing order: count}`` from one memoized frontier
     walk (see the module docstring): over every gamma with a point, or,
     given ``gamma``, with k = gamma_v at each vertex v."""
-    order, free, _, pushes, checks, kept, settle, start = _frontier_plan(rep.quiver)
+    plan = _frontier_plan(rep.quiver)
+    order, free, _, _, _, kept, settle, start = plan
     p, dims = rep.p, rep.dims
-    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
+    step = _stepper(rep, plan, kept, settle)
 
     def ranks(v, low):
         """The subspace dimensions to try at v, given a forced span of ``low``."""
         if gamma is None:
             return range(low, dims[v] + 1)
         return (gamma[v],) if gamma[v] >= low else ()
-
-    def advance(state, v, basis):
-        """The state after choosing ``basis`` at v; None if it breaks a check."""
-        pivots = tuple(_pivots_of(basis)) if v in kept else ()
-        for a, t in checks[v]:
-            if not _maps_into(basis, mats[a],
-                              *(state[t] if t != v else (basis, pivots)), p):
-                return None
-        nxt = list(state)
-        nxt[v] = (basis, pivots) if v in kept else None
-        if basis:
-            for w, into in pushes[v]:
-                rows = nxt[w][0]
-                for a in into:
-                    rows += kernels.matmul(basis, mats[a], p)
-                nxt[w] = kernels.rref(rows, dims[w], p)
-        for w in settle[v]:
-            nxt[w] = len(nxt[w][0])
-        return tuple(nxt)
 
     memo = {}
 
@@ -213,9 +212,8 @@ def _count_walk(rep, gamma=None):
             forced, forced_piv = state[v]
             groups = {}
             for k in ranks(v, len(forced)):
-                for basis in (kernels.subspaces_containing(n, k, p, forced, forced_piv)
-                              if forced else kernels.subspaces(n, k, p)):
-                    key = k, advance(state, v, basis)
+                for basis in _subspaces(n, k, p, forced, forced_piv):
+                    key = k, step(state, v, basis)
                     groups[key] = groups.get(key, 0) + 1
             for (k, nxt), mult in groups.items():
                 if nxt is not None:

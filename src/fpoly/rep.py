@@ -315,7 +315,10 @@ def _generic_draw(recipe, p):
 @lru_cache(maxsize=32)
 def _generic_end_dim(quiver, dims):
     """Generic dim End of a dims-dimensional representation: the least
-    over seed-0 draws at large primes, shared by every seed."""
+    over seed-0 draws at large primes, shared by every seed.  No End lies
+    below max(<alpha, alpha>, 1), or 0 at alpha = 0 (Ext^1 >= 0, and the
+    identity is an endomorphism), so the first draw to reach it stops."""
+    floor = max(euler_form(quiver, dims, dims), 1) if any(dims) else 0
     best = None
     for p in DEFAULT_GENERIC_PRIMES:
         for i in range(END_DIM_TRIALS):
@@ -323,6 +326,8 @@ def _generic_end_dim(quiver, dims):
             rep = random_representation(quiver, dims, p, rng)
             d = hom_dim(rep, rep)
             best = d if best is None else min(best, d)
+            if best == floor:
+                return best
     return best
 
 

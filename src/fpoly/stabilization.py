@@ -21,9 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
-from .grassmannian import (count_points, enumerate_subreps, maximizer_dims,
-                           subrep_counts, subrep_dim_vectors, sub_dim_vectors,
-                           unique_subrep)
+from .grassmannian import (enumerate_subreps, maximizer_dims, subrep_counts,
+                           subrep_dim_vectors, sub_dim_vectors, unique_subrep)
 from .intlinalg import solver
 from .polynomial import (MultiPoly, _chi_from_counts, _fit_primes,
                          f_polynomial, restrict_to_face)
@@ -85,17 +84,6 @@ def is_semistable(m_rep, delta):
         return False
     return all(vec_dot(delta, g) <= 0
                for g in subrep_dim_vectors(m_rep))
-
-
-def is_stable(m_rep, delta):
-    if m_rep.total_dim == 0 or vec_dot(delta, m_rep.dims) != 0:
-        return False
-    for g in subrep_dim_vectors(m_rep):
-        if g == (0,) * m_rep.quiver.n or g == m_rep.dims:
-            continue
-        if vec_dot(delta, g) >= 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -373,8 +361,7 @@ def verify_vertex_theorems(recipe):
     witnesses = []
     for gamma in hull.vertices:
         for p in VERTEX_PRIMES:
-            m_rep = recipe.at_prime(p)
-            if count_points(m_rep, gamma) != 1:
+            if subrep_counts(recipe.at_prime(p)).get(gamma) != 1:
                 witnesses.append({"gamma": list(gamma), "prime": p,
                                   "fail": "vertex count != 1"})
         m_rep = recipe.at_prime(VERTEX_PRIMES[0])

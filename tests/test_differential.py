@@ -3,17 +3,19 @@ torsion paths.
 
 ``subrep_counts`` (every gamma) and ``count_points`` (one gamma) run one
 memoized counting walk, and ``has_subrep`` and ``unique_subrep`` read
-the table; ``enumerate_subreps`` walks depth first.  All are checked
-against an independent oracle, the brute-force count over every tuple
-of subspaces, and not only against each other.  ``torsion_split`` reads
+the table; ``enumerate_subreps`` runs the same step depth first.  All
+are checked against an independent oracle, the brute-force count over
+every tuple of subspaces, and not only against each other.  ``torsion_split`` reads
 L_min and L_max off the extreme maximizing dimension vectors; it is
 checked against the fold of intersections and sums over every
 maximizing subrepresentation.  ``stable_factors`` takes the first point
 of the least delta-null dimension vector as each stable factor; it is
 checked against the stability search it replaced, which tests every
-candidate with ``is_stable``.  All cases are small random
-representations, some with sparse matrices.  The 4-cycle has arrows
-that close a cycle, so its walks take the deferred-arrow path.
+candidate with the reference ``is_stable`` of ``test_stabilization``.
+All cases are small random representations, some with sparse matrices.
+The 4-cycle has arrows that close a cycle, so its walks take the
+deferred-arrow path; the loop quiver's loop is a deferred arrow that
+its own vertex checks.
 
 ``convex_hull``, ``polytope_from_inequalities`` and ``dual_cone_rays``
 share one double description routine; they are checked for exact
@@ -56,11 +58,12 @@ from fpoly.polytope import (convex_hull, dual_cone_rays,
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
                        random_representation, restrict_to_sub)
-from fpoly.stabilization import (graded_semistable_f, is_stable,
-                                 stable_factors, torsion_split)
+from fpoly.stabilization import (graded_semistable_f, stable_factors,
+                                 torsion_split)
 from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
 from test_kernels import subspace_intersection, subspace_sum
+from test_stabilization import is_stable
 
 QUIVERS = {
     "K2": kronecker_quiver(2),
@@ -68,6 +71,7 @@ QUIVERS = {
     "1=>2->3": Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2))),
     "4-cycle": Quiver(("1", "2", "3", "4"),
                       ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2))),
+    "loop": Quiver(("1", "2"), ((0, 0), (0, 1), (1, 0))),
 }
 TRIALS = 60
 

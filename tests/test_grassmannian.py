@@ -100,9 +100,20 @@ def test_vertex_plan_is_memoized_and_immutable():
     # 1 -> 2 -> 1 closes a cycle; vertex 3 hangs off 2 and is free.
     def quiver():
         return Quiver(("1", "2", "3"), ((0, 1), (1, 0), (1, 2)))
-    plan = grassmannian._vertex_plan(quiver())
-    assert grassmannian._vertex_plan(quiver()) is plan
-    assert plan == ((0, 1, 2), ((), (0,), (2,)), (1,), frozenset({2}))
+    plan = grassmannian._frontier_plan(quiver())
+    assert grassmannian._frontier_plan(quiver()) is plan
+    order, free, positions, pushes, checks, kept, settle, start = plan
+    assert order == positions == (0, 1, 2)
+    assert free == frozenset({2})
+    # Choosing 1 pushes arrow 0 into the span forced on 2, and choosing 2
+    # pushes arrow 2 into the span forced on 3 ...
+    assert pushes == (((1, (0,)),), ((2, (2,)),), ())
+    # ... and the deferred arrow 1 (2 -> 1) is checked when 2 is chosen,
+    # against the subspace that 1 keeps.
+    assert checks == ((), ((1, 0),), ())
+    assert kept == frozenset({0})
+    assert settle == ((), (2,), ())       # 3 keeps a dimension once 2 is chosen
+    assert start == (((), ()),) * 3
     hash(plan)  # every part is immutable
 
 

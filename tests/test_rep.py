@@ -109,7 +109,7 @@ def test_seeded_recipe_out_of_attempts(monkeypatch):
         RepRecipe(kronecker_quiver(2), (2, 3), seed=0).at_prime(5)
 
 
-def test_generic_end_dim_is_shared_across_seeds():
+def test_generic_end_dim_is_shared_across_seeds(monkeypatch):
     end_dim = rep_module._generic_end_dim
     end_dim.cache_clear()
     rep_module._generic_draw.cache_clear()
@@ -118,6 +118,22 @@ def test_generic_end_dim_is_shared_across_seeds():
     assert end_dim.cache_info()[:2] == (1, 1)   # hits, misses
     assert draws[0] != draws[1]
     assert all(hom_dim(m, m) == end_dim(k2, (2, 3)) == 1 for m in draws)
+
+    # No End lies below max(<a, a>, 1): the rigid (2, 3) stops at its first
+    # draw, while the isotropic (2, 2) (End 2, <a, a> = 0) takes all 18.
+    made = []
+    real_draw = rep_module.random_representation
+
+    def spy_draw(*args):
+        made.append(args[1])
+        return real_draw(*args)
+
+    monkeypatch.setattr(rep_module, "random_representation", spy_draw)
+    for dims, expected in (((2, 3), 1), ((2, 2), 18)):
+        end_dim.cache_clear()
+        del made[:]
+        end_dim(k2, dims)
+        assert made == [dims] * expected
 
 
 def test_generic_hom_ext_known_values():

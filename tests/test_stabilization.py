@@ -1,6 +1,6 @@
 import pytest
 
-from fpoly.grassmannian import count_points, subrep_counts
+from fpoly.grassmannian import count_points, subrep_counts, subrep_dim_vectors
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
@@ -8,10 +8,21 @@ from fpoly.rep import (RepRecipe, generic_hom_ext, hom_dim, quotient,
                        restrict_to_sub)
 from fpoly.stabilization import (collapse_monomial, delta_cones,
                                  generic_sub_dims, graded_semistable_f,
-                                 is_semistable, is_stable, newton_via_cones,
+                                 is_semistable, newton_via_cones,
                                  perpendicular_quiver, stable_factors,
                                  torsion_split, verify_facet_restriction,
                                  verify_saturation, verify_vertex_theorems)
+
+
+def is_stable(m_rep, delta):
+    """King stability: delta(dim M) = 0 and delta(dim L) < 0 for every
+    proper nonzero subrepresentation L.  The reference that the stable
+    filtration's first points are checked against."""
+    if m_rep.total_dim == 0 or vec_dot(delta, m_rep.dims) != 0:
+        return False
+    return all(vec_dot(delta, g) < 0 for g in subrep_dim_vectors(m_rep)
+               if any(g) and g != m_rep.dims)
+
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 Q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
