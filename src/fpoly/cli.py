@@ -128,7 +128,9 @@ def cmd_mutate(args):
     seq = _int_list(args.seq)
     if not all(1 <= k <= quiver.n for k in seq):
         raise InvalidInput(f"mutation indices must lie in 1..{quiver.n}")
-    seed = run_sequence(b_matrix(quiver), seq)
+    with _reading("cluster quiver"):
+        b = b_matrix(quiver)
+    seed = run_sequence(b, seq)
     report = {"command": "mutate", "seq": list(seq)}
     if args.delta:
         delta = _int_list(args.delta)

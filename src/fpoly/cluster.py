@@ -16,7 +16,11 @@ from .quiver import unit_vector
 
 
 def b_matrix(quiver):
-    """B[i][j] = #arrows(j->i) - #arrows(i->j)."""
+    """B[i][j] = #arrows(j->i) - #arrows(i->j), for a quiver with no loop
+    and no oriented 2-cycle, which B could not record."""
+    arrows = set(quiver.arrows)
+    if any((t, s) in arrows for s, t in arrows):
+        raise ValueError("a cluster quiver has no loop and no oriented 2-cycle")
     n = quiver.n
     b = [[0] * n for _ in range(n)]
     for s, t in quiver.arrows:

@@ -3,16 +3,18 @@
 F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 interpolating the counting polynomial exactly over the rationals, and
-evaluating at q = 1.  When every counted representation is certified
-rigid (over an acyclic quiver), Gr_gamma(M) is empty off the certified
-sub-dimension vectors and otherwise smooth and projective of dimension
+evaluating at q = 1.  ``f_polynomial`` and ``graded_semistable_f`` each
+plan their primes once and fit their count tables with ``fit_tables``.
+When every counted representation is certified rigid (over an acyclic
+quiver), Gr_gamma(M) is smooth and projective of dimension
 <gamma, alpha - gamma> (Caldero and Reineke 2008), so its counting
 polynomial has that degree and is palindromic and is fitted from about
 half as many primes.  Otherwise the degree is the box bound
 sum gamma_v (alpha_v - gamma_v), the dimension of the ambient product of
-Grassmannians.  At least one extra prime is always checked; a mismatch
-means the counts are not given by a single polynomial of that degree
-and is reported as an error rather than silently averaged away.
+Grassmannians, and each gamma is counted on its own.  At least one extra
+prime is always checked; a mismatch means the counts are not given by a
+single polynomial of that degree and is reported as an error rather than
+silently averaged away.
 """
 
 import heapq
@@ -20,9 +22,10 @@ import itertools
 from fractions import Fraction
 
 from .errors import NonPolynomialCount
-from .grassmannian import count_points, sub_dim_vectors, subrep_counts
+from .grassmannian import (CERTIFY_PRIMES, count_points, sub_dim_vectors,
+                           subrep_counts)
 from .quiver import euler_form, vec_dot, vec_sub
-from .rep import _is_rigid, ext_dim_hereditary
+from .rep import _is_rigid, _is_rigid_rep
 
 VERIFY_PRIMES = 1
 
@@ -314,48 +317,19 @@ def interpolate_integer_polynomial(points, degree_bound, verify=1):
     return [int(c) for c in coeffs]
 
 
-def _box(dims):
-    return itertools.product(*(range(d + 1) for d in dims))
+def _degree(quiver, alpha, palindromic):
+    """gamma -> the degree of the counting polynomial of Gr_gamma(M), dim M =
+    alpha: <gamma, alpha - gamma> for rigid M (palindromic), else the box
+    bound sum gamma_v (alpha_v - gamma_v)."""
+    if palindromic:
+        return lambda gamma: euler_form(quiver, gamma, vec_sub(alpha, gamma))
+    return lambda gamma: sum(g * (a - g) for g, a in zip(gamma, alpha))
 
 
-def _rigid_reductions(recipe, primes):
-    """Whether the recipe's reductions at ``primes`` are all rigid.
-
-    A seeded recipe of a rigid dimension vector passes at every prime,
-    since each draw is certified to have the generic endomorphism
-    dimension.  Explicit matrices are checked prime by prime.
-    """
-    if not _is_rigid(recipe):
-        return False
-    if recipe.int_matrices is None:
-        return True
-    return all(ext_dim_hereditary(rep, rep) == 0
-               for rep in map(recipe.at_prime, primes))
-
-
-def _count_plan(recipe, gamma):
-    """``(primes, degree, palindromic)`` for counting Gr_gamma of a recipe.
-
-    For a rigid M over an acyclic quiver, Gr_gamma(M) is empty unless
-    gamma is a sub-dimension vector, and otherwise smooth and projective
-    of dimension <gamma, alpha - gamma>, so its counting polynomial has
-    that degree and is palindromic.  Such a polynomial is fitted from
-    degree // 2 + 1 counts.  Without certified rigidity the degree is the
-    box bound sum gamma_v (alpha_v - gamma_v), which needs degree + 1.
-    No primes means Gr_gamma is empty and nothing is counted.
-    """
-    alpha = recipe.dims
-    if any(g < 0 or g > d for g, d in zip(gamma, alpha)):
-        return [], 0, False
-    degree = euler_form(recipe.quiver, gamma, vec_sub(alpha, gamma))
-    primes = _fit_primes(degree, palindromic=True)
-    # _fit_primes includes 2 and 3, the primes of sub_dim_vectors.
-    if _rigid_reductions(recipe, primes):
-        if gamma not in sub_dim_vectors(recipe):
-            return [], degree, True
-        return primes, degree, True
-    degree = sum(g * (d - g) for g, d in zip(gamma, alpha))
-    return _fit_primes(degree, palindromic=False), degree, False
+def _box_primes(alpha):
+    """Primes of a box-bound fit of every gamma <= alpha: the bound
+    sum gamma_v (alpha_v - gamma_v) peaks at gamma = alpha // 2."""
+    return _fit_primes(sum((a // 2) * (a - a // 2) for a in alpha), palindromic=False)
 
 
 def _chi_from_counts(points, degree, palindromic):
@@ -384,31 +358,65 @@ def _chi_from_counts(points, degree, palindromic):
     return 2 * chi if odd else chi
 
 
+def fit_tables(tables, degree, palindromic):
+    """The nonzero Euler characteristics ``{key: chi}`` of per-prime count
+    tables ``[(p, {key: count})]``: each key's counts, 0 where a table
+    lacks it, fitted at ``degree(key)`` in key order."""
+    chis = {}
+    for key in sorted(set().union(*(table for _, table in tables))):
+        chi = _chi_from_counts([(p, table.get(key, 0)) for p, table in tables],
+                               degree(key), palindromic)
+        if chi:
+            chis[key] = chi
+    return chis
+
+
 def euler_characteristic(recipe, gamma):
-    """chi of Gr_gamma of the recipe, by counting and interpolating."""
+    """chi of Gr_gamma of the recipe, counted at the box bound."""
     recipe.quiver.check_dim_vector(gamma)
-    primes, degree, palindromic = _count_plan(recipe, gamma)
-    if palindromic:  # a rigid fit counts every gamma: read the tables
-        points = [(p, subrep_counts(recipe.at_prime(p)).get(gamma, 0)) for p in primes]
-    else:  # a box-bound fit may stop at its first non-polynomial gamma
-        points = [(p, count_points(recipe.at_prime(p), gamma)) for p in primes]
-    return _chi_from_counts(points, degree, palindromic)
+    degree = _degree(recipe.quiver, recipe.dims, False)(gamma)
+    points = [(p, count_points(recipe.at_prime(p), gamma))
+              for p in _fit_primes(degree, palindromic=False)]
+    return _chi_from_counts(points, degree, palindromic=False)
+
+
+def _rigid_primes(recipe):
+    """The primes of the rigid fit, or None if the recipe is not certified
+    rigid at each of them.  A seeded recipe of a rigid dimension vector
+    is, since each draw has the generic endomorphism dimension; explicit
+    matrices are checked prime by prime, at 2 and 3 before their
+    sub-dimension vectors are certified there."""
+    def rigid_at(primes):
+        return recipe.int_matrices is None or all(
+            _is_rigid_rep(recipe.at_prime(p)) for p in primes)
+
+    if not (_is_rigid(recipe) and rigid_at(CERTIFY_PRIMES)):
+        return None
+    degree = _degree(recipe.quiver, recipe.dims, True)
+    primes = _fit_primes(max(map(degree, sub_dim_vectors(recipe))), palindromic=True)
+    return primes if rigid_at(primes) else None
 
 
 def counted_primes(recipe):
-    """The primes at which ``f_polynomial`` counts points, in order."""
-    # Every plan is a prefix of the primes, so the longest is their union.
-    return max((_count_plan(recipe, gamma)[0] for gamma in _box(recipe.dims)),
-               key=len)
+    """The primes at which ``f_polynomial`` counts points, in order: the
+    rigid primes, or the box primes."""
+    return _rigid_primes(recipe) or _box_primes(recipe.dims)
 
 
 def f_polynomial(recipe):
-    """Generating polynomial of Grassmannian Euler characteristics."""
-    terms = {}
-    for gamma in _box(recipe.dims):
-        chi = euler_characteristic(recipe, gamma)
-        if chi:
-            terms[gamma] = chi
+    """Generating polynomial of Grassmannian Euler characteristics.
+
+    A certified-rigid recipe reads one count table per rigid prime and
+    fits every gamma from them; any other recipe is fitted one gamma at a
+    time at the box bound, and stops at its first non-polynomial gamma.
+    """
+    primes = _rigid_primes(recipe)
+    if primes:
+        tables = [(p, subrep_counts(recipe.at_prime(p))) for p in primes]
+        terms = fit_tables(tables, _degree(recipe.quiver, recipe.dims, True), True)
+    else:
+        terms = {gamma: euler_characteristic(recipe, gamma)
+                 for gamma in itertools.product(*(range(d + 1) for d in recipe.dims))}
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
         raise NonPolynomialCount(

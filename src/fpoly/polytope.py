@@ -164,9 +164,6 @@ class Cone:
             raise ValueError("duplicate rays")
 
 
-MAX_CONE_DIM = 6
-
-
 def dual_cone_rays(inequalities, ambient=None):
     """Generators of {delta : delta(v) <= 0 for all given v}.
 
@@ -179,8 +176,6 @@ def dual_cone_rays(inequalities, ambient=None):
         if not inequalities:
             raise ValueError("ambient dimension required without inequalities")
         ambient = len(inequalities[0])
-    if ambient > MAX_CONE_DIM:
-        raise ValueError(f"cone dimension {ambient} exceeds cap {MAX_CONE_DIM}")
 
     rays = []
     for r in nullspace(*echelon(inequalities, ambient), ambient):

@@ -346,6 +346,11 @@ def _is_rigid(recipe):
             and _generic_end_dim(quiver, alpha) == euler_form(quiver, alpha, alpha))
 
 
+def _is_rigid_rep(rep):
+    """Whether one representation is rigid: acyclic, with Ext^1(M, M) = 0."""
+    return rep.quiver.acyclic and ext_dim_hereditary(rep, rep) == 0
+
+
 def generic_hom_ext(quiver, a, b, seed=0):
     """Generic (hom, ext) of dimension vectors by large-prime sampling.
 

@@ -24,14 +24,14 @@ from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
 from .grassmannian import (enumerate_subreps, maximizer_dims, subrep_counts,
                            subrep_dim_vectors, sub_dim_vectors, unique_subrep)
 from .intlinalg import solver
-from .polynomial import (MultiPoly, _chi_from_counts, _fit_primes,
-                         f_polynomial, restrict_to_face)
+from .polynomial import (MultiPoly, _box_primes, _degree, _fit_primes,
+                         f_polynomial, fit_tables, restrict_to_face)
 from .polytope import (convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities)
-from .quiver import Quiver, euler_form, vec_dot, vec_sub
-from .rep import (Subrep, _coords_in_basis, _is_rigid, ext_dim_hereditary,
-                  generic_hom_ext, hom_dim, make_subrep, quotient,
-                  restrict_to_sub)
+from .quiver import Quiver, vec_dot, vec_sub
+from .rep import (Subrep, _coords_in_basis, _is_rigid, _is_rigid_rep,
+                  ext_dim_hereditary, generic_hom_ext, hom_dim, make_subrep,
+                  quotient, restrict_to_sub)
 
 BASE_PRIME = 2  # the prime whose stable classes the others must match
 VERTEX_PRIMES = (2, 3, 5)
@@ -184,10 +184,9 @@ def graded_counts(w_rep, delta, stables):
 
 
 def _split_at_prime(recipe, delta, p):
-    m_rep = recipe.at_prime(p)
-    split = torsion_split(m_rep, delta)
-    stables = stable_factors(split.perp, delta)
-    return split, stables
+    """The torsion split of M mod p and the stable classes of its perp."""
+    split = torsion_split(recipe.at_prime(p), delta)
+    return split, stable_factors(split.perp, delta).stables
 
 
 @dataclass(frozen=True)
@@ -198,66 +197,51 @@ class GradedData:
     dim_t_check: tuple
 
 
-def _rigid_perp(w_rep):
-    return w_rep.quiver.acyclic and ext_dim_hereditary(w_rep, w_rep) == 0
-
-
 def graded_semistable_f(recipe, delta):
     """Euler-characteristic generating polynomial of semistable subreps
     of perp(M, delta), graded by stable JH multiplicity.
 
     With independent stable dimension vectors the grade m counts
-    Gr_gamma(W) for gamma = iota m.  When every counted W is rigid, that
-    Grassmannian is fitted as ``euler_characteristic`` fits a rigid one,
-    at degree <gamma, w - gamma>, and the primes are sized from the
-    grades found at the base prime; otherwise at the box bound.
+    Gr_gamma(W) for gamma = iota m.  When every counted W is rigid, the
+    graded tables are fitted as a rigid recipe's count tables are, at
+    degree <gamma, w - gamma>, from primes sized by the grades found at
+    the base prime; otherwise at the box bound of w.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
-    stable_dims = tuple(s.dims for s in base_stables.stables)
+    stable_dims = tuple(s.dims for s in base_stables)
     w_dims = base_split.perp.dims
     per_prime = {}
 
     def counts_at(p):
         """Graded counts of W mod p, and whether that W is rigid."""
         if p not in per_prime:
-            if p == BASE_PRIME:
-                split, stables = base_split, base_stables
-            else:
-                split, stables = _split_at_prime(recipe, delta, p)
-            if tuple(s.dims for s in stables.stables) != stable_dims:
+            split, stables = ((base_split, base_stables) if p == BASE_PRIME
+                              else _split_at_prime(recipe, delta, p))
+            if tuple(s.dims for s in stables) != stable_dims:
                 raise NonPolynomialCount(
                     f"stable classes at p={p} do not match the base prime")
-            per_prime[p] = (graded_counts(split.perp, delta, stables.stables),
-                            _rigid_perp(split.perp))
+            per_prime[p] = (graded_counts(split.perp, delta, stables),
+                            _is_rigid_rep(split.perp))
         return per_prime[p]
 
-    def degree(m, palindromic):
-        gamma = tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
-                      for v in range(len(w_dims)))
-        if palindromic:
-            return euler_form(recipe.quiver, gamma, vec_sub(w_dims, gamma))
-        return sum(g * (d - g) for g, d in zip(gamma, w_dims))
+    def grade_degree(palindromic):
+        """m -> the degree of the counting polynomial of Gr_{iota m}(W)."""
+        degree = _degree(recipe.quiver, w_dims, palindromic)
+        return lambda m: degree(tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
+                                      for v in range(len(w_dims))))
 
     base_counts, palindromic = counts_at(BASE_PRIME)
     palindromic = palindromic and solver(_iota_rows(stable_dims, len(w_dims)),
                                          len(stable_dims)) is not None
     if palindromic:
-        primes = _fit_primes(max(degree(m, True) for m in base_counts), palindromic=True)
+        primes = _fit_primes(max(map(grade_degree(True), base_counts)), palindromic=True)
         palindromic = all(counts_at(p)[1] for p in primes)
     if not palindromic:
-        # max over gamma of sum gamma_v (w_v - gamma_v): bound for every grade
-        box = sum((d // 2) * (d - d // 2) for d in w_dims)
-        primes = _fit_primes(box, palindromic=False)
-    per_grade = [counts_at(p)[0] for p in primes]
-    terms = {}
-    for m in set(itertools.chain.from_iterable(per_grade)):
-        points = [(p, c.get(m, 0)) for p, c in zip(primes, per_grade)]
-        chi = _chi_from_counts(points, degree(m, palindromic), palindromic)
-        if chi:
-            terms[m] = chi
-    poly = MultiPoly(len(stable_dims), terms)
-    return GradedData(poly, stable_dims, base_split.l_min.dims,
-                      base_split.l_max.dims)
+        primes = _box_primes(w_dims)
+    terms = fit_tables([(p, counts_at(p)[0]) for p in primes],
+                       grade_degree(palindromic), palindromic)
+    return GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
+                      base_split.l_min.dims, base_split.l_max.dims)
 
 
 def verify_facet_restriction(recipe, delta, fpoly=None):

@@ -17,8 +17,10 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from fpoly.polytope import Cone, MAX_CONE_DIM, Polytope
+from fpoly.polytope import Cone, Polytope
 from fpoly.quiver import vec_dot, vec_sub
+
+MAX_CONE_DIM = 6  # the subset search over inequalities is exponential
 
 
 def primitive_vector(v):

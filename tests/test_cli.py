@@ -147,6 +147,18 @@ def test_verify_cones(capsys, k2_json):
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_cones_has_no_dimension_cap(capsys, tmp_path):
+    # A7 has 7 vertices; the double description runs in any dimension.
+    a7 = Quiver(tuple(str(v + 1) for v in range(7)),
+                tuple((v, v + 1) for v in range(6)))
+    path = tmp_path / "a7.json"
+    path.write_text(json.dumps(a7.to_json()))
+    code, out = run(capsys, "verify", "--what", "cones", "--strict",
+                    "--quiver", str(path), "--dims", "1,1,1,1,1,1,1")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_facets(capsys, k2_json):
     code, out = run(capsys, "verify", "--what", "facets", "--strict",
                     "--quiver", k2_json, "--dims", "2,2")
@@ -229,6 +241,8 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["no-such-command"],
     ["compute", "--rep", "{bad_shape}"],
     ["verify", "--what", "facets", "--fpoly", "{f3}", "--quiver", "{k2}", "--dims", "1,1"],
+    ["mutate", "--quiver", "{two_cycle}", "--seq", "1"],
+    ["mutate", "--quiver", "{loop}", "--seq", "1"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
@@ -242,8 +256,15 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     # A 3-variable polynomial for the 2-vertex Kronecker quiver.
     f3 = tmp_path / "f3.json"
     f3.write_text(json.dumps(MultiPoly(3, {(0, 0, 0): 1, (1, 1, 1): 1}).to_json()))
+    # Quivers that an exchange matrix cannot record: 1 -> 2 -> 1 plus
+    # 1 -> 2 would cancel to A2, and a loop would vanish.
+    two_cycle = tmp_path / "two_cycle.json"
+    two_cycle.write_text(json.dumps(Quiver(("1", "2"), ((0, 1), (1, 0), (0, 1))).to_json()))
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps(Quiver(("1", "2"), ((0, 0), (0, 1))).to_json()))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
-             "bad_shape": bad_shape, "f3": f3, "missing": tmp_path / "missing.json"}
+             "bad_shape": bad_shape, "f3": f3, "missing": tmp_path / "missing.json",
+             "two_cycle": two_cycle, "loop": loop}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""

@@ -21,6 +21,13 @@ def test_b_matrix_convention():
     assert b_matrix(CYCLE4)[0] == (0, 1, 1, -1)   # row i: arrows (j -> i) - (i -> j)
 
 
+@pytest.mark.parametrize("arrows", [((0, 1), (1, 0), (0, 1)), ((0, 0), (0, 1))])
+def test_b_matrix_refuses_loops_and_2_cycles(arrows):
+    # B would cancel 1 -> 2 -> 1 plus 1 -> 2 to A2 and drop a loop.
+    with pytest.raises(ValueError, match="loop|2-cycle"):
+        b_matrix(Quiver(("1", "2"), arrows))
+
+
 def test_initial_seed_validation():
     with pytest.raises(ValueError):
         initial_seed(((0, 1), (1, 0)))   # not skew-symmetric

@@ -23,25 +23,28 @@ equality against the exhaustive subset searches in
 ``exhaustive_polytope``, on random point sets (with duplicates and
 lower-dimensional sets) and random inequality lists.  The oracle keeps
 its own ``Fraction`` elimination, affine hull and cofactor normals and
-imports only ``Cone``, ``MAX_CONE_DIM`` and ``Polytope`` from the
-library, so a fault in the library's integer echelon (``intlinalg``)
-cannot reach both sides.  That echelon, with its rank, null space and
-solver, is also compared directly with the oracle's ``Fraction``
-elimination.
+imports only ``Cone`` and ``Polytope`` from the library, so a fault in
+the library's integer echelon (``intlinalg``) cannot reach both sides.
+That echelon, with its rank, null space and solver, is also compared
+directly with the oracle's ``Fraction`` elimination.  The oracle keeps
+its own cap of 6 on the cone dimension, as its subset search is
+exponential; the library has none.
 
 ``RepRecipe.at_prime`` and ``subrep_counts`` are memoized by value;
 their cached results are checked against the uncached computations, and
 the cost cap against a cache hit.
 
 For certified-rigid input, ``f_polynomial`` and ``graded_semistable_f``
-fit palindromic counting polynomials of degree <gamma, alpha - gamma>
-from fewer primes.  The box-bound fit, forced by patching the two
-rigidity gates, is their reference on the rigid instances of acceptance
-criteria 7 and 8.
+fit their count tables, through the one ``polynomial.fit_tables``, as
+palindromic counting polynomials of degree <gamma, alpha - gamma> from
+fewer primes.  The box-bound fit, forced by patching the two rigidity
+gates, is their reference on the rigid instances of acceptance criteria
+7 and 8.
 """
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -373,24 +376,34 @@ def _f_and_facets(recipe, deltas=None):
 
 
 def test_rigid_fit_equals_box_bound_fit(monkeypatch):
-    fits = {polynomial: Counter(), stabilization: Counter()}
-    for module, counter in fits.items():
-        def spy(points, degree, palindromic, counter=counter,
-                real=module._chi_from_counts):
-            counter[palindromic] += 1
-            return real(points, degree, palindromic)
-        monkeypatch.setattr(module, "_chi_from_counts", spy)
+    # Every fit runs polynomial._chi_from_counts; each is counted for its
+    # run and for the innermost of its two callers on the stack.
+    callers = ("f_polynomial", "graded_semistable_f")
+    fits, run = Counter(), ["fast"]
+
+    def spy(points, degree, palindromic, real=polynomial._chi_from_counts):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in callers:
+            frame = frame.f_back
+        fits[run[0], frame.f_code.co_name, palindromic] += 1
+        return real(points, degree, palindromic)
+
+    monkeypatch.setattr(polynomial, "_chi_from_counts", spy)
     for quiver, alpha in RIGID_INSTANCES:
         recipe = RepRecipe(quiver, alpha, seed=0)
+        run[0] = "fast"
         fast = _f_and_facets(recipe)
         with monkeypatch.context() as box_bound:
             box_bound.setattr(polynomial, "_is_rigid", lambda recipe: False)
-            box_bound.setattr(stabilization, "_rigid_perp", lambda w_rep: False)
+            box_bound.setattr(stabilization, "_is_rigid_rep", lambda w_rep: False)
+            run[0] = "box"
             box = _f_and_facets(recipe, list(fast[1]))
         assert fast == box, (quiver.arrows, alpha)
-    # Both callers took the fast path on most of their fits.
-    for counter in fits.values():
-        assert counter[True] >= counter[False] > 0, fits
+    # Both callers took the fast path on most of their fits, and only the
+    # box-bound fit once the gates were patched.
+    for caller in callers:
+        assert fits["fast", caller, True] >= fits["fast", caller, False], fits
+        assert fits["box", caller, False] > 0 == fits["box", caller, True], fits
 
 
 def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):

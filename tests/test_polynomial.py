@@ -184,15 +184,16 @@ def test_euler_characteristic_grassmannian_of_vector_space():
 
 
 def _spy_counts(monkeypatch):
-    """Primes of the point counts and count-table reads of ``polynomial``."""
+    """``("point", p)`` per point count and ``("table", p)`` per count-table
+    read of ``polynomial``."""
     counted = []
 
     def spy_count(m_rep, gamma):
-        counted.append(m_rep.p)
+        counted.append(("point", m_rep.p))
         return count_points(m_rep, gamma)
 
     def spy_table(m_rep):
-        counted.append(m_rep.p)
+        counted.append(("table", m_rep.p))
         return subrep_counts(m_rep)
 
     monkeypatch.setattr(polynomial, "count_points", spy_count)
@@ -201,11 +202,15 @@ def _spy_counts(monkeypatch):
 
 
 def test_criterion_4_counts_at_few_small_primes(monkeypatch):
-    # The box bound counted 130 times here, at primes up to 17.
+    # The box bound counted 130 times here, at primes up to 17, and the
+    # fit of one gamma at a time 33 times.
     counted = _spy_counts(monkeypatch)
     q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
-    assert len(f_polynomial(RepRecipe(q231, (2, 4, 1), seed=0))) == 13
-    assert len(counted) <= 33 and max(counted) <= 7
+    recipe = RepRecipe(q231, (2, 4, 1), seed=0)
+    assert len(f_polynomial(recipe)) == 13
+    # One count table per rigid prime, and no point count of one gamma.
+    assert counted_primes(recipe) == [2, 3, 5, 7]
+    assert counted == [("table", p) for p in counted_primes(recipe)]
 
 
 def test_explicit_recipe_is_fitted_as_rigid_only_where_each_reduction_is(
@@ -221,7 +226,17 @@ def test_explicit_recipe_is_fitted_as_rigid_only_where_each_reduction_is(
     counted = _spy_counts(monkeypatch)
     with pytest.raises(NonPolynomialCount):
         f_polynomial(split_mod_2)
-    assert max(counted) == 5 == counted_primes(split_mod_2)[-1]
+    assert {kind for kind, _ in counted} == {"point"}
+    assert max(p for _, p in counted) == 5 == counted_primes(split_mod_2)[-1]
+    # Rigid mod 2 and 3 but not mod 5, a prime of the rigid fit, where the
+    # third arrow's image joins the span of the first two: the recipe is
+    # counted at the box bound, and Gr_(1,2) has a point mod 5 only.
+    k3 = kronecker_quiver(3)
+    split_mod_5 = RepRecipe(k3, (1, 3), int_matrices=(
+        ((1,), (0,), (0,)), ((0,), (1,), (0,)), ((1,), (1,), (5,))))
+    assert counted_primes(split_mod_5) == [2, 3, 5, 7]
+    with pytest.raises(NonPolynomialCount):
+        f_polynomial(split_mod_5)
 
 
 def test_restrict_to_face():
