@@ -16,9 +16,9 @@ counts below a state are memoized, and free vertices are counted by
 Gaussian binomials.  ``subrep_counts`` runs it over every dimension at
 every vertex and is memoized by value in a small LRU cache; the
 sub-dimension set, existence and uniqueness tests, graded counts and
-rigid fits of a representation read that table.  ``count_points`` runs
-it at the one dimension gamma_v per vertex; its only library caller is
-the box-bound fit, which may stop at its first non-polynomial gamma.
+both F-polynomial fits of a representation read that table.
+``count_points`` runs it at the one dimension gamma_v per vertex, for
+the fit of one gamma (``polynomial.euler_characteristic``).
 ``enumerate_subreps`` runs the same step depth first at k = gamma_v,
 with no memo and no grouping, and keeps every chosen subspace, free
 vertices included, to yield every point.  Every walk first checks the

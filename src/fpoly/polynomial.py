@@ -4,17 +4,16 @@ F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 interpolating the counting polynomial exactly over the rationals, and
 evaluating at q = 1.  ``f_polynomial`` and ``graded_semistable_f`` each
-plan their primes once and fit their count tables with ``fit_tables``.
-When every counted representation is certified rigid (over an acyclic
-quiver), Gr_gamma(M) is smooth and projective of dimension
-<gamma, alpha - gamma> (Caldero and Reineke 2008), so its counting
-polynomial has that degree and is palindromic and is fitted from about
-half as many primes.  Otherwise the degree is the box bound
-sum gamma_v (alpha_v - gamma_v), the dimension of the ambient product of
-Grassmannians, and each gamma is counted on its own.  At least one extra
-prime is always checked; a mismatch means the counts are not given by a
-single polynomial of that degree and is reported as an error rather than
-silently averaged away.
+plan their primes once and read one count table per prime.  When every
+counted representation is certified rigid (over an acyclic quiver),
+Gr_gamma(M) is smooth and projective of dimension <gamma, alpha - gamma>
+(Caldero and Reineke 2008), so its counting polynomial has that degree
+and is palindromic and is fitted from about half as many primes.
+Otherwise the degree is the box bound sum gamma_v (alpha_v - gamma_v),
+the dimension of the ambient product of Grassmannians.  At least one
+extra prime is always checked; a count that no integer polynomial of
+that degree gives raises an error, at the first prime where a Newton
+divided difference is a fraction, rather than being averaged away.
 """
 
 import heapq
@@ -254,14 +253,13 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def _primes():
+    """2, 3, 5, 7, ... in order, by trial division."""
+    return (n for n in itertools.count(2) if all(n % d for d in range(2, n)))
+
+
 def first_primes(n):
-    primes = []
-    candidate = 2
-    while len(primes) < n:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return primes
+    return list(itertools.islice(_primes(), max(n, 0)))
 
 
 def _fit_primes(degree, palindromic):
@@ -371,30 +369,51 @@ def fit_tables(tables, degree, palindromic):
     return chis
 
 
+def _box_fit(recipe, gammas, table):
+    """``{gamma: chi}`` at the box bound from ``table(M mod p)``, read once per
+    prime in order.  Newton divided differences of an integer polynomial at
+    the primes are integers, so a gamma's first fraction stops the fit."""
+    degree = _degree(recipe.quiver, recipe.dims, False)
+    need = {gamma: len(_fit_primes(degree(gamma), palindromic=False)) for gamma in gammas}
+    points, diagonals = {gamma: [] for gamma in gammas}, dict.fromkeys(gammas, ())
+    for p in first_primes(max(need.values())):
+        counts = table(recipe.at_prime(p))
+        for gamma, pts in points.items():
+            if len(pts) < need[gamma]:
+                pts.append((p, counts.get(gamma, 0)))
+                diagonal = [pts[-1][1]]
+                for (x, _), d in zip(reversed(pts[:-1]), diagonals[gamma]):
+                    step, frac = divmod(diagonal[-1] - d, p - x)
+                    if frac:
+                        raise NonPolynomialCount(f"point counts (p, count) {pts} of Gr_"
+                                                 f"{gamma} fit no integer polynomial")
+                    diagonal.append(step)
+                diagonals[gamma] = diagonal
+    return {gamma: _chi_from_counts(pts, degree(gamma), palindromic=False)
+            for gamma, pts in points.items()}
+
+
 def euler_characteristic(recipe, gamma):
     """chi of Gr_gamma of the recipe, counted at the box bound."""
     recipe.quiver.check_dim_vector(gamma)
-    degree = _degree(recipe.quiver, recipe.dims, False)(gamma)
-    points = [(p, count_points(recipe.at_prime(p), gamma))
-              for p in _fit_primes(degree, palindromic=False)]
-    return _chi_from_counts(points, degree, palindromic=False)
+    gamma = tuple(gamma)
+    return _box_fit(recipe, [gamma], lambda rep: {gamma: count_points(rep, gamma)})[gamma]
 
 
 def _rigid_primes(recipe):
     """The primes of the rigid fit, or None if the recipe is not certified
-    rigid at each of them.  A seeded recipe of a rigid dimension vector
-    is, since each draw has the generic endomorphism dimension; explicit
-    matrices are checked prime by prime, at 2 and 3 before their
-    sub-dimension vectors are certified there."""
-    def rigid_at(primes):
-        return recipe.int_matrices is None or all(
-            _is_rigid_rep(recipe.at_prime(p)) for p in primes)
+    rigid.  Seeded draws of a rigid dimension vector have the generic End,
+    so are rigid at every prime.  Explicit matrices must be rigid mod 2 and
+    3, where their sub-dimension vectors are certified, and then skip the
+    finitely many later primes where their reduction is not rigid."""
+    def rigid_at(p):
+        return recipe.int_matrices is None or _is_rigid_rep(recipe.at_prime(p))
 
-    if not (_is_rigid(recipe) and rigid_at(CERTIFY_PRIMES)):
+    if not (_is_rigid(recipe) and all(map(rigid_at, CERTIFY_PRIMES))):
         return None
     degree = _degree(recipe.quiver, recipe.dims, True)
-    primes = _fit_primes(max(map(degree, sub_dim_vectors(recipe))), palindromic=True)
-    return primes if rigid_at(primes) else None
+    need = len(_fit_primes(max(map(degree, sub_dim_vectors(recipe))), palindromic=True))
+    return list(itertools.islice(filter(rigid_at, _primes()), need))
 
 
 def counted_primes(recipe):
@@ -407,16 +426,17 @@ def f_polynomial(recipe):
     """Generating polynomial of Grassmannian Euler characteristics.
 
     A certified-rigid recipe reads one count table per rigid prime and
-    fits every gamma from them; any other recipe is fitted one gamma at a
-    time at the box bound, and stops at its first non-polynomial gamma.
+    fits every gamma from them; any other recipe reads one per box prime,
+    fits every gamma at the box bound and stops at the first count that
+    no integer polynomial gives.
     """
     primes = _rigid_primes(recipe)
     if primes:
         tables = [(p, subrep_counts(recipe.at_prime(p))) for p in primes]
         terms = fit_tables(tables, _degree(recipe.quiver, recipe.dims, True), True)
     else:
-        terms = {gamma: euler_characteristic(recipe, gamma)
-                 for gamma in itertools.product(*(range(d + 1) for d in recipe.dims))}
+        box = list(itertools.product(*(range(d + 1) for d in recipe.dims)))
+        terms = _box_fit(recipe, box, subrep_counts)
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
         raise NonPolynomialCount(

@@ -372,9 +372,10 @@ def test_verify_facets_draws_and_searches_each_representation_once(
 
 def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,
                                                         k2_json):
-    """A work-count guard: a rigid facet check reads every count from
-    the per-representation tables; a box-bound fit, which may stop at
-    its first non-polynomial gamma, counts one gamma at a time."""
+    """A work-count guard: a rigid facet check and a box-bound fit of F
+    read every count from the per-representation tables, and the box fit
+    stops at the first prime where a count fits no integer polynomial;
+    only the fit of one gamma counts one gamma at a time."""
     counted, tables = [], []
     real_count, real_table = grassmannian.count_points, grassmannian.subrep_counts
 
@@ -396,9 +397,16 @@ def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,
     assert tables and not counted
 
     del tables[:]
-    with pytest.raises(NonPolynomialCount):
-        f_polynomial(RepRecipe(kronecker_quiver(3), (3, 4), seed=0))
-    assert counted and not tables
+    recipe = RepRecipe(kronecker_quiver(3), (3, 4), seed=0)
+    with pytest.raises(NonPolynomialCount, match=r"\(5, 0\)\] of Gr_\(1, 2\)"):
+        f_polynomial(recipe)
+    # Gr_(1,2) has 2, 3, 0 points at p = 2, 3, 5: f[3, 5] = -3/2.  The
+    # box bound would count up to p = 19.
+    assert [m_rep.p for m_rep in tables] == [2, 3, 5] and not counted
+
+    del tables[:]
+    assert polynomial.euler_characteristic(recipe, (0, 1)) == 4  # lines in F^4
+    assert counted == [(p, (0, 1)) for p in (2, 3, 5, 7, 11)] and not tables
 
 
 def test_rep_file_roundtrip(capsys, tmp_path):

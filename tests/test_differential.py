@@ -40,11 +40,23 @@ palindromic counting polynomials of degree <gamma, alpha - gamma> from
 fewer primes.  The box-bound fit, forced by patching the two rigidity
 gates, is their reference on the rigid instances of acceptance criteria
 7 and 8.
+
+Any other recipe is fitted at the box bound from one count table per
+prime, and the fit stops at the first prime where a Newton divided
+difference of some gamma's counts is a fraction.  Its outcome, F or the
+error type, is checked against the fit of one gamma at a time with
+``count_points`` on random non-rigid seeded and explicit recipes of K1,
+K2, K3, A3 and 1=>2->3.  The early stop is checked against the full fit
+of ``_chi_from_counts`` on the same points: it never fires on the values
+of an integer polynomial, and fires on random counts only where that
+fit fails.
 """
 
 import itertools
+import math
 import random
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -56,6 +68,7 @@ from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
                                 maximizer_dims, subrep_counts,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
+from fpoly.polynomial import MultiPoly
 from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
@@ -411,15 +424,163 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
     # (2,2) is isotropic: two independent draws have no homs between
     # them, but a general module has a 2-dimensional End.
     assert not rep_module._is_rigid(RepRecipe(k2, (2, 2), seed=1))
-    counted = []
+    tables = []
 
-    def spy(m_rep, gamma):
-        counted.append((gamma, m_rep.p))
-        return count_points(m_rep, gamma)
+    def spy(m_rep):
+        tables.append(m_rep.p)
+        return subrep_counts(m_rep)
 
-    monkeypatch.setattr(polynomial, "count_points", spy)
-    # Counted at the box bound, seed 1 is not polynomial; a palindromic
-    # fit at degree <gamma, alpha - gamma> would return a polynomial.
-    with pytest.raises(NonPolynomialCount):
+    monkeypatch.setattr(polynomial, "subrep_counts", spy)
+    # Counted at the box bound, seed 1 is not polynomial: Gr_(1,1) has
+    # 1, 1, 1, 2 points at p = 2, 3, 5, 7, and f[5, 7] = 1/2.  A
+    # palindromic fit at degree <gamma, alpha - gamma> = 0 would read
+    # p = 2, 3 only and return a polynomial.
+    with pytest.raises(NonPolynomialCount, match=r"\(7, 2\)\] of Gr_\(1, 1\)"):
         polynomial.f_polynomial(RepRecipe(k2, (2, 2), seed=1))
-    assert [p for gamma, p in counted if gamma == (1, 1)] == [2, 3, 5, 7]
+    assert tables == [2, 3, 5, 7]
+
+
+def _fit_one_gamma_at_a_time(recipe):
+    """The box-bound fit of F that reads no count table: each gamma in box
+    order, counted with ``count_points`` at the primes of its own fit and
+    fitted before the next gamma is counted."""
+    terms = {}
+    for gamma in itertools.product(*(range(d + 1) for d in recipe.dims)):
+        degree = sum(g * (a - g) for g, a in zip(gamma, recipe.dims))
+        points = [(p, count_points(recipe.at_prime(p), gamma))
+                  for p in polynomial._fit_primes(degree, palindromic=False)]
+        terms[gamma] = polynomial._chi_from_counts(points, degree, palindromic=False)
+    poly = MultiPoly(len(recipe.dims), terms)
+    if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
+        raise NonPolynomialCount("no unit constant or top term")
+    return poly
+
+
+def _outcome(fit, recipe):
+    try:
+        return fit(recipe)
+    except FpolyError as exc:
+        return type(exc)
+
+
+def _non_rigid_recipes(rng):
+    """Seeded and explicit recipes, of total dimension 6 at most, that
+    ``f_polynomial`` fits at the box bound."""
+    quivers = [kronecker_quiver(1), kronecker_quiver(2), kronecker_quiver(3),
+               QUIVERS["A3"], QUIVERS["1=>2->3"]]
+    per_kind = {}
+    while min(per_kind.get(kind, 0) for kind in ("seeded", "explicit")) < 60:
+        quiver = rng.choice(quivers)
+        dims = tuple(rng.randrange(4) for _ in range(quiver.n))
+        if not 0 < sum(dims) <= 6:
+            continue
+        if rng.random() < 0.5:
+            kind, recipe = "seeded", RepRecipe(quiver, dims, seed=rng.randrange(100))
+        else:
+            density = rng.choice((0.3, 0.6, 1.0))
+            kind, recipe = "explicit", RepRecipe(quiver, dims, int_matrices=tuple(
+                tuple(tuple(rng.randrange(-2, 4) if rng.random() < density else 0
+                            for _ in range(dims[s])) for _ in range(dims[t]))
+                for s, t in quiver.arrows))
+        try:
+            if polynomial._rigid_primes(recipe) is not None:
+                continue
+        except FpolyError:
+            continue  # f_polynomial raises before it fits anything
+        per_kind[kind] = per_kind.get(kind, 0) + 1
+        if per_kind[kind] <= 60:
+            yield recipe
+
+
+def test_box_fit_from_tables_equals_the_fit_of_one_gamma_at_a_time():
+    outcomes = Counter()
+    for recipe in _non_rigid_recipes(random.Random(2017)):
+        new = _outcome(polynomial.f_polynomial, recipe)
+        assert new == _outcome(_fit_one_gamma_at_a_time, recipe), recipe
+        outcomes[new if isinstance(new, type) else MultiPoly] += 1
+    # Both a polynomial and a non-polynomial count occur, and nothing else.
+    assert set(outcomes) == {MultiPoly, NonPolynomialCount}, outcomes
+
+
+def _spy_full_fits(patch):
+    """The points of every ``_chi_from_counts`` call, in call order."""
+    fits = []
+
+    def spy(points, degree, palindromic, real=polynomial._chi_from_counts):
+        fits.append(points)
+        return real(points, degree, palindromic)
+
+    patch.setattr(polynomial, "_chi_from_counts", spy)
+    return fits
+
+
+def _stop_or_fit(monkeypatch, degree, counts):
+    """The box fit of one gamma of ``degree`` with ``counts[p]`` points mod
+    p: its chi, ``"stopped"`` if it raised before the full fit started, or
+    ``"failed"`` if the full fit raised."""
+    # A one-vertex recipe of dimension degree + 1: gamma = (1,) has box
+    # degree ``degree``, and "M mod p" is p itself.
+    recipe = types.SimpleNamespace(quiver=None, dims=(degree + 1,),
+                                   at_prime=lambda p: p)
+    with monkeypatch.context() as patched:
+        fits = _spy_full_fits(patched)
+        try:
+            return polynomial._box_fit(recipe, [(1,)],
+                                       lambda p: {(1,): counts[p]})[(1,)]
+        except NonPolynomialCount:
+            return "failed" if fits else "stopped"
+
+
+def test_box_fit_fits_each_gamma_at_its_own_primes(monkeypatch):
+    # On one vertex of dimension 3, gamma = (0,) has box degree 0 and is
+    # fitted at p = 2, 3, and (1,) has degree 2 and is fitted at 2, 3, 5, 7.
+    # The counts of (0,) at 5 and 7 fit no polynomial, but its fit never
+    # reads them.
+    fits = _spy_full_fits(monkeypatch)
+    counts = {p: {(0,): 1 if p < 5 else 2, (1,): p * p + p + 1} for p in (2, 3, 5, 7)}
+    recipe = types.SimpleNamespace(quiver=None, dims=(3,), at_prime=lambda p: p)
+    assert polynomial._box_fit(recipe, [(0,), (1,)], counts.get) == {(0,): 1, (1,): 3}
+    assert fits == [[(2, 1), (3, 1)], [(2, 7), (3, 13), (5, 31), (7, 57)]]
+
+
+def test_box_fit_stops_early_only_where_the_full_fit_fails(monkeypatch):
+    rng = random.Random(11)
+    primes = polynomial.first_primes(10)
+
+    def values(coeffs):
+        return {p: sum(c * p ** k for k, c in enumerate(coeffs)) for p in primes}
+
+    # Counts of an integer polynomial never stop the fit early; at a degree
+    # bound at least theirs they are fitted.
+    for _ in range(150):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+        for degree in range(9):
+            got = _stop_or_fit(monkeypatch, degree, values(coeffs))
+            assert got != "stopped", (coeffs, degree)
+            if degree >= len(coeffs) - 1:
+                assert got == sum(coeffs), (coeffs, degree)
+    # All-zero counts fit 0.
+    assert _stop_or_fit(monkeypatch, 3, dict.fromkeys(primes, 0)) == 0
+    # An integral interpolant that misses its verify point: no early stop,
+    # and the full fit fails.
+    for degree in range(9):
+        coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+        counts = values(coeffs)
+        counts[primes[degree + 1]] += rng.choice((-1, 1)) * math.prod(
+            primes[degree + 1] - p for p in primes[:degree + 1])
+        assert _stop_or_fit(monkeypatch, degree, counts) == "failed", degree
+    # Random counts, and counts polynomial at the first primes only: an
+    # early stop only where the full fit on the same points fails.
+    outcomes = Counter()
+    for _ in range(400):
+        degree = rng.randrange(9)
+        counts = values([rng.randint(-50, 50) for _ in range(rng.randint(1, 9))])
+        for p in primes[rng.randrange(degree + 2):]:
+            counts[p] = rng.randrange(200) if rng.random() < 0.8 else counts[p]
+        got = _stop_or_fit(monkeypatch, degree, counts)
+        outcomes[got if isinstance(got, str) else "fitted"] += 1
+        if got == "stopped":
+            with pytest.raises(NonPolynomialCount):
+                polynomial._chi_from_counts(
+                    [(p, counts[p]) for p in primes[:degree + 2]], degree, False)
+    assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0

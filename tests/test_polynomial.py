@@ -181,6 +181,8 @@ def test_euler_characteristic_grassmannian_of_vector_space():
     pt = Quiver(("1",), ())
     r = RepRecipe(pt, (4,), seed=0)
     assert [euler_characteristic(r, (k,)) for k in range(5)] == [1, 4, 6, 4, 1]
+    # Beyond the dimension the box degree k (4 - k) is negative: no point.
+    assert [euler_characteristic(r, (k,)) for k in (5, 7)] == [0, 0]
 
 
 def _spy_counts(monkeypatch):
@@ -220,23 +222,28 @@ def test_explicit_recipe_is_fitted_as_rigid_only_where_each_reduction_is(
     assert f_polynomial(general) == f_polynomial(RepRecipe(k2, (1, 2), seed=0))
     assert counted_primes(general) == [2, 3]
     # Mod 2 both arrows send the vertex-1 vector to (1, 0), so that
-    # reduction splits off S2 and is not rigid: the box bound is used.
+    # reduction splits off S2 and is not rigid: the box bound is used, and
+    # Gr_(1,1), with 1, 0, 0 points at p = 2, 3, 5, stops it at p = 5.
     split_mod_2 = RepRecipe(k2, (1, 2),
                             int_matrices=(((1,), (0,)), ((1,), (2,))))
     counted = _spy_counts(monkeypatch)
-    with pytest.raises(NonPolynomialCount):
+    with pytest.raises(NonPolynomialCount, match=r"of Gr_\(1, 1\)"):
         f_polynomial(split_mod_2)
-    assert {kind for kind, _ in counted} == {"point"}
-    assert max(p for _, p in counted) == 5 == counted_primes(split_mod_2)[-1]
-    # Rigid mod 2 and 3 but not mod 5, a prime of the rigid fit, where the
-    # third arrow's image joins the span of the first two: the recipe is
-    # counted at the box bound, and Gr_(1,2) has a point mod 5 only.
+    assert counted == [("table", 2), ("table", 3), ("table", 5)]
+    assert counted_primes(split_mod_2) == [2, 3, 5]
+    # Rigid mod 2 and 3 but not mod 5, where the third arrow's image joins
+    # the span of the first two (Gr_(1,2) has a point mod 5 only): the
+    # rigid fit skips that prime of bad reduction and takes the next one.
     k3 = kronecker_quiver(3)
     split_mod_5 = RepRecipe(k3, (1, 3), int_matrices=(
         ((1,), (0,), (0,)), ((0,), (1,), (0,)), ((1,), (1,), (5,))))
-    assert counted_primes(split_mod_5) == [2, 3, 5, 7]
-    with pytest.raises(NonPolynomialCount):
-        f_polynomial(split_mod_5)
+    assert counted_primes(split_mod_5) == [2, 3, 7]
+    assert counted_primes(RepRecipe(k3, (1, 3), seed=0)) == [2, 3, 5]
+    del counted[:]
+    assert f_polynomial(split_mod_5) == MultiPoly(
+        2, {(0, 0): 1, (0, 1): 3, (0, 2): 3, (0, 3): 1, (1, 3): 1})
+    assert counted == [("table", 2), ("table", 3), ("table", 7)]
+    assert f_polynomial(split_mod_5) == f_polynomial(RepRecipe(k3, (1, 3), seed=0))
 
 
 def test_restrict_to_face():
