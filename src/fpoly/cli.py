@@ -169,6 +169,8 @@ def _verify_facets(recipe, fpoly):
 
 
 def cmd_verify(args):
+    if args.fpoly and args.what != "facets":
+        raise InvalidInput(f"--fpoly is read only by --what facets, not {args.what}")
     recipe = _recipe_from_args(args)
     fpoly = _load_json(args.fpoly, MultiPoly.from_json) if args.fpoly else None
     if fpoly is not None and fpoly.nvars != recipe.quiver.n:

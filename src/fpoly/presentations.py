@@ -9,13 +9,13 @@ kernel of the Nakayama translate (which computes tau of the cokernel).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import kernels
 from .quiver import pos_neg_parts, vec_dot
-from .rep import (DEFAULT_GENERIC_PRIMES, GENERIC_TRIALS, Representation,
+from .rep import (GENERIC_TRIALS, Representation, _least_hom, direct_sum,
                   make_subrep, quotient, restrict_to_sub, stable_rng,
-                  zero_representation)
+                  zero_matrix, zero_representation)
 
 
 class PathBasis:
@@ -127,32 +127,15 @@ def random_presentation(quiver, delta, p, rng):
     return Presentation(quiver, p, tuple(delta), tuple(coeffs))
 
 
-def _sum_representation(quiver, p, summands, builder):
-    reps = [builder(quiver, i, p) for i in summands]
-    if not reps:
-        return zero_representation(quiver, p)
-    dims = tuple(sum(r.dims[w] for r in reps) for w in range(quiver.n))
-    mats = []
-    for a, (s, t) in enumerate(quiver.arrows):
-        mat = [[0] * dims[s] for _ in range(dims[t])]
-        ro = co = 0
-        for r in reps:
-            for i, row in enumerate(r.matrices[a]):
-                for j, x in enumerate(row):
-                    mat[ro + i][co + j] = x
-            ro += r.dims[t]
-            co += r.dims[s]
-        mats.append(tuple(tuple(row) for row in mat))
-    return Representation(quiver, p, dims, tuple(mats))
-
-
 def _realize(pres):
     """Per-vertex matrices of d: P(minus) -> P(plus), plus the target rep."""
     quiver, p = pres.quiver, pres.p
     pb = path_basis(quiver)
     plus_s = pres.plus_summands
     minus_s = pres.minus_summands
-    target = _sum_representation(quiver, p, plus_s, projective_representation)
+    target = reduce(direct_sum,
+                    [projective_representation(quiver, i, p) for i in plus_s],
+                    zero_representation(quiver, p))
     row_index = {}
     for w in range(quiver.n):
         idx = {}
@@ -189,10 +172,13 @@ def cokernel(pres):
 
 
 def _path_action(rep, path, start):
-    """Matrix of the representation along a path (identity if trivial)."""
+    """Matrix of the representation along a path (identity if trivial).
+    Past a zero space it is zero, of shape dims[end] x dims[start]."""
     n = rep.dims[start]
     mat = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     for a in path:
+        if not mat:
+            return zero_matrix(rep.dims[rep.quiver.arrows[path[-1]][1]], n)
         mat = kernels.matmul(rep.matrices[a], mat, rep.p)
     return mat
 
@@ -243,7 +229,9 @@ def nakayama_kernel(pres):
         if all(coef == 0 for u in range(len(plus_s))
                for _, coef in pres.coeffs[u][v]):
             raise ValueError("presentation has a negative summand P -> 0")
-    source = _sum_representation(quiver, p, minus_s, injective_representation)
+    source = reduce(direct_sum,
+                    [injective_representation(quiver, j, p) for j in minus_s],
+                    zero_representation(quiver, p))
     kernel_rows = []
     for w in range(quiver.n):
         row_index = {}
@@ -270,18 +258,16 @@ def nakayama_kernel(pres):
 
 
 def generic_hom_e(quiver, delta, recipe, seed=0):
-    """Generic (hom(delta, M), e(delta, M)) by sampling presentations."""
-    best = None
-    for p in DEFAULT_GENERIC_PRIMES:
+    """Generic (hom(delta, M), e(delta, M)) by sampling presentations:
+    hom stops at its floor max(0, delta . dim M), as hom - e = delta . dim M."""
+    def draw(p, i):
         n_rep = recipe.at_prime(p)
-        for i in range(GENERIC_TRIALS):
-            rng = stable_rng(seed, p, i)
-            d = random_presentation(quiver, delta, p, rng)
-            h, _ = hom_e(d, n_rep)
-            best = h if best is None else min(best, h)
-            if best == max(0, vec_dot(delta, recipe.dims)):
-                break
-    return best, best - vec_dot(delta, recipe.dims)
+        d = random_presentation(quiver, delta, p, stable_rng(seed, p, i))
+        return hom_e(d, n_rep)[0]
+
+    euler = vec_dot(delta, recipe.dims)
+    hom = _least_hom(draw, max(0, euler), GENERIC_TRIALS)
+    return hom, hom - euler
 
 
 def generic_cokernel(quiver, delta, p, seed=0):

@@ -312,23 +312,37 @@ def _generic_draw(recipe, p):
                           f"after {DRAW_ATTEMPTS} attempts")
 
 
-@lru_cache(maxsize=32)
-def _generic_end_dim(quiver, dims):
-    """Generic dim End of a dims-dimensional representation: the least
-    over seed-0 draws at large primes, shared by every seed.  No End lies
-    below max(<alpha, alpha>, 1), or 0 at alpha = 0 (Ext^1 >= 0, and the
-    identity is an endomorphism), so the first draw to reach it stops."""
-    floor = max(euler_form(quiver, dims, dims), 1) if any(dims) else 0
+def _least_hom(draw, floor, trials):
+    """Least ``draw(p, i)``, a seeded hom dimension, over draws i < trials
+    at each prime of DEFAULT_GENERIC_PRIMES, in that order.
+
+    A generic hom is the least over the representation space, so the
+    least over draws converges to it from above.  No hom(a, b) lies below
+    max(0, <a, b>): hom - ext = <a, b> and ext >= 0.  A draw that reaches
+    ``floor`` is therefore the least of all, and the rest are not drawn.
+    """
     best = None
     for p in DEFAULT_GENERIC_PRIMES:
-        for i in range(END_DIM_TRIALS):
-            rng = stable_rng(0, p, 1_000_000 + i)
-            rep = random_representation(quiver, dims, p, rng)
-            d = hom_dim(rep, rep)
-            best = d if best is None else min(best, d)
+        for i in range(trials):
+            h = draw(p, i)
+            best = h if best is None else min(best, h)
             if best == floor:
                 return best
     return best
+
+
+@lru_cache(maxsize=32)
+def _generic_end_dim(quiver, dims):
+    """Generic dim End of a dims-dimensional representation: the least
+    over seed-0 draws at large primes, shared by every seed.  Its floor is
+    max(<alpha, alpha>, 1), or 0 at alpha = 0: the identity is a nonzero
+    endomorphism."""
+    def draw(p, i):
+        rep = random_representation(quiver, dims, p, stable_rng(0, p, 1_000_000 + i))
+        return hom_dim(rep, rep)
+
+    floor = max(euler_form(quiver, dims, dims), 1) if any(dims) else 0
+    return _least_hom(draw, floor, END_DIM_TRIALS)
 
 
 def _is_rigid(recipe):
@@ -352,23 +366,17 @@ def _is_rigid_rep(rep):
 
 
 def generic_hom_ext(quiver, a, b, seed=0):
-    """Generic (hom, ext) of dimension vectors by large-prime sampling.
-
-    The generic hom is the minimum over the representation space, so the
-    minimum over independent samples converges from above; ext follows
-    from the Euler form.
-    """
+    """Generic (hom, ext) of dimension vectors: hom is the least over
+    seeded pairs of draws at large primes, stopping at max(0, <a, b>),
+    and ext follows from the Euler form."""
     if not quiver.acyclic:
         raise ValueError("generic hom/ext sampling requires an acyclic quiver")
-    best = None
-    for p in DEFAULT_GENERIC_PRIMES:
-        for i in range(GENERIC_TRIALS):
-            rng = stable_rng(seed, p, i)
-            m = random_representation(quiver, a, p, rng)
-            n = random_representation(quiver, b, p, rng)
-            h = hom_dim(m, n)
-            best = h if best is None else min(best, h)
-            if best == max(0, euler_form(quiver, a, b)):
-                break
-    ext = best - euler_form(quiver, a, b)
-    return best, ext
+
+    def draw(p, i):
+        rng = stable_rng(seed, p, i)
+        m = random_representation(quiver, a, p, rng)
+        return hom_dim(m, random_representation(quiver, b, p, rng))
+
+    euler = euler_form(quiver, a, b)
+    hom = _least_hom(draw, max(0, euler), GENERIC_TRIALS)
+    return hom, hom - euler

@@ -243,6 +243,7 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["verify", "--what", "facets", "--fpoly", "{f3}", "--quiver", "{k2}", "--dims", "1,1"],
     ["mutate", "--quiver", "{two_cycle}", "--seq", "1"],
     ["mutate", "--quiver", "{loop}", "--seq", "1"],
+    ["verify", "--what", "vertices", "--fpoly", "{f2}", "--quiver", "{k2}", "--dims", "1,1"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
@@ -256,6 +257,9 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     # A 3-variable polynomial for the 2-vertex Kronecker quiver.
     f3 = tmp_path / "f3.json"
     f3.write_text(json.dumps(MultiPoly(3, {(0, 0, 0): 1, (1, 1, 1): 1}).to_json()))
+    # A well-formed F of K2 (1,1), which only the facet check reads.
+    f2 = tmp_path / "f2.json"
+    f2.write_text(json.dumps(MultiPoly(2, {(0, 0): 1, (0, 1): 1, (1, 1): 1}).to_json()))
     # Quivers that an exchange matrix cannot record: 1 -> 2 -> 1 plus
     # 1 -> 2 would cancel to A2, and a loop would vanish.
     two_cycle = tmp_path / "two_cycle.json"
@@ -263,7 +267,7 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps(Quiver(("1", "2"), ((0, 0), (0, 1))).to_json()))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
-             "bad_shape": bad_shape, "f3": f3, "missing": tmp_path / "missing.json",
+             "bad_shape": bad_shape, "f2": f2, "f3": f3, "missing": tmp_path / "missing.json",
              "two_cycle": two_cycle, "loop": loop}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()

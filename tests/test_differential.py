@@ -50,6 +50,13 @@ K2, K3, A3 and 1=>2->3.  The early stop is checked against the full fit
 of ``_chi_from_counts`` on the same points: it never fires on the values
 of an integer polynomial, and fires on random counts only where that
 fit fails.
+
+``generic_hom_ext``, ``presentations.generic_hom_e`` and the generic End
+take the least hom over seeded draws through one sampler, which stops at
+the first draw that reaches the Euler-form floor.  The loops it replaced
+left only the loop of one prime at the floor and drew on at the later
+primes.  Test-local copies of those loops are the reference, on random
+dimension vectors, weights and seeds over K2, K3, A3 and 1=>2->3.
 """
 
 import itertools
@@ -71,9 +78,11 @@ from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
 from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
-from fpoly.quiver import Quiver, kronecker_quiver, vec_dot
-from fpoly.rep import (Representation, RepRecipe, is_arrow_stable,
-                       random_representation, restrict_to_sub)
+from fpoly.presentations import generic_hom_e, hom_e, random_presentation
+from fpoly.quiver import Quiver, euler_form, kronecker_quiver, vec_dot
+from fpoly.rep import (Representation, RepRecipe, generic_hom_ext, hom_dim,
+                       is_arrow_stable, random_representation,
+                       restrict_to_sub, stable_rng)
 from fpoly.stabilization import (graded_semistable_f, stable_factors,
                                  torsion_split)
 from test_acceptance import RIGID_INSTANCES
@@ -584,3 +593,85 @@ def test_box_fit_stops_early_only_where_the_full_fit_fails(monkeypatch):
                 polynomial._chi_from_counts(
                     [(p, counts[p]) for p in primes[:degree + 2]], degree, False)
     assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0
+
+
+# The large primes, and the draws per prime of a hom and of an End, of
+# the loops below.
+LOOP_PRIMES, LOOP_TRIALS, LOOP_END_TRIALS = (101, 103, 107), 8, 6
+
+
+def _looped_hom_ext(quiver, a, b, seed):
+    """``generic_hom_ext`` as one loop per prime: at the floor it breaks
+    out of its prime only."""
+    best = None
+    for p in LOOP_PRIMES:
+        for i in range(LOOP_TRIALS):
+            rng = stable_rng(seed, p, i)
+            m = random_representation(quiver, a, p, rng)
+            n = random_representation(quiver, b, p, rng)
+            h = hom_dim(m, n)
+            best = h if best is None else min(best, h)
+            if best == max(0, euler_form(quiver, a, b)):
+                break
+    return best, best - euler_form(quiver, a, b)
+
+
+def _looped_hom_e(quiver, delta, recipe, seed):
+    """``generic_hom_e`` as one loop per prime, in the same way."""
+    best = None
+    for p in LOOP_PRIMES:
+        n_rep = recipe.at_prime(p)
+        for i in range(LOOP_TRIALS):
+            d = random_presentation(quiver, delta, p, stable_rng(seed, p, i))
+            h, _ = hom_e(d, n_rep)
+            best = h if best is None else min(best, h)
+            if best == max(0, vec_dot(delta, recipe.dims)):
+                break
+    return best, best - vec_dot(delta, recipe.dims)
+
+
+def _looped_end_dim(quiver, dims):
+    """The generic End as one loop per prime that returns at its floor."""
+    floor = max(euler_form(quiver, dims, dims), 1) if any(dims) else 0
+    best = None
+    for p in LOOP_PRIMES:
+        for i in range(LOOP_END_TRIALS):
+            rep = random_representation(quiver, dims, p,
+                                        stable_rng(0, p, 1_000_000 + i))
+            h = hom_dim(rep, rep)
+            best = h if best is None else min(best, h)
+            if best == floor:
+                return best
+    return best
+
+
+def test_generic_samplers_equal_the_loops_they_replaced():
+    rng = random.Random(18)
+    quivers = [kronecker_quiver(2), kronecker_quiver(3),
+               QUIVERS["A3"], QUIVERS["1=>2->3"]]
+    at_floor = Counter()
+    for _ in range(240):
+        quiver = rng.choice(quivers)
+        a, b = (tuple(rng.randrange(3) for _ in range(quiver.n)) for _ in "ab")
+        seed = rng.randrange(100)
+        hom, ext = generic_hom_ext(quiver, a, b, seed=seed)
+        assert (hom, ext) == _looped_hom_ext(quiver, a, b, seed), (quiver, a, b, seed)
+        at_floor["hom_ext", hom == max(0, euler_form(quiver, a, b))] += 1
+        assert rep_module._generic_end_dim.__wrapped__(quiver, a) == \
+            _looped_end_dim(quiver, a), (quiver, a)
+
+        delta = tuple(rng.randrange(-2, 3) for _ in range(quiver.n))
+        if rng.random() < 0.5:
+            recipe = RepRecipe(quiver, b, seed=seed)
+        else:
+            recipe = RepRecipe(quiver, b, int_matrices=tuple(
+                tuple(tuple(rng.randrange(-2, 3) for _ in range(b[s]))
+                      for _ in range(b[t])) for s, t in quiver.arrows))
+        hom, e = generic_hom_e(quiver, delta, recipe, seed=seed)
+        assert (hom, e) == _looped_hom_e(quiver, delta, recipe, seed), \
+            (quiver, delta, recipe)
+        at_floor["hom_e", hom == max(0, vec_dot(delta, b))] += 1
+    # Each sampler meets cases that stop at the floor and cases that never
+    # reach it.
+    assert all(at_floor[kind, reached] > 0
+               for kind in ("hom_ext", "hom_e") for reached in (True, False)), at_floor

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fpoly import presentations
 from fpoly.grassmannian import dual_tropical_f, tropical_f
 from fpoly.presentations import (cokernel, generic_cokernel, generic_hom_e,
                                  hom_e, injective_representation,
@@ -62,12 +63,33 @@ def test_cokernel_of_unit_weight_is_projective():
         assert hom_dim(c, proj) == 1 and hom_dim(proj, c) == 1
 
 
-def test_generic_hom_e_unit_weights():
+def test_generic_hom_e_unit_weights(monkeypatch):
+    # hom(delta, M) = max(0, delta . dim M) for a unit weight, which is the
+    # floor of every sample: the first presentation drawn is the last.
+    calls = []
+    real_hom_e = presentations.hom_e
+
+    def spy_hom_e(pres, n_rep):
+        calls.append(pres.delta)
+        return real_hom_e(pres, n_rep)
+
+    monkeypatch.setattr(presentations, "hom_e", spy_hom_e)
     r = RepRecipe(Q231, (2, 4, 1), seed=0)
     for i in range(3):
-        assert generic_hom_e(Q231, unit_vector(3, i), r) == (r.dims[i], 0)
         neg = tuple(-x for x in unit_vector(3, i))
-        assert generic_hom_e(Q231, neg, r) == (0, r.dims[i])
+        for delta, expected in ((unit_vector(3, i), (r.dims[i], 0)),
+                                (neg, (0, r.dims[i]))):
+            del calls[:]
+            assert generic_hom_e(Q231, delta, r) == expected
+            assert calls == [delta]
+
+
+def test_hom_e_along_a_path_through_a_zero_space():
+    # N = (2, 0, 2) over 1=>2->3: every path from 1 to 3 passes the zero
+    # space at 2, so d: P_3 -> P_1 induces the zero map N_1 -> N_3.
+    n_rep = RepRecipe(Q231, (2, 0, 2), int_matrices=((), (), ((), ()))).at_prime(5)
+    d = random_presentation(Q231, (1, 0, -1), 5, stable_rng(0))
+    assert hom_e(d, n_rep) == (2, 2)
 
 
 def test_tropical_equals_generic_hom():

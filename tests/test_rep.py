@@ -136,7 +136,7 @@ def test_generic_end_dim_is_shared_across_seeds(monkeypatch):
         assert made == [dims] * expected
 
 
-def test_generic_hom_ext_known_values():
+def test_generic_hom_ext_known_values(monkeypatch):
     k2 = kronecker_quiver(2)
     assert generic_hom_ext(k2, (1, 2), (1, 2)) == (1, 0)     # rigid root
     assert generic_hom_ext(k2, (1, 0), (0, 1)) == (0, 2)     # ext = 2 arrows
@@ -144,3 +144,23 @@ def test_generic_hom_ext_known_values():
     k3 = kronecker_quiver(3)
     # <(1,1),(1,1)> = -1 and generic hom vanishes
     assert generic_hom_ext(k3, (1, 1), (1, 1)) == (0, 1)
+
+    # No hom lies below max(0, <a, b>): a pair that reaches it at its first
+    # draw makes no other, at any prime.  Over 1=>2->3, (1,1,0) and (1,0,1)
+    # have <a, b> = 0 but generic hom 1, so they take all 3 x 8 pairs.
+    made = []
+    real_draw = rep_module.random_representation
+
+    def spy_draw(*args):
+        made.append(args[1])
+        return real_draw(*args)
+
+    monkeypatch.setattr(rep_module, "random_representation", spy_draw)
+    q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
+    for quiver, a, b, expected, pairs in (
+            (k2, (1, 2), (1, 2), (1, 0), 1),
+            (k3, (1, 1), (1, 1), (0, 1), 1),
+            (q231, (1, 1, 0), (1, 0, 1), (1, 1), 24)):
+        del made[:]
+        assert generic_hom_ext(quiver, a, b) == expected
+        assert made == [a, b] * pairs
