@@ -66,6 +66,13 @@ def _load_json(path, parse):
         return parse(json.load(fh))
 
 
+def _nonzero_poly(data):
+    poly = MultiPoly.from_json(data)
+    if not poly:
+        raise ValueError("the zero polynomial has no Newton polytope")
+    return poly
+
+
 def _recipe_from_args(args):
     """The recipe that the arguments name, its cost cap checked before
     any representation is drawn."""
@@ -149,7 +156,7 @@ def cmd_mutate(args):
 
 def cmd_polytope(args):
     if args.fpoly:
-        points = _load_json(args.fpoly, MultiPoly.from_json).support()
+        points = _load_json(args.fpoly, _nonzero_poly).support()
         source = "fpoly"
     else:
         points, source = sub_dim_vectors(_recipe_from_args(args)), "subdims"
@@ -172,7 +179,7 @@ def cmd_verify(args):
     if args.fpoly and args.what != "facets":
         raise InvalidInput(f"--fpoly is read only by --what facets, not {args.what}")
     recipe = _recipe_from_args(args)
-    fpoly = _load_json(args.fpoly, MultiPoly.from_json) if args.fpoly else None
+    fpoly = _load_json(args.fpoly, _nonzero_poly) if args.fpoly else None
     if fpoly is not None and fpoly.nvars != recipe.quiver.n:
         raise InvalidInput(f"invalid {args.fpoly}: {fpoly.nvars} variables "
                            f"for a quiver with {recipe.quiver.n} vertices")

@@ -3,17 +3,18 @@
 F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 interpolating the counting polynomial exactly over the rationals, and
-evaluating at q = 1.  ``f_polynomial`` and ``graded_semistable_f`` each
-plan their primes once and read one count table per prime.  When every
-counted representation is certified rigid (over an acyclic quiver),
-Gr_gamma(M) is smooth and projective of dimension <gamma, alpha - gamma>
-(Caldero and Reineke 2008), so its counting polynomial has that degree
-and is palindromic and is fitted from about half as many primes.
-Otherwise the degree is the box bound sum gamma_v (alpha_v - gamma_v),
-the dimension of the ambient product of Grassmannians.  At least one
-extra prime is always checked; a count that no integer polynomial of
-that degree gives raises an error, at the first prime where a Newton
-divided difference is a fraction, rather than being averaged away.
+evaluating at q = 1.  ``f_polynomial``, ``euler_characteristic`` and
+``graded_semistable_f`` each plan their primes once and pass one count
+table per prime, in prime order, to the one fit ``fit_tables``.  When
+every counted representation is certified rigid (over an acyclic
+quiver), Gr_gamma(M) is smooth and projective of dimension
+<gamma, alpha - gamma> (Caldero and Reineke 2008), so its counting
+polynomial has that degree and is palindromic and is fitted from about
+half as many primes.  Otherwise the degree is the box bound
+sum gamma_v (alpha_v - gamma_v), the dimension of the ambient product of
+Grassmannians.  At least one extra prime is always checked; a count that
+no integer polynomial gives raises an error, at the first prime where a
+Newton divided difference is a fraction, rather than being averaged away.
 """
 
 import heapq
@@ -86,14 +87,7 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            c2 = out.get(exp, 0) + c
-            if c2:
-                out[exp] = c2
-            else:
-                out.pop(exp, None)
-        return MultiPoly(self.nvars, out)
+        return MultiPoly(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -269,15 +263,15 @@ def _fit_primes(degree, palindromic):
     return first_primes(fitted + 1 + VERIFY_PRIMES)
 
 
-def interpolate_integer_polynomial(points, degree_bound, verify=1):
+def interpolate_integer_polynomial(points, degree_bound):
     """Exact polynomial through the first degree_bound+1 points.
 
-    Returns the coefficient list (constant first).  The remaining points
-    (at least `verify` of them) must lie on the curve; otherwise the
-    data is not polynomial of the claimed degree and we fail loudly.
+    Returns the coefficient list (constant first).  Every later point, at
+    least one, must lie on the curve; otherwise the data is not
+    polynomial of the claimed degree and we fail loudly.
     """
     need = degree_bound + 1
-    if len(points) < need + verify:
+    if len(points) <= need:
         raise ValueError("not enough evaluation points")
     xs = [x for x, _ in points[:need]]
     ys = [Fraction(y) for _, y in points[:need]]
@@ -348,56 +342,50 @@ def _chi_from_counts(points, degree, palindromic):
             f"{len(points)} point counts cannot fit and check a counting "
             f"polynomial of degree {degree}")
     if not palindromic:
-        return sum(interpolate_integer_polynomial(points, degree, verify))
+        return sum(interpolate_integer_polynomial(points, degree))
     nodes = [(Fraction(p * p + 1, p), Fraction(y, p ** half * (1 + p if odd else 1)))
              for p, y in points]
-    r = interpolate_integer_polynomial(nodes, half, verify)
+    r = interpolate_integer_polynomial(nodes, half)
     chi = sum(c * 2 ** k for k, c in enumerate(r))
     return 2 * chi if odd else chi
 
 
 def fit_tables(tables, degree, palindromic):
-    """The nonzero Euler characteristics ``{key: chi}`` of per-prime count
-    tables ``[(p, {key: count})]``: each key's counts, 0 where a table
-    lacks it, fitted at ``degree(key)`` in key order."""
-    chis = {}
-    for key in sorted(set().union(*(table for _, table in tables))):
-        chi = _chi_from_counts([(p, table.get(key, 0)) for p, table in tables],
-                               degree(key), palindromic)
-        if chi:
-            chis[key] = chi
-    return chis
-
-
-def _box_fit(recipe, gammas, table):
-    """``{gamma: chi}`` at the box bound from ``table(M mod p)``, read once per
-    prime in order.  Newton divided differences of an integer polynomial at
-    the primes are integers, so a gamma's first fraction stops the fit."""
-    degree = _degree(recipe.quiver, recipe.dims, False)
-    need = {gamma: len(_fit_primes(degree(gamma), palindromic=False)) for gamma in gammas}
-    points, diagonals = {gamma: [] for gamma in gammas}, dict.fromkeys(gammas, ())
-    for p in first_primes(max(need.values())):
-        counts = table(recipe.at_prime(p))
-        for gamma, pts in points.items():
-            if len(pts) < need[gamma]:
-                pts.append((p, counts.get(gamma, 0)))
-                diagonal = [pts[-1][1]]
-                for (x, _), d in zip(reversed(pts[:-1]), diagonals[gamma]):
-                    step, frac = divmod(diagonal[-1] - d, p - x)
-                    if frac:
-                        raise NonPolynomialCount(f"point counts (p, count) {pts} of Gr_"
-                                                 f"{gamma} fit no integer polynomial")
-                    diagonal.append(step)
-                diagonals[gamma] = diagonal
-    return {gamma: _chi_from_counts(pts, degree(gamma), palindromic=False)
-            for gamma, pts in points.items()}
+    """The nonzero Euler characteristics ``{key: chi}`` of count tables
+    ``(p, {key: count})``, read lazily in prime order: every key seen so
+    far takes a point at each table, 0 where it lacks the key.  Newton
+    divided differences of an integer polynomial at the primes are
+    integers, so a key's first fraction stops the fit before the next
+    table is read.  Each key is then fitted at ``degree(key)``, in key
+    order."""
+    primes, points, diagonals = [], {}, {}
+    for p, table in tables:
+        for key in table.keys() - points.keys():
+            points[key], diagonals[key] = [(x, 0) for x in primes], [0] * len(primes)
+        for key in sorted(points):
+            diagonal = [table.get(key, 0)]
+            points[key].append((p, diagonal[0]))
+            for x, d in zip(reversed(primes), diagonals[key]):
+                step, frac = divmod(diagonal[-1] - d, p - x)
+                if frac:
+                    raise NonPolynomialCount(f"point counts (p, count) {points[key]} of "
+                                             f"Gr_{key} fit no integer polynomial")
+                diagonal.append(step)
+            diagonals[key] = diagonal
+        primes.append(p)
+    chis = {key: _chi_from_counts(points[key], degree(key), palindromic)
+            for key in sorted(points)}
+    return {key: chi for key, chi in chis.items() if chi}
 
 
 def euler_characteristic(recipe, gamma):
     """chi of Gr_gamma of the recipe, counted at the box bound."""
     recipe.quiver.check_dim_vector(gamma)
     gamma = tuple(gamma)
-    return _box_fit(recipe, [gamma], lambda rep: {gamma: count_points(rep, gamma)})[gamma]
+    degree = _degree(recipe.quiver, recipe.dims, False)
+    tables = ((p, {gamma: count_points(recipe.at_prime(p), gamma)})
+              for p in _fit_primes(degree(gamma), palindromic=False))
+    return fit_tables(tables, degree, False).get(gamma, 0)
 
 
 def _rigid_primes(recipe):
@@ -426,17 +414,15 @@ def f_polynomial(recipe):
     """Generating polynomial of Grassmannian Euler characteristics.
 
     A certified-rigid recipe reads one count table per rigid prime and
-    fits every gamma from them; any other recipe reads one per box prime,
-    fits every gamma at the box bound and stops at the first count that
-    no integer polynomial gives.
+    fits every gamma palindromically; any other recipe reads one per box
+    prime and fits every gamma at the box bound.  Both stop at the first
+    count that no integer polynomial gives.
     """
     primes = _rigid_primes(recipe)
-    if primes:
-        tables = [(p, subrep_counts(recipe.at_prime(p))) for p in primes]
-        terms = fit_tables(tables, _degree(recipe.quiver, recipe.dims, True), True)
-    else:
-        box = list(itertools.product(*(range(d + 1) for d in recipe.dims)))
-        terms = _box_fit(recipe, box, subrep_counts)
+    rigid = primes is not None
+    tables = ((p, subrep_counts(recipe.at_prime(p)))
+              for p in primes or _box_primes(recipe.dims))
+    terms = fit_tables(tables, _degree(recipe.quiver, recipe.dims, rigid), rigid)
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
         raise NonPolynomialCount(

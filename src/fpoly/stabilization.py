@@ -205,7 +205,8 @@ def graded_semistable_f(recipe, delta):
     Gr_gamma(W) for gamma = iota m.  When every counted W is rigid, the
     graded tables are fitted as a rigid recipe's count tables are, at
     degree <gamma, w - gamma>, from primes sized by the grades found at
-    the base prime; otherwise at the box bound of w.
+    the base prime; otherwise at the box bound of w.  Either fit stops at
+    the first prime whose counts no integer polynomial gives.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
     stable_dims = tuple(s.dims for s in base_stables)
@@ -238,7 +239,7 @@ def graded_semistable_f(recipe, delta):
         palindromic = all(counts_at(p)[1] for p in primes)
     if not palindromic:
         primes = _box_primes(w_dims)
-    terms = fit_tables([(p, counts_at(p)[0]) for p in primes],
+    terms = fit_tables(((p, counts_at(p)[0]) for p in primes),
                        grade_degree(palindromic), palindromic)
     return GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
                       base_split.l_min.dims, base_split.l_max.dims)

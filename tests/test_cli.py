@@ -244,6 +244,8 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["mutate", "--quiver", "{two_cycle}", "--seq", "1"],
     ["mutate", "--quiver", "{loop}", "--seq", "1"],
     ["verify", "--what", "vertices", "--fpoly", "{f2}", "--quiver", "{k2}", "--dims", "1,1"],
+    ["polytope", "--fpoly", "{f0}"],
+    ["verify", "--what", "facets", "--fpoly", "{f0}", "--quiver", "{k2}", "--dims", "1,1"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
@@ -260,6 +262,9 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     # A well-formed F of K2 (1,1), which only the facet check reads.
     f2 = tmp_path / "f2.json"
     f2.write_text(json.dumps(MultiPoly(2, {(0, 0): 1, (0, 1): 1, (1, 1): 1}).to_json()))
+    # Every coefficient 0: the zero polynomial, which has no Newton polytope.
+    f0 = tmp_path / "f0.json"
+    f0.write_text(json.dumps([{"exp": [0, 0], "coef": "0"}, {"exp": [1, 1], "coef": "0"}]))
     # Quivers that an exchange matrix cannot record: 1 -> 2 -> 1 plus
     # 1 -> 2 would cancel to A2, and a loop would vanish.
     two_cycle = tmp_path / "two_cycle.json"
@@ -267,7 +272,7 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps(Quiver(("1", "2"), ((0, 0), (0, 1))).to_json()))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
-             "bad_shape": bad_shape, "f2": f2, "f3": f3, "missing": tmp_path / "missing.json",
+             "bad_shape": bad_shape, "f0": f0, "f2": f2, "f3": f3, "missing": tmp_path / "missing.json",
              "two_cycle": two_cycle, "loop": loop}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()

@@ -42,14 +42,15 @@ gates, is their reference on the rigid instances of acceptance criteria
 7 and 8.
 
 Any other recipe is fitted at the box bound from one count table per
-prime, and the fit stops at the first prime where a Newton divided
-difference of some gamma's counts is a fraction.  Its outcome, F or the
-error type, is checked against the fit of one gamma at a time with
-``count_points`` on random non-rigid seeded and explicit recipes of K1,
-K2, K3, A3 and 1=>2->3.  The early stop is checked against the full fit
-of ``_chi_from_counts`` on the same points: it never fires on the values
-of an integer polynomial, and fires on random counts only where that
-fit fails.
+prime.  ``fit_tables`` reads the tables in prime order and stops at the
+first prime where a Newton divided difference of some key's counts is a
+fraction.  The box fit's outcome, F or the error type, is checked
+against the fit of one gamma at a time with ``count_points`` at every
+box prime, on random non-rigid seeded and explicit recipes of K1, K2,
+K3, A3 and 1=>2->3.  The early stop is checked against the full fit of
+``_chi_from_counts`` on the same points, plain and palindromic: it never
+fires on the values of an integer polynomial, and fires on random counts
+only where that fit fails.
 
 ``generic_hom_ext``, ``presentations.generic_hom_e`` and the generic End
 take the least hom over seeded draws through one sampler, which stops at
@@ -63,7 +64,6 @@ import itertools
 import math
 import random
 import sys
-import types
 from collections import Counter
 
 import pytest
@@ -451,13 +451,13 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
 
 def _fit_one_gamma_at_a_time(recipe):
     """The box-bound fit of F that reads no count table: each gamma in box
-    order, counted with ``count_points`` at the primes of its own fit and
-    fitted before the next gamma is counted."""
+    order, counted with ``count_points`` at every box prime and fitted
+    before the next gamma is counted."""
     terms = {}
     for gamma in itertools.product(*(range(d + 1) for d in recipe.dims)):
         degree = sum(g * (a - g) for g, a in zip(gamma, recipe.dims))
         points = [(p, count_points(recipe.at_prime(p), gamma))
-                  for p in polynomial._fit_primes(degree, palindromic=False)]
+                  for p in polynomial._box_primes(recipe.dims)]
         terms[gamma] = polynomial._chi_from_counts(points, degree, palindromic=False)
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
@@ -523,76 +523,108 @@ def _spy_full_fits(patch):
     return fits
 
 
-def _stop_or_fit(monkeypatch, degree, counts):
-    """The box fit of one gamma of ``degree`` with ``counts[p]`` points mod
-    p: its chi, ``"stopped"`` if it raised before the full fit started, or
-    ``"failed"`` if the full fit raised."""
-    # A one-vertex recipe of dimension degree + 1: gamma = (1,) has box
-    # degree ``degree``, and "M mod p" is p itself.
-    recipe = types.SimpleNamespace(quiver=None, dims=(degree + 1,),
-                                   at_prime=lambda p: p)
+def _stop_or_fit(monkeypatch, degree, counts, palindromic):
+    """``fit_tables`` of one key of ``degree`` with ``counts[p]`` points at
+    the primes of its fit: its chi, ``"stopped"`` if it raised before the
+    full fit started, or ``"failed"`` if the full fit raised."""
+    tables = ((p, {(1,): counts[p]}) for p in polynomial._fit_primes(degree, palindromic))
     with monkeypatch.context() as patched:
         fits = _spy_full_fits(patched)
         try:
-            return polynomial._box_fit(recipe, [(1,)],
-                                       lambda p: {(1,): counts[p]})[(1,)]
+            return polynomial.fit_tables(tables, lambda key: degree, palindromic).get((1,), 0)
         except NonPolynomialCount:
             return "failed" if fits else "stopped"
 
 
-def test_box_fit_fits_each_gamma_at_its_own_primes(monkeypatch):
-    # On one vertex of dimension 3, gamma = (0,) has box degree 0 and is
-    # fitted at p = 2, 3, and (1,) has degree 2 and is fitted at 2, 3, 5, 7.
-    # The counts of (0,) at 5 and 7 fit no polynomial, but its fit never
-    # reads them.
+def test_fit_tables_stops_before_reading_the_next_table(monkeypatch):
+    # On one vertex of dimension 3, gamma = (0,) has box degree 0 and (1,)
+    # degree 2, and the box primes are 2, 3, 5, 7.  The counts 1, 1, 2 of
+    # (0,) at 2, 3, 5 give f[3, 5] = 1/2, so the fit stops there: it never
+    # reads the table at 7 and fits nothing.
     fits = _spy_full_fits(monkeypatch)
     counts = {p: {(0,): 1 if p < 5 else 2, (1,): p * p + p + 1} for p in (2, 3, 5, 7)}
-    recipe = types.SimpleNamespace(quiver=None, dims=(3,), at_prime=lambda p: p)
-    assert polynomial._box_fit(recipe, [(0,), (1,)], counts.get) == {(0,): 1, (1,): 3}
-    assert fits == [[(2, 1), (3, 1)], [(2, 7), (3, 13), (5, 31), (7, 57)]]
+    read = []
+
+    def tables():
+        for p in polynomial._box_primes((3,)):
+            read.append(p)
+            yield p, counts[p]
+
+    with pytest.raises(NonPolynomialCount,
+                       match=r"\[\(2, 1\), \(3, 1\), \(5, 2\)\] of Gr_\(0,\) fit no"):
+        polynomial.fit_tables(tables(), polynomial._degree(None, (3,), False), False)
+    assert read == [2, 3, 5] and fits == []
 
 
-def test_box_fit_stops_early_only_where_the_full_fit_fails(monkeypatch):
+def test_fit_tables_counts_a_key_as_0_before_its_first_table():
+    # p - 2 is 0, 1, 3 at p = 2, 3, 5: fitted at degree 1 from all three
+    # points, the first one a table that lacks the key.
+    assert polynomial.fit_tables(iter([(2, {}), (3, {(0,): 1}), (5, {(0,): 3})]),
+                                 lambda key: 1, False) == {(0,): -1}
+    # 0, 1, 1 at p = 2, 3, 5: f[2, 3, 5] = -1/3, though 1, 1 alone fit.
+    with pytest.raises(NonPolynomialCount, match=r"\[\(2, 0\), \(3, 1\), \(5, 1\)\]"):
+        polynomial.fit_tables(iter([(2, {}), (3, {(0,): 1}), (5, {(0,): 1})]),
+                              lambda key: 0, False)
+
+
+def test_fit_tables_stops_early_only_where_the_full_fit_fails(monkeypatch):
+    for palindromic in (False, True):
+        _check_early_stop(monkeypatch, palindromic)
+
+
+def _check_early_stop(monkeypatch, palindromic):
     rng = random.Random(11)
     primes = polynomial.first_primes(10)
+
+    def coefficients(length):
+        """Random integer coefficients, a palindrome if the fit is one."""
+        coeffs = [rng.randint(-50, 50) for _ in range(length)]
+        if palindromic:
+            coeffs[length // 2:] = coeffs[:(length + 1) // 2][::-1]
+        return coeffs
 
     def values(coeffs):
         return {p: sum(c * p ** k for k, c in enumerate(coeffs)) for p in primes}
 
+    def spare(degree):
+        """The index of the first prime past those that fit ``degree``."""
+        return len(polynomial._fit_primes(degree, palindromic)) - 1
+
     # Counts of an integer polynomial never stop the fit early; at a degree
-    # bound at least theirs they are fitted.
+    # bound at least theirs (exactly theirs if palindromic) they are fitted.
     for _ in range(150):
-        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+        coeffs = coefficients(rng.randint(1, 9))
         for degree in range(9):
-            got = _stop_or_fit(monkeypatch, degree, values(coeffs))
+            got = _stop_or_fit(monkeypatch, degree, values(coeffs), palindromic)
             assert got != "stopped", (coeffs, degree)
-            if degree >= len(coeffs) - 1:
+            if degree == len(coeffs) - 1 or degree > len(coeffs) - 1 and not palindromic:
                 assert got == sum(coeffs), (coeffs, degree)
     # All-zero counts fit 0.
-    assert _stop_or_fit(monkeypatch, 3, dict.fromkeys(primes, 0)) == 0
+    assert _stop_or_fit(monkeypatch, 3, dict.fromkeys(primes, 0), palindromic) == 0
     # An integral interpolant that misses its verify point: no early stop,
     # and the full fit fails.
     for degree in range(9):
-        coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
-        counts = values(coeffs)
-        counts[primes[degree + 1]] += rng.choice((-1, 1)) * math.prod(
-            primes[degree + 1] - p for p in primes[:degree + 1])
-        assert _stop_or_fit(monkeypatch, degree, counts) == "failed", degree
+        counts = values(coefficients(degree + 1))
+        k = spare(degree)
+        counts[primes[k]] += rng.choice((-1, 1)) * math.prod(
+            primes[k] - p for p in primes[:k])
+        assert _stop_or_fit(monkeypatch, degree, counts, palindromic) == "failed", degree
     # Random counts, and counts polynomial at the first primes only: an
     # early stop only where the full fit on the same points fails.
     outcomes = Counter()
     for _ in range(400):
         degree = rng.randrange(9)
-        counts = values([rng.randint(-50, 50) for _ in range(rng.randint(1, 9))])
-        for p in primes[rng.randrange(degree + 2):]:
+        counts = values(coefficients(rng.randint(1, 9)))
+        for p in primes[rng.randrange(spare(degree) + 1):]:
             counts[p] = rng.randrange(200) if rng.random() < 0.8 else counts[p]
-        got = _stop_or_fit(monkeypatch, degree, counts)
+        got = _stop_or_fit(monkeypatch, degree, counts, palindromic)
         outcomes[got if isinstance(got, str) else "fitted"] += 1
         if got == "stopped":
             with pytest.raises(NonPolynomialCount):
                 polynomial._chi_from_counts(
-                    [(p, counts[p]) for p in primes[:degree + 2]], degree, False)
-    assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0
+                    [(p, counts[p]) for p in primes[:spare(degree) + 1]],
+                    degree, palindromic)
+    assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0, outcomes
 
 
 # The large primes, and the draws per prime of a hom and of an End, of

@@ -157,10 +157,14 @@ def test_first_primes():
 
 def test_interpolation_exact_and_verified():
     pts = [(p, 2 * p * p - p + 3) for p in first_primes(5)]
-    assert interpolate_integer_polynomial(pts, 2, verify=2) == [3, -1, 2]
-    bad = pts[:3] + [(7, 999)]
-    with pytest.raises(NonPolynomialCount):
-        interpolate_integer_polynomial(bad, 2, verify=1)
+    assert interpolate_integer_polynomial(pts, 2) == [3, -1, 2]
+    # Every point past the first three is checked, the last one too.
+    for bad in (pts[:3] + [(7, 999)], pts[:4] + [(11, 999)]):
+        with pytest.raises(NonPolynomialCount):
+            interpolate_integer_polynomial(bad, 2)
+    # At least one point is left to check.
+    with pytest.raises(ValueError, match="not enough evaluation points"):
+        interpolate_integer_polynomial(pts[:3], 2)
 
 
 def test_f_polynomial_known_small_cases():
