@@ -2,8 +2,9 @@
 
 One fraction-free Gauss-Jordan elimination, ``echelon``, serves the
 polyhedral geometry of ``polytope`` (affine hulls, lineality spaces,
-starting rays) and the stable lattice of ``stabilization``.  The rank of
-a matrix is the number of pivots ``echelon`` returns.
+starting rays), the stable lattice of ``stabilization`` and the fit of
+counting polynomials in ``polynomial``.  The rank of a matrix is the
+number of pivots ``echelon`` returns.
 """
 
 from math import gcd, lcm

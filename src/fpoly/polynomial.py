@@ -1,29 +1,30 @@
-"""Sparse integer polynomials and point-count interpolation.
+"""Sparse integer polynomials and the fit of point counts.
 
 F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
-interpolating the counting polynomial exactly over the rationals, and
-evaluating at q = 1.  ``f_polynomial``, ``euler_characteristic`` and
-``graded_semistable_f`` each plan their primes once and pass one count
-table per prime, in prime order, to the one fit ``fit_tables``.  When
-every counted representation is certified rigid (over an acyclic
-quiver), Gr_gamma(M) is smooth and projective of dimension
-<gamma, alpha - gamma> (Caldero and Reineke 2008), so its counting
-polynomial has that degree and is palindromic and is fitted from about
-half as many primes.  Otherwise the degree is the box bound
-sum gamma_v (alpha_v - gamma_v), the dimension of the ambient product of
-Grassmannians.  At least one extra prime is always checked; a count that
-no integer polynomial gives raises an error, at the first prime where a
-Newton divided difference is a fraction, rather than being averaged away.
+solving one integer linear system for the coefficients of the counting
+polynomial, and evaluating it at q = 1.  ``f_polynomial``,
+``euler_characteristic`` and ``graded_semistable_f`` each plan their
+primes once and pass one count table per prime, in prime order, to the
+one fit ``fit_tables``.  When every counted representation is
+certified rigid (over an acyclic quiver), Gr_gamma(M) is smooth and
+projective of dimension <gamma, alpha - gamma> (Caldero and Reineke
+2008), so its counting polynomial has that degree and is palindromic and
+is fitted from about half as many primes.  Otherwise the degree is the
+box bound sum gamma_v (alpha_v - gamma_v), the dimension of the ambient
+product of Grassmannians.  At least one extra prime is always checked; a
+count that no integer polynomial gives raises an error, at the first
+prime where a Newton divided difference is a fraction, rather than being
+averaged away.
 """
 
 import heapq
 import itertools
-from fractions import Fraction
 
 from .errors import NonPolynomialCount
 from .grassmannian import (CERTIFY_PRIMES, count_points, sub_dim_vectors,
                            subrep_counts)
+from .intlinalg import solver
 from .quiver import euler_form, vec_dot, vec_sub
 from .rep import _is_rigid, _is_rigid_rep
 
@@ -263,52 +264,6 @@ def _fit_primes(degree, palindromic):
     return first_primes(fitted + 1 + VERIFY_PRIMES)
 
 
-def interpolate_integer_polynomial(points, degree_bound):
-    """Exact polynomial through the first degree_bound+1 points.
-
-    Returns the coefficient list (constant first).  Every later point, at
-    least one, must lie on the curve; otherwise the data is not
-    polynomial of the claimed degree and we fail loudly.
-    """
-    need = degree_bound + 1
-    if len(points) <= need:
-        raise ValueError("not enough evaluation points")
-    xs = [x for x, _ in points[:need]]
-    ys = [Fraction(y) for _, y in points[:need]]
-    # Newton divided differences, then expansion to the monomial basis.
-    dd = list(ys)
-    for j in range(1, need):
-        for i in range(need - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * need
-    basis = [Fraction(1)] + [Fraction(0)] * (need - 1)  # product (x - x_0)...(x - x_{j-1})
-    for j in range(need):
-        for k in range(need):
-            coeffs[k] += dd[j] * basis[k]
-        if j + 1 < need:
-            new = [Fraction(0)] * need
-            for k in range(need):
-                if basis[k]:
-                    new[k] -= xs[j] * basis[k]
-                    new[k + 1] += basis[k]
-            basis = new
-
-    def eval_at(x):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    for x, y in points[need:]:
-        if eval_at(x) != y:
-            raise NonPolynomialCount(
-                f"point counts are not polynomial: predicted {eval_at(x)} "
-                f"at q={x}, counted {y}")
-    if any(c.denominator != 1 for c in coeffs):
-        raise NonPolynomialCount("interpolated counting polynomial is not integral")
-    return [int(c) for c in coeffs]
-
-
 def _degree(quiver, alpha, palindromic):
     """gamma -> the degree of the counting polynomial of Gr_gamma(M), dim M =
     alpha: <gamma, alpha - gamma> for rigid M (palindromic), else the box
@@ -325,29 +280,31 @@ def _box_primes(alpha):
 
 
 def _chi_from_counts(points, degree, palindromic):
-    """P(1) for the counting polynomial P of ``degree`` through ``points``.
+    """P(1) for the integer counting polynomial P of ``degree`` through
+    ``points``, from one integer solve.
 
-    The leading points fit P and the rest, at least one, must lie on it.
-    A palindromic P of degree D is q^h R(q + 1/q) with h = D // 2, times
-    (1 + q) when D is odd, so R, of degree h, is fitted at the nodes
-    p + 1/p and P(1) = R(2), doubled when D is odd.  Counts that are all
-    zero give 0.
+    The unknowns are the coefficients of q^k for k <= D, or of
+    q^k + q^(D - k) (q^k once if k = D - k) for k <= D // 2 when P is
+    palindromic, with one row per point; the points past the unknowns, at
+    least one, check P.  The rows at distinct primes are independent, so
+    the solve fails exactly when no integer P of that shape gives every
+    count.  Counts that are all zero give 0.
     """
     if all(y == 0 for _, y in points):
         return 0
-    half, odd = divmod(degree, 2)
-    verify = len(points) - (half if palindromic else degree) - 1
-    if degree < 0 or verify < VERIFY_PRIMES:
+    basis = [{k, degree - k} if palindromic else {k}
+             for k in range((degree // 2 if palindromic else degree) + 1)]
+    if degree < 0 or len(points) < len(basis) + VERIFY_PRIMES:
         raise NonPolynomialCount(
             f"{len(points)} point counts cannot fit and check a counting "
             f"polynomial of degree {degree}")
-    if not palindromic:
-        return sum(interpolate_integer_polynomial(points, degree))
-    nodes = [(Fraction(p * p + 1, p), Fraction(y, p ** half * (1 + p if odd else 1)))
-             for p, y in points]
-    r = interpolate_integer_polynomial(nodes, half)
-    chi = sum(c * 2 ** k for k, c in enumerate(r))
-    return 2 * chi if odd else chi
+    solve = solver([[sum(p ** e for e in exps) for exps in basis] for p, _ in points],
+                   len(basis))
+    coeffs = solve([y for _, y in points])
+    if coeffs is None:
+        raise NonPolynomialCount(f"point counts (p, count) {points} fit no integer "
+                                 f"polynomial of degree {degree}")
+    return sum(c * len(exps) for c, exps in zip(coeffs, basis))
 
 
 def fit_tables(tables, degree, palindromic):

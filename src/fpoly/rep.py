@@ -115,7 +115,7 @@ def is_arrow_stable(rep, bases, pivots):
     return True
 
 
-def make_subrep(rep, raw_bases, check=True):
+def make_subrep(rep, raw_bases):
     """Canonicalize per-vertex spanning sets into a Subrep of `rep`."""
     bases = []
     pivots = []
@@ -124,7 +124,7 @@ def make_subrep(rep, raw_bases, check=True):
         bases.append(b)
         pivots.append(piv)
     sub = Subrep(tuple(bases), tuple(pivots))
-    if check and not is_arrow_stable(rep, sub.bases, sub.pivots):
+    if not is_arrow_stable(rep, sub.bases, sub.pivots):
         raise InvalidSubrepresentation("subspaces are not stable under the arrows")
     return sub
 

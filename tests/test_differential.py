@@ -50,7 +50,11 @@ box prime, on random non-rigid seeded and explicit recipes of K1, K2,
 K3, A3 and 1=>2->3.  The early stop is checked against the full fit of
 ``_chi_from_counts`` on the same points, plain and palindromic: it never
 fires on the values of an integer polynomial, and fires on random counts
-only where that fit fails.
+only where that fit fails.  ``_chi_from_counts`` itself is one integer
+solve; a test-local copy of the rational Newton fit it replaced (with the
+p + 1/p node map for palindromes) is its reference on random point sets:
+exact, perturbed, random, all-zero and integer-valued but non-integral
+counts, with too few points or up to two spare ones.
 
 ``generic_hom_ext``, ``presentations.generic_hom_e`` and the generic End
 take the least hom over seeded draws through one sampler, which stops at
@@ -65,6 +69,7 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -625,6 +630,94 @@ def _check_early_stop(monkeypatch, palindromic):
                     [(p, counts[p]) for p in primes[:spare(degree) + 1]],
                     degree, palindromic)
     assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0, outcomes
+
+
+def _fraction_chi(points, degree, palindromic):
+    """The rational fit that ``_chi_from_counts`` replaced: Newton divided
+    differences over ``Fraction`` through the first points, expanded to the
+    monomial basis, checked at every later point and then for integrality.
+    A palindromic P of degree D is q^h R(q + 1/q) (1 + q)^(D - 2h) with
+    h = D // 2, so R is fitted at the nodes p + 1/p and P(1) = R(2),
+    doubled when D is odd."""
+    if all(y == 0 for _, y in points):
+        return 0
+    half, odd = divmod(degree, 2)
+    need = (half if palindromic else degree) + 1
+    if degree < 0 or len(points) <= need:
+        raise NonPolynomialCount("too few points")
+    if palindromic:
+        points = [(Fraction(p * p + 1, p), Fraction(y, p ** half * (1 + p) ** odd))
+                  for p, y in points]
+    xs = [x for x, _ in points[:need]]
+    dd = [Fraction(y) for _, y in points[:need]]
+    for j in range(1, need):
+        for i in range(need - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = [Fraction(0)] * need
+    basis = [Fraction(1)] + [Fraction(0)] * (need - 1)  # (x - x_0)...(x - x_{j-1})
+    for j in range(need):
+        coeffs = [c + dd[j] * b for c, b in zip(coeffs, basis)]
+        basis = [(basis[k - 1] if k else 0) - xs[j] * basis[k] for k in range(need)]
+    for x, y in points[need:]:
+        if sum(c * x ** k for k, c in enumerate(coeffs)) != y:
+            raise NonPolynomialCount("a point off the fit")
+    if any(c.denominator != 1 for c in coeffs):
+        raise NonPolynomialCount("not integral")
+    if not palindromic:
+        return int(sum(coeffs))
+    return int(sum(c * 2 ** k for k, c in enumerate(coeffs)) * (1 + odd))
+
+
+def _random_counts(rng, kind, degree, palindromic, primes):
+    """Counts at ``primes`` of one kind for a fit at ``degree``."""
+    def values(window, symmetric, factor=lambda p: 1):
+        """factor(p) times a random integer polynomial of degree at most
+        ``window`` at each prime, a palindrome of window ``window`` if
+        ``symmetric``."""
+        coeffs = [rng.randint(-30, 30) for _ in range(window + 1)]
+        if symmetric:
+            coeffs[(window + 1) // 2:] = coeffs[:(window + 2) // 2][::-1]
+        return [factor(p) * sum(c * p ** k for k, c in enumerate(coeffs)) for p in primes]
+
+    if kind == "zero":
+        return [0] * len(primes)
+    if kind == "random":
+        return [rng.randrange(-5, 200) for _ in primes]
+    if kind == "integer-valued" and degree >= 2 + palindromic:
+        # q(q + 1)/2 times an integer polynomial, a palindrome of window
+        # D - 3 if the fit is palindromic (q + q^2 is one of window 3):
+        # integer values, half-integral coefficients unless the factor is even.
+        return values(degree - 2 - palindromic, palindromic, lambda p: p * (p + 1) // 2)
+    # An integer polynomial: a palindrome of window D (mostly) if the fit is
+    # palindromic, else of degree at most D, possibly with one count moved.
+    counts = (values(degree, rng.random() < 0.8) if palindromic
+              else values(rng.randint(min(degree, 0), degree), False))
+    if kind == "perturbed" and counts:
+        counts[rng.randrange(len(counts))] += rng.choice((-2, -1, 1, 2))
+    return counts
+
+
+def test_integer_solve_equals_the_fraction_fit():
+    rng = random.Random(20)
+    kinds = ("exact", "perturbed", "random", "zero", "integer-valued")
+    outcomes = Counter()
+    for _ in range(5000):
+        degree, palindromic, kind = rng.randint(-1, 12), rng.random() < 0.5, rng.choice(kinds)
+        unknowns = (degree // 2 if palindromic else degree) + 1
+        # 0, 1 or 2 spare points past the one that checks the fit, or one too few.
+        n = max(unknowns + polynomial.VERIFY_PRIMES + rng.choice((-1, 0, 1, 2)), 0)
+        primes = (sorted(rng.sample(polynomial.first_primes(20), n)) if rng.random() < 0.3
+                  else polynomial.first_primes(n))
+        points = list(zip(primes, _random_counts(rng, kind, degree, palindromic, primes)))
+        got = _outcome(lambda pts: polynomial._chi_from_counts(pts, degree, palindromic),
+                       points)
+        assert got == _outcome(lambda pts: _fraction_chi(pts, degree, palindromic),
+                               points), (points, degree, palindromic)
+        outcomes[kind, "raised" if isinstance(got, type) else "fitted"] += 1
+    # Every kind but the all-zero counts both fits and raises somewhere.
+    for kind in kinds:
+        assert outcomes[kind, "fitted"] > 0, outcomes
+        assert (outcomes[kind, "raised"] > 0) == (kind != "zero"), outcomes
 
 
 # The large primes, and the draws per prime of a hom and of an End, of

@@ -6,8 +6,7 @@ from fpoly import polynomial
 from fpoly.errors import NonPolynomialCount
 from fpoly.grassmannian import count_points, subrep_counts
 from fpoly.polynomial import (MultiPoly, counted_primes, euler_characteristic,
-                              f_polynomial, first_primes,
-                              interpolate_integer_polynomial, restrict_to_face)
+                              f_polynomial, first_primes, restrict_to_face)
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
 
@@ -157,14 +156,20 @@ def test_first_primes():
 
 def test_interpolation_exact_and_verified():
     pts = [(p, 2 * p * p - p + 3) for p in first_primes(5)]
-    assert interpolate_integer_polynomial(pts, 2) == [3, -1, 2]
+    assert polynomial._chi_from_counts(pts, 2, False) == 4
     # Every point past the first three is checked, the last one too.
     for bad in (pts[:3] + [(7, 999)], pts[:4] + [(11, 999)]):
         with pytest.raises(NonPolynomialCount):
-            interpolate_integer_polynomial(bad, 2)
+            polynomial._chi_from_counts(bad, 2, False)
     # At least one point is left to check.
-    with pytest.raises(ValueError, match="not enough evaluation points"):
-        interpolate_integer_polynomial(pts[:3], 2)
+    with pytest.raises(NonPolynomialCount, match="cannot fit and check"):
+        polynomial._chi_from_counts(pts[:3], 2, False)
+    # q(q+1)/2 has integer values at every prime but is no integer polynomial.
+    with pytest.raises(NonPolynomialCount, match="fit no integer polynomial"):
+        polynomial._chi_from_counts(list(zip((2, 3, 5, 7), (3, 6, 15, 28))), 2, False)
+    # Palindromic fits take D // 2 + 2 points: 1 + q + q^2, then 1 + q.
+    assert polynomial._chi_from_counts([(p, 1 + p + p * p) for p in (2, 3, 5)], 2, True) == 3
+    assert polynomial._chi_from_counts([(p, 1 + p) for p in (2, 3)], 1, True) == 2
 
 
 def test_f_polynomial_known_small_cases():
