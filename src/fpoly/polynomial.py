@@ -279,32 +279,36 @@ def _box_primes(alpha):
     return _fit_primes(sum((a // 2) * (a - a // 2) for a in alpha), palindromic=False)
 
 
-def _chi_from_counts(points, degree, palindromic):
-    """P(1) for the integer counting polynomial P of ``degree`` through
-    ``points``, from one integer solve.
+def _chi_fit(primes, degree, palindromic):
+    """counts -> P(1) for the integer counting polynomial P of ``degree``
+    with P(p) = count at each of ``primes``, from one shared elimination.
 
     The unknowns are the coefficients of q^k for k <= D, or of
     q^k + q^(D - k) (q^k once if k = D - k) for k <= D // 2 when P is
-    palindromic, with one row per point; the points past the unknowns, at
+    palindromic, with one row per prime; the primes past the unknowns, at
     least one, check P.  The rows at distinct primes are independent, so
-    the solve fails exactly when no integer P of that shape gives every
+    a solve fails exactly when no integer P of that shape gives every
     count.  Counts that are all zero give 0.
     """
-    if all(y == 0 for _, y in points):
-        return 0
     basis = [{k, degree - k} if palindromic else {k}
              for k in range((degree // 2 if palindromic else degree) + 1)]
-    if degree < 0 or len(points) < len(basis) + VERIFY_PRIMES:
-        raise NonPolynomialCount(
-            f"{len(points)} point counts cannot fit and check a counting "
-            f"polynomial of degree {degree}")
-    solve = solver([[sum(p ** e for e in exps) for exps in basis] for p, _ in points],
-                   len(basis))
-    coeffs = solve([y for _, y in points])
-    if coeffs is None:
-        raise NonPolynomialCount(f"point counts (p, count) {points} fit no integer "
-                                 f"polynomial of degree {degree}")
-    return sum(c * len(exps) for c, exps in zip(coeffs, basis))
+    enough = degree >= 0 and len(primes) >= len(basis) + VERIFY_PRIMES
+    solve = enough and solver([[sum(p ** e for e in exps) for exps in basis]
+                               for p in primes], len(basis))
+
+    def chi(counts):
+        if not any(counts):
+            return 0
+        if not enough:
+            raise NonPolynomialCount(
+                f"{len(primes)} point counts cannot fit and check a counting "
+                f"polynomial of degree {degree}")
+        coeffs = solve(counts)
+        if coeffs is None:
+            raise NonPolynomialCount(f"point counts (p, count) {list(zip(primes, counts))} "
+                                     f"fit no integer polynomial of degree {degree}")
+        return sum(c * len(exps) for c, exps in zip(coeffs, basis))
+    return chi
 
 
 def fit_tables(tables, degree, palindromic):
@@ -314,7 +318,7 @@ def fit_tables(tables, degree, palindromic):
     divided differences of an integer polynomial at the primes are
     integers, so a key's first fraction stops the fit before the next
     table is read.  Each key is then fitted at ``degree(key)``, in key
-    order."""
+    order, by one elimination per degree shared by the keys' primes."""
     primes, points, diagonals = [], {}, {}
     for p, table in tables:
         for key in table.keys() - points.keys():
@@ -330,8 +334,8 @@ def fit_tables(tables, degree, palindromic):
                 diagonal.append(step)
             diagonals[key] = diagonal
         primes.append(p)
-    chis = {key: _chi_from_counts(points[key], degree(key), palindromic)
-            for key in sorted(points)}
+    fits = {d: _chi_fit(primes, d, palindromic) for d in set(map(degree, points))}
+    chis = {key: fits[degree(key)]([y for _, y in points[key]]) for key in sorted(points)}
     return {key: chi for key, chi in chis.items() if chi}
 
 

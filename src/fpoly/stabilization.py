@@ -14,7 +14,9 @@ restriction of the F-polynomial to the corresponding face.
 The stable filtration of a semistable W needs no stability search: a
 nonzero delta-null subrepresentation of least total dimension is
 already stable (King, 1994), so each step takes the first point of the
-least such dimension vector and passes to the quotient.
+least such dimension vector and passes to the quotient.  Independent
+stable dimension vectors grade by dimension vector alone, so then only
+the base prime runs it and the later primes reuse its classes.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from .rep import (Subrep, _coords_in_basis, _is_rigid, _is_rigid_rep,
                   ext_dim_hereditary, generic_hom_ext, hom_dim, make_subrep,
                   quotient, restrict_to_sub)
 
-BASE_PRIME = 2  # the prime whose stable classes the others must match
+BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
 
 
@@ -183,10 +185,13 @@ def graded_counts(w_rep, delta, stables):
     return counts
 
 
-def _split_at_prime(recipe, delta, p):
-    """The torsion split of M mod p and the stable classes of its perp."""
+def _split_at_prime(recipe, delta, p, stables=None):
+    """The torsion split of M mod p, whose perp must be semistable, and
+    ``stables`` or else the stable classes of the perp's filtration."""
     split = torsion_split(recipe.at_prime(p), delta)
-    return split, stable_factors(split.perp, delta).stables
+    if not is_semistable(split.perp, delta):
+        raise InvariantViolation(f"perp at p={p} is not semistable for this weight")
+    return split, stable_factors(split.perp, delta).stables if stables is None else stables
 
 
 @dataclass(frozen=True)
@@ -201,26 +206,33 @@ def graded_semistable_f(recipe, delta):
     """Euler-characteristic generating polynomial of semistable subreps
     of perp(M, delta), graded by stable JH multiplicity.
 
-    With independent stable dimension vectors the grade m counts
-    Gr_gamma(W) for gamma = iota m.  When every counted W is rigid, the
-    graded tables are fitted as a rigid recipe's count tables are, at
-    degree <gamma, w - gamma>, from primes sized by the grades found at
-    the base prime; otherwise at the box bound of w.  Either fit stops at
-    the first prime whose counts no integer polynomial gives.
+    The stable classes are those of W at the base prime.  If their
+    dimension vectors are independent, the grade m counts Gr_gamma(W) for
+    gamma = iota m, a later prime checks only that its W is semistable of
+    dimension vector w, and ``graded_counts`` rejects a delta-null gamma
+    outside the cone of iota; else each prime filters its own W, which
+    must have the base prime's stable dims.  When every counted W is
+    rigid, the graded tables are fitted as a rigid recipe's count tables
+    are, at degree <gamma, w - gamma>, from primes sized by the grades
+    found at the base prime; otherwise at the box bound of w.  Either fit
+    stops at the first prime whose counts no integer polynomial gives.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
     stable_dims = tuple(s.dims for s in base_stables)
     w_dims = base_split.perp.dims
+    independent = solver(_iota_rows(stable_dims, len(w_dims)),
+                         len(stable_dims)) is not None
     per_prime = {}
 
     def counts_at(p):
         """Graded counts of W mod p, and whether that W is rigid."""
         if p not in per_prime:
             split, stables = ((base_split, base_stables) if p == BASE_PRIME
-                              else _split_at_prime(recipe, delta, p))
-            if tuple(s.dims for s in stables) != stable_dims:
+                              else _split_at_prime(recipe, delta, p,
+                                                   base_stables if independent else None))
+            if (split.perp.dims, tuple(s.dims for s in stables)) != (w_dims, stable_dims):
                 raise NonPolynomialCount(
-                    f"stable classes at p={p} do not match the base prime")
+                    f"perp or stable classes at p={p} do not match the base prime")
             per_prime[p] = (graded_counts(split.perp, delta, stables),
                             _is_rigid_rep(split.perp))
         return per_prime[p]
@@ -232,8 +244,7 @@ def graded_semistable_f(recipe, delta):
                                       for v in range(len(w_dims))))
 
     base_counts, palindromic = counts_at(BASE_PRIME)
-    palindromic = palindromic and solver(_iota_rows(stable_dims, len(w_dims)),
-                                         len(stable_dims)) is not None
+    palindromic = palindromic and independent
     if palindromic:
         primes = _fit_primes(max(map(grade_degree(True), base_counts)), palindromic=True)
         palindromic = all(counts_at(p)[1] for p in primes)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -377,6 +378,111 @@ def test_verify_facets_draws_and_searches_each_representation_once(
     assert draws and len(set(draws)) == len(draws)
     assert len(searched) > len(set(searched))
     assert grassmannian.subrep_counts.cache_info().misses == len(set(searched))
+
+
+def test_verify_facets_filters_once_per_facet_and_eliminates_once_per_degree(
+        capsys, monkeypatch, k2_json):
+    """A work-count guard: the stable filtration of each facet's perp runs
+    at the base prime only, and each fit of count tables makes one
+    elimination per distinct degree of its keys."""
+    filtered, fits = [], []
+    real_filter, real_fit, real_solver = (stabilization.stable_factors,
+                                          polynomial.fit_tables, polynomial.solver)
+
+    def spy_filter(w_rep, delta):
+        filtered.append(w_rep.p)
+        return real_filter(w_rep, delta)
+
+    def spy_fit(tables, degree, palindromic):
+        keys, degrees = set(), set()
+        fits.append([keys, degrees, 0])
+
+        def recorded(key):
+            keys.add(key)
+            degrees.add(degree(key))
+            return degree(key)
+        return real_fit(tables, recorded, palindromic)
+
+    def spy_solver(rows, ncols):
+        fits[-1][2] += 1
+        return real_solver(rows, ncols)
+
+    monkeypatch.setattr(stabilization, "stable_factors", spy_filter)
+    for module in (polynomial, stabilization):
+        monkeypatch.setattr(module, "fit_tables", spy_fit)
+    monkeypatch.setattr(polynomial, "solver", spy_solver)
+    code, out = run(capsys, "verify", "--what", "facets", "--strict",
+                    "--quiver", k2_json, "--dims", "2,3", "--seed", "0")
+    assert code == 0
+    facets = json.loads(out)["report"]["facets"]
+    assert filtered == [stabilization.BASE_PRIME] * len(facets)
+    # F and one graded polynomial per facet; F has keys of equal degree.
+    assert len(fits) == len(facets) + 1
+    assert [len(degrees) for _, degrees, _ in fits] == [n for _, _, n in fits]
+    assert any(len(keys) > len(degrees) for keys, degrees, _ in fits)
+
+
+def _patched_perp(monkeypatch, prime, perp):
+    """Make ``torsion_split`` at ``prime`` return ``perp(m_rep, delta)``
+    as the perp."""
+    real = stabilization.torsion_split
+
+    def split(m_rep, delta):
+        out = real(m_rep, delta)
+        if m_rep.p != prime:
+            return out
+        return stabilization.TorsionSplit(out.l_min, out.l_max, perp(m_rep, delta))
+
+    monkeypatch.setattr(stabilization, "torsion_split", split)
+
+
+def test_facet_perp_of_other_dims_at_a_later_prime_is_exit_3(capsys, monkeypatch,
+                                                             k2_json):
+    # The zero representation is semistable, but not of the base prime's w.
+    _patched_perp(monkeypatch, 3,
+                  lambda m_rep, delta: rep.zero_representation(m_rep.quiver, 3))
+    code = main(["verify", "--what", "facets", "--strict",
+                 "--quiver", k2_json, "--dims", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: perp or stable classes at p=3 do not match "
+                            "the base prime\n")
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_facet_perp_that_is_not_semistable_is_exit_5(capsys, monkeypatch, k2_json,
+                                                     prime):
+    # A simple at a vertex of nonzero weight is not delta-null.
+    def simple(m_rep, delta):
+        vertex = next(v for v, d in enumerate(delta) if d)
+        return rep.simple_representation(m_rep.quiver, vertex, prime)
+
+    _patched_perp(monkeypatch, prime, simple)
+    code = main(["verify", "--what", "facets", "--strict",
+                 "--quiver", k2_json, "--dims", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == (f"error: perp at p={prime} is not semistable "
+                            "for this weight\n")
+
+
+# sha256 of the standard output of verify --what facets --strict --seed 0.
+FACET_REPORTS = (
+    (kronecker_quiver(2), "2,3",
+     "78ae2376278916a38255cfc33bfa9478d21380b65b154a9813b2e5e0952e270f"),
+    (Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2))), "2,1,1",
+     "bab8cddf560e3b2e0001caf8f3d8ce72a37e14d7cf86d3c220064824e2a335f2"),
+)
+
+
+@pytest.mark.parametrize("quiver, dims, digest", FACET_REPORTS)
+def test_facet_reports_are_byte_identical(capsys, tmp_path, quiver, dims, digest):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver.to_json()))
+    code, out = run(capsys, "verify", "--what", "facets", "--strict",
+                    "--quiver", str(path), "--dims", dims, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,

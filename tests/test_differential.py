@@ -48,13 +48,23 @@ fraction.  The box fit's outcome, F or the error type, is checked
 against the fit of one gamma at a time with ``count_points`` at every
 box prime, on random non-rigid seeded and explicit recipes of K1, K2,
 K3, A3 and 1=>2->3.  The early stop is checked against the full fit of
-``_chi_from_counts`` on the same points, plain and palindromic: it never
-fires on the values of an integer polynomial, and fires on random counts
-only where that fit fails.  ``_chi_from_counts`` itself is one integer
-solve; a test-local copy of the rational Newton fit it replaced (with the
-p + 1/p node map for palindromes) is its reference on random point sets:
-exact, perturbed, random, all-zero and integer-valued but non-integral
-counts, with too few points or up to two spare ones.
+``_chi_fit`` on the same points, plain and palindromic: it never fires
+on the values of an integer polynomial, and fires on random counts only
+where that fit fails.  ``_chi_fit`` itself is one integer elimination,
+shared by every key of one degree; a test-local copy of the rational
+Newton fit it replaced (with the p + 1/p node map for palindromes) is
+its reference on random point sets: exact, perturbed, random, all-zero
+and integer-valued but non-integral counts, with too few points or up
+to two spare ones.
+
+``graded_semistable_f`` runs the stable filtration at the base prime
+only when the stable dimension vectors are independent, and reuses its
+classes at the later primes.  A test-local copy of the loop that
+filtered the perp at every counted prime is its reference on every
+facet of random certified-rigid recipes of K2, K3, A3, 1=>2->3 and D4:
+the same graded data, and at every prime read the same perp dimension
+vector and stable dimension vectors.  A sum of two (1,1) bricks over
+K2, whose stable classes are dependent, still filters at every prime.
 
 ``generic_hom_ext``, ``presentations.generic_hom_e`` and the generic End
 take the least hom over seeded draws through one sampler, which stops at
@@ -88,10 +98,11 @@ from fpoly.quiver import Quiver, euler_form, kronecker_quiver, vec_dot
 from fpoly.rep import (Representation, RepRecipe, generic_hom_ext, hom_dim,
                        is_arrow_stable, random_representation,
                        restrict_to_sub, stable_rng)
-from fpoly.stabilization import (graded_semistable_f, stable_factors,
-                                 torsion_split)
+from fpoly.stabilization import (BASE_PRIME, graded_semistable_f,
+                                 stable_factors, torsion_split)
 from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
+from test_polynomial import chi_from_counts
 from test_kernels import subspace_intersection, subspace_sum
 from test_stabilization import is_stable
 
@@ -229,6 +240,132 @@ def test_stable_factors_equal_the_stability_search(monkeypatch):
     lengths = Counter(sum(data.multiplicities) for data in found)
     assert lengths[0] and lengths[1] and sum(
         n for length, n in lengths.items() if length > 1) >= 20, lengths
+
+
+def _old_split_at_prime(recipe, delta, p):
+    """The torsion split of M mod p and the stable classes of its perp's
+    own filtration, as every prime found them before the later primes
+    reused the base prime's classes."""
+    split = torsion_split(recipe.at_prime(p), delta)
+    return split, stable_factors(split.perp, delta).stables
+
+
+def _old_graded_semistable_f(recipe, delta):
+    """``graded_semistable_f`` as it was when every counted prime ran the
+    stable filtration of its own perp."""
+    base_split, base_stables = _old_split_at_prime(recipe, delta, BASE_PRIME)
+    stable_dims = tuple(s.dims for s in base_stables)
+    w_dims = base_split.perp.dims
+    per_prime = {}
+
+    def counts_at(p):
+        if p not in per_prime:
+            split, stables = ((base_split, base_stables) if p == BASE_PRIME
+                              else _old_split_at_prime(recipe, delta, p))
+            if tuple(s.dims for s in stables) != stable_dims:
+                raise NonPolynomialCount(f"stable classes at p={p} do not match")
+            per_prime[p] = (stabilization.graded_counts(split.perp, delta, stables),
+                            rep_module._is_rigid_rep(split.perp))
+        return per_prime[p]
+
+    def grade_degree(palindromic):
+        degree = polynomial._degree(recipe.quiver, w_dims, palindromic)
+        return lambda m: degree(tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
+                                      for v in range(len(w_dims))))
+
+    base_counts, palindromic = counts_at(BASE_PRIME)
+    palindromic = palindromic and _independent(stable_dims)
+    if palindromic:
+        primes = polynomial._fit_primes(max(map(grade_degree(True), base_counts)),
+                                        palindromic=True)
+        palindromic = all(counts_at(p)[1] for p in primes)
+    if not palindromic:
+        primes = polynomial._box_primes(w_dims)
+    terms = polynomial.fit_tables(((p, counts_at(p)[0]) for p in primes),
+                                  grade_degree(palindromic), palindromic)
+    return stabilization.GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
+                                    base_split.l_min.dims, base_split.l_max.dims)
+
+
+def _independent(stable_dims):
+    n = len(stable_dims[0]) if stable_dims else 0
+    return solver([[d[v] for d in stable_dims] for v in range(n)],
+                  len(stable_dims)) is not None
+
+
+def _rigid_recipes(rng, count):
+    """Certified-rigid seeded recipes of total dimension 6 at most."""
+    quivers = [QUIVERS["K2"], kronecker_quiver(3), QUIVERS["A3"],
+               QUIVERS["1=>2->3"], Quiver(("1", "2", "3", "4"), ((0, 1), (2, 1), (3, 1)))]
+    found = 0
+    while found < count:
+        quiver = rng.choice(quivers)
+        dims = tuple(rng.randrange(4) for _ in range(quiver.n))
+        if not 0 < sum(dims) <= 6:
+            continue
+        recipe = RepRecipe(quiver, dims, seed=rng.randrange(100))
+        if polynomial._rigid_primes(recipe) is not None:
+            found += 1
+            yield recipe
+
+
+def _graded_with_primes(monkeypatch, recipe, delta):
+    """``graded_semistable_f`` or its error type, the primes at which it
+    split M and those at which it ran a stable filtration."""
+    split_at, filtered_at = [], []
+
+    def spy_split(m_rep, delta, real=torsion_split):
+        split_at.append(m_rep.p)
+        return real(m_rep, delta)
+
+    def spy_filter(w_rep, delta, real=stable_factors):
+        filtered_at.append(w_rep.p)
+        return real(w_rep, delta)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(stabilization, "torsion_split", spy_split)
+        patched.setattr(stabilization, "stable_factors", spy_filter)
+        try:
+            graded = graded_semistable_f(recipe, delta)
+        except FpolyError as exc:
+            graded = type(exc)
+    return graded, split_at, filtered_at
+
+
+def _check_against_the_per_prime_filtration(monkeypatch, recipe, delta):
+    graded, split_at, filtered_at = _graded_with_primes(monkeypatch, recipe, delta)
+    assert graded == _outcome(lambda r: _old_graded_semistable_f(r, delta), recipe)
+    assert split_at[0] == BASE_PRIME and len(set(split_at)) == len(split_at)
+    if isinstance(graded, type):
+        return graded, split_at, filtered_at
+    w = tuple(b - a for a, b in zip(graded.dim_t, graded.dim_t_check))
+    for p in split_at:
+        old_split, old_stables = _old_split_at_prime(recipe, delta, p)
+        assert old_split.perp.dims == w, (recipe, delta, p)
+        assert tuple(s.dims for s in old_stables) == graded.stable_dims, (recipe, delta, p)
+    return graded, split_at, filtered_at
+
+
+def test_base_prime_stables_equal_the_per_prime_filtration(monkeypatch):
+    later, facets = 0, 0
+    for recipe in _rigid_recipes(random.Random(21), 30):
+        f = polynomial.f_polynomial(recipe)
+        for delta, _ in convex_hull(f.support()).facets:
+            graded, split_at, filtered_at = _check_against_the_per_prime_filtration(
+                monkeypatch, recipe, delta)
+            # Rigid perps have independent stable classes, filtered once.
+            assert _independent(graded.stable_dims), (recipe, delta)
+            assert filtered_at == [BASE_PRIME], (recipe, delta)
+            facets, later = facets + 1, later + len(split_at) - 1
+    assert facets >= 60 and later >= facets, (facets, later)
+    # Two non-isomorphic (1,1) bricks have dependent stable dimension
+    # vectors, so every prime still filters its own perp.
+    bricks = RepRecipe(QUIVERS["K2"], (2, 2),
+                       int_matrices=(((1, 0), (0, 1)), ((0, 0), (0, 1))))
+    graded, split_at, filtered_at = _check_against_the_per_prime_filtration(
+        monkeypatch, bricks, (1, -1))
+    assert graded.stable_dims == ((1, 1), (1, 1)) and len(split_at) > 1
+    assert set(split_at) <= set(filtered_at), (split_at, filtered_at)
 
 
 def test_per_prime_caches_return_the_uncached_values():
@@ -403,19 +540,23 @@ def _f_and_facets(recipe, deltas=None):
 
 
 def test_rigid_fit_equals_box_bound_fit(monkeypatch):
-    # Every fit runs polynomial._chi_from_counts; each is counted for its
-    # run and for the innermost of its two callers on the stack.
+    # Every fit runs a count fit of polynomial._chi_fit; each is counted
+    # for its run and for the innermost of its two callers on the stack.
     callers = ("f_polynomial", "graded_semistable_f")
     fits, run = Counter(), ["fast"]
 
-    def spy(points, degree, palindromic, real=polynomial._chi_from_counts):
+    def spy(primes, degree, palindromic, real=polynomial._chi_fit):
         frame = sys._getframe(1)
         while frame.f_code.co_name not in callers:
             frame = frame.f_back
-        fits[run[0], frame.f_code.co_name, palindromic] += 1
-        return real(points, degree, palindromic)
+        fit, caller = real(primes, degree, palindromic), frame.f_code.co_name
 
-    monkeypatch.setattr(polynomial, "_chi_from_counts", spy)
+        def counted(counts):
+            fits[run[0], caller, palindromic] += 1
+            return fit(counts)
+        return counted
+
+    monkeypatch.setattr(polynomial, "_chi_fit", spy)
     for quiver, alpha in RIGID_INSTANCES:
         recipe = RepRecipe(quiver, alpha, seed=0)
         run[0] = "fast"
@@ -463,7 +604,7 @@ def _fit_one_gamma_at_a_time(recipe):
         degree = sum(g * (a - g) for g, a in zip(gamma, recipe.dims))
         points = [(p, count_points(recipe.at_prime(p), gamma))
                   for p in polynomial._box_primes(recipe.dims)]
-        terms[gamma] = polynomial._chi_from_counts(points, degree, palindromic=False)
+        terms[gamma] = chi_from_counts(points, degree, palindromic=False)
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
         raise NonPolynomialCount("no unit constant or top term")
@@ -517,14 +658,18 @@ def test_box_fit_from_tables_equals_the_fit_of_one_gamma_at_a_time():
 
 
 def _spy_full_fits(patch):
-    """The points of every ``_chi_from_counts`` call, in call order."""
+    """The points of every count fit of ``_chi_fit``, in call order."""
     fits = []
 
-    def spy(points, degree, palindromic, real=polynomial._chi_from_counts):
-        fits.append(points)
-        return real(points, degree, palindromic)
+    def spy(primes, degree, palindromic, real=polynomial._chi_fit):
+        fit = real(primes, degree, palindromic)
 
-    patch.setattr(polynomial, "_chi_from_counts", spy)
+        def recorded(counts):
+            fits.append(list(zip(primes, counts)))
+            return fit(counts)
+        return recorded
+
+    patch.setattr(polynomial, "_chi_fit", spy)
     return fits
 
 
@@ -626,14 +771,14 @@ def _check_early_stop(monkeypatch, palindromic):
         outcomes[got if isinstance(got, str) else "fitted"] += 1
         if got == "stopped":
             with pytest.raises(NonPolynomialCount):
-                polynomial._chi_from_counts(
+                chi_from_counts(
                     [(p, counts[p]) for p in primes[:spare(degree) + 1]],
                     degree, palindromic)
     assert outcomes["stopped"] > outcomes["failed"] > 0 and outcomes["fitted"] > 0, outcomes
 
 
 def _fraction_chi(points, degree, palindromic):
-    """The rational fit that ``_chi_from_counts`` replaced: Newton divided
+    """The rational fit that ``_chi_fit`` replaced: Newton divided
     differences over ``Fraction`` through the first points, expanded to the
     monomial basis, checked at every later point and then for integrality.
     A palindromic P of degree D is q^h R(q + 1/q) (1 + q)^(D - 2h) with
@@ -709,7 +854,7 @@ def test_integer_solve_equals_the_fraction_fit():
         primes = (sorted(rng.sample(polynomial.first_primes(20), n)) if rng.random() < 0.3
                   else polynomial.first_primes(n))
         points = list(zip(primes, _random_counts(rng, kind, degree, palindromic, primes)))
-        got = _outcome(lambda pts: polynomial._chi_from_counts(pts, degree, palindromic),
+        got = _outcome(lambda pts: chi_from_counts(pts, degree, palindromic),
                        points)
         assert got == _outcome(lambda pts: _fraction_chi(pts, degree, palindromic),
                                points), (points, degree, palindromic)

@@ -154,22 +154,29 @@ def test_first_primes():
     assert first_primes(6) == [2, 3, 5, 7, 11, 13]
 
 
+def chi_from_counts(points, degree, palindromic):
+    """P(1) for the counting polynomial through ``points`` (p, count), by
+    the fit ``fit_tables`` shares across the keys of one degree."""
+    fit = polynomial._chi_fit([p for p, _ in points], degree, palindromic)
+    return fit([y for _, y in points])
+
+
 def test_interpolation_exact_and_verified():
     pts = [(p, 2 * p * p - p + 3) for p in first_primes(5)]
-    assert polynomial._chi_from_counts(pts, 2, False) == 4
+    assert chi_from_counts(pts, 2, False) == 4
     # Every point past the first three is checked, the last one too.
     for bad in (pts[:3] + [(7, 999)], pts[:4] + [(11, 999)]):
         with pytest.raises(NonPolynomialCount):
-            polynomial._chi_from_counts(bad, 2, False)
+            chi_from_counts(bad, 2, False)
     # At least one point is left to check.
     with pytest.raises(NonPolynomialCount, match="cannot fit and check"):
-        polynomial._chi_from_counts(pts[:3], 2, False)
+        chi_from_counts(pts[:3], 2, False)
     # q(q+1)/2 has integer values at every prime but is no integer polynomial.
     with pytest.raises(NonPolynomialCount, match="fit no integer polynomial"):
-        polynomial._chi_from_counts(list(zip((2, 3, 5, 7), (3, 6, 15, 28))), 2, False)
+        chi_from_counts(list(zip((2, 3, 5, 7), (3, 6, 15, 28))), 2, False)
     # Palindromic fits take D // 2 + 2 points: 1 + q + q^2, then 1 + q.
-    assert polynomial._chi_from_counts([(p, 1 + p + p * p) for p in (2, 3, 5)], 2, True) == 3
-    assert polynomial._chi_from_counts([(p, 1 + p) for p in (2, 3)], 1, True) == 2
+    assert chi_from_counts([(p, 1 + p + p * p) for p in (2, 3, 5)], 2, True) == 3
+    assert chi_from_counts([(p, 1 + p) for p in (2, 3)], 1, True) == 2
 
 
 def test_f_polynomial_known_small_cases():

@@ -78,6 +78,11 @@ def test_stable_factors_two_bricks():
     assert hom_dim(a, b) == 0 and hom_dim(b, a) == 0
 
 
+def test_stable_factors_of_a_rep_that_is_not_semistable_is_a_value_error():
+    with pytest.raises(ValueError, match="not semistable"):
+        stable_factors(K22_BRICKS.at_prime(3), (1, 0))
+
+
 def test_stable_filtration_builds_one_count_table_per_step():
     """A work-count guard: each step of the stable filtration reads the
     count table of the representation it filters and of no candidate."""
