@@ -6,8 +6,8 @@ from .errors import (CheckFailed, CostCapExceeded, FpolyError, GenericityError,
                      NonPolynomialCount)
 from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
-                  ext_dim_hereditary, generic_hom_ext, hom_basis, hom_dim,
-                  make_subrep, quotient, restrict_to_sub,
+                  ext_dim_hereditary, generic_hom_ext, generic_sub_dims,
+                  hom_basis, hom_dim, make_subrep, quotient, restrict_to_sub,
                   simple_representation)
 from .grassmannian import (count_points, enumerate_subreps, has_subrep,
                            maximizer_dims, sub_dim_vectors, subrep_counts,
@@ -25,7 +25,7 @@ from .presentations import (Presentation, cokernel, generic_cokernel,
 from .cluster import (Seed, b_matrix, find_by_delta, initial_seed, mutate,
                       run_sequence, seed_from_quiver)
 from .stabilization import (GradedData, StableFactorData, TorsionSplit,
-                            collapse_monomial, delta_cones, generic_sub_dims,
+                            collapse_monomial, delta_cones,
                             graded_semistable_f, is_semistable,
                             newton_via_cones, perpendicular_quiver,
                             stable_factors, torsion_split,

@@ -13,9 +13,11 @@ from functools import lru_cache, reduce
 
 from . import kernels
 from .quiver import pos_neg_parts, vec_dot
-from .rep import (GENERIC_TRIALS, Representation, _least_hom, direct_sum,
-                  make_subrep, quotient, restrict_to_sub, stable_rng,
-                  zero_matrix, zero_representation)
+from .rep import (Representation, _least_hom, direct_sum, make_subrep,
+                  quotient, restrict_to_sub, stable_rng, zero_matrix,
+                  zero_representation)
+
+GENERIC_TRIALS = 8       # draws per prime for a generic hom or cokernel
 
 
 class PathBasis:

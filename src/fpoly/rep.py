@@ -3,9 +3,11 @@
 A representation assigns an F_p vector space to each vertex and a matrix
 to each arrow (shape dims[target] x dims[source], acting on column
 vectors).  Subrepresentations are stored as per-vertex reduced row
-echelon bases, which makes them canonical and cheap to compare.
+echelon bases, which makes them canonical and cheap to compare.  Generic
+hom/ext and sub-dimension vectors are exact; only the End is sampled.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -13,17 +15,23 @@ from functools import lru_cache
 from . import kernels
 from .errors import (GenericityError, InvalidSubrepresentation,
                      InvariantViolation)
-from .quiver import Quiver, check_cost, euler_form, vec_add
+from .quiver import (Quiver, check_cost, euler_form, unit_vector, vec_add,
+                     vec_dot, vec_sub)
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
 END_DIM_TRIALS = 6       # seed-0 draws per large prime for the generic End
-GENERIC_TRIALS = 8       # draws per prime for a generic hom or cokernel
 DRAW_ATTEMPTS = 500      # seeded draws tried per prime before giving up
 
 
 def stable_rng(*parts):
     """Deterministic RNG keyed by integers, stable across processes."""
     return random.Random(":".join(str(x) for x in parts))
+
+
+def _check_dims(quiver, dims):
+    quiver.check_dim_vector(dims)
+    if any(d < 0 for d in dims):
+        raise ValueError("dimension vector must be nonnegative")
 
 
 def _check_shapes(quiver, dims, matrices):
@@ -258,9 +266,7 @@ class RepRecipe:
     seed: int = 0
 
     def __post_init__(self):
-        self.quiver.check_dim_vector(self.dims)
-        if any(d < 0 for d in self.dims):
-            raise ValueError("dimension vector must be nonnegative")
+        _check_dims(self.quiver, self.dims)
         if self.int_matrices is not None:
             _check_shapes(self.quiver, self.dims, self.int_matrices)
 
@@ -317,9 +323,8 @@ def _least_hom(draw, floor, trials):
     at each prime of DEFAULT_GENERIC_PRIMES, in that order.
 
     A generic hom is the least over the representation space, so the
-    least over draws converges to it from above.  No hom(a, b) lies below
-    max(0, <a, b>): hom - ext = <a, b> and ext >= 0.  A draw that reaches
-    ``floor`` is therefore the least of all, and the rest are not drawn.
+    least over draws converges to it from above.  No draw lies below
+    ``floor``, an Euler-form bound: one that reaches it ends the search.
     """
     best = None
     for p in DEFAULT_GENERIC_PRIMES:
@@ -352,8 +357,8 @@ def _is_rigid(recipe):
 
     Each seeded draw is certified to have that generic endomorphism
     dimension, so for a seeded recipe every reduction is then rigid.
-    Hom between two independent draws is not End of one draw: for an
-    isotropic root it vanishes while End does not.
+    The generic ext(alpha, alpha) is no test: it is 0 for the Kronecker
+    (1,1), whose general M has Ext(M, M) = 1.
     """
     quiver, alpha = recipe.quiver, recipe.dims
     return (quiver.acyclic
@@ -365,18 +370,36 @@ def _is_rigid_rep(rep):
     return rep.quiver.acyclic and ext_dim_hereditary(rep, rep) == 0
 
 
-def generic_hom_ext(quiver, a, b, seed=0):
-    """Generic (hom, ext) of dimension vectors: hom is the least over
-    seeded pairs of draws at large primes, stopping at max(0, <a, b>),
-    and ext follows from the Euler form."""
+@lru_cache(maxsize=32)
+def _generic_rules(quiver):
+    """(S, ext) of an acyclic quiver (Schofield 1992; Crawley-Boevey 1996).
+    S(alpha), memoized: alpha and the gamma <= alpha with ext(gamma, alpha -
+    gamma) = 0.  ext(a, b) = max -<s, b> over S(a), >= 0 as 0 is in S(a)."""
     if not quiver.acyclic:
-        raise ValueError("generic hom/ext sampling requires an acyclic quiver")
+        raise ValueError("generic hom/ext requires an acyclic quiver")
+    units = [unit_vector(quiver.n, v) for v in range(quiver.n)]
 
-    def draw(p, i):
-        rng = stable_rng(seed, p, i)
-        m = random_representation(quiver, a, p, rng)
-        return hom_dim(m, random_representation(quiver, b, p, rng))
+    @lru_cache(maxsize=None)
+    def subs(alpha):
+        return frozenset(
+            g for g in itertools.product(*(range(a + 1) for a in alpha))
+            if g == alpha or ext(g, vec_sub(alpha, g)) == 0)
 
-    euler = euler_form(quiver, a, b)
-    hom = _least_hom(draw, max(0, euler), GENERIC_TRIALS)
-    return hom, hom - euler
+    def ext(a, b):
+        row = [euler_form(quiver, e, b) for e in units]   # <s, b> = s . row
+        return max(-vec_dot(s, row) for s in subs(a))
+    return subs, ext
+
+
+def generic_sub_dims(quiver, alpha):
+    """Sub-dimension vectors of a general alpha-dimensional representation."""
+    _check_dims(quiver, alpha)
+    return _generic_rules(quiver)[0](tuple(alpha))
+
+
+def generic_hom_ext(quiver, a, b):
+    """Generic (hom, ext) of dimension vectors: hom = ext + <a, b>."""
+    _check_dims(quiver, a)
+    _check_dims(quiver, b)
+    ext = _generic_rules(quiver)[1](tuple(a), b)
+    return ext + euler_form(quiver, a, b), ext

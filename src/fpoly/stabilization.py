@@ -19,7 +19,6 @@ stable dimension vectors grade by dimension vector alone, so then only
 the base prime runs it and the later primes reuse its classes.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import CheckFailed, InvariantViolation, NonPolynomialCount
@@ -32,8 +31,8 @@ from .polytope import (convex_hull, dual_cone_rays, lattice_points,
                        polytope_from_inequalities)
 from .quiver import Quiver, vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, _is_rigid, _is_rigid_rep,
-                  ext_dim_hereditary, generic_hom_ext, hom_dim, make_subrep,
-                  quotient, restrict_to_sub)
+                  ext_dim_hereditary, generic_hom_ext, generic_sub_dims,
+                  hom_dim, make_subrep, quotient, restrict_to_sub)
 
 BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
@@ -157,17 +156,13 @@ def _iota_rows(iota, n):
     return [[iota[j][v] for j in range(len(iota))] for v in range(n)]
 
 
-def graded_counts(w_rep, delta, stables):
+def graded_counts(w_rep, delta, stables, solve):
     """Count semistable subreps of W per multiplicity vector, one prime.
 
-    When the stable dimension vectors are linearly independent the
-    multiplicity vector is a function of the dimension vector alone, so
-    point counts suffice; otherwise each subrepresentation is inspected.
+    ``solve`` maps a dimension vector to its stable multiplicities; when
+    it is None (dependent stable dims) each subrepresentation is inspected.
     """
     counts = {}
-    iota = [s.dims for s in stables]
-    n = len(w_rep.dims)
-    solve = solver(_iota_rows(iota, n), len(iota))
     for gamma, count in subrep_counts(w_rep).items():
         if vec_dot(delta, gamma) != 0:
             continue
@@ -208,20 +203,19 @@ def graded_semistable_f(recipe, delta):
 
     The stable classes are those of W at the base prime.  If their
     dimension vectors are independent, the grade m counts Gr_gamma(W) for
-    gamma = iota m, a later prime checks only that its W is semistable of
-    dimension vector w, and ``graded_counts`` rejects a delta-null gamma
-    outside the cone of iota; else each prime filters its own W, which
-    must have the base prime's stable dims.  When every counted W is
-    rigid, the graded tables are fitted as a rigid recipe's count tables
-    are, at degree <gamma, w - gamma>, from primes sized by the grades
-    found at the base prime; otherwise at the box bound of w.  Either fit
+    gamma = iota m, solved by one elimination of iota that rejects a
+    delta-null gamma outside its cone, and a later prime checks only that
+    its W is semistable of dimension vector w; else each prime filters its
+    own W, which must have the base prime's stable dims.  When every
+    counted W is rigid, the graded tables are fitted as a rigid recipe's
+    count tables are, at degree <gamma, w - gamma>, from primes sized by
+    the base prime's grades; otherwise at the box bound of w.  Either fit
     stops at the first prime whose counts no integer polynomial gives.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
     stable_dims = tuple(s.dims for s in base_stables)
     w_dims = base_split.perp.dims
-    independent = solver(_iota_rows(stable_dims, len(w_dims)),
-                         len(stable_dims)) is not None
+    solve = solver(_iota_rows(stable_dims, len(w_dims)), len(stable_dims))
     per_prime = {}
 
     def counts_at(p):
@@ -229,11 +223,11 @@ def graded_semistable_f(recipe, delta):
         if p not in per_prime:
             split, stables = ((base_split, base_stables) if p == BASE_PRIME
                               else _split_at_prime(recipe, delta, p,
-                                                   base_stables if independent else None))
+                                                   base_stables if solve else None))
             if (split.perp.dims, tuple(s.dims for s in stables)) != (w_dims, stable_dims):
                 raise NonPolynomialCount(
                     f"perp or stable classes at p={p} do not match the base prime")
-            per_prime[p] = (graded_counts(split.perp, delta, stables),
+            per_prime[p] = (graded_counts(split.perp, delta, stables, solve),
                             _is_rigid_rep(split.perp))
         return per_prime[p]
 
@@ -244,7 +238,7 @@ def graded_semistable_f(recipe, delta):
                                       for v in range(len(w_dims))))
 
     base_counts, palindromic = counts_at(BASE_PRIME)
-    palindromic = palindromic and independent
+    palindromic = palindromic and solve is not None
     if palindromic:
         primes = _fit_primes(max(map(grade_degree(True), base_counts)), palindromic=True)
         palindromic = all(counts_at(p)[1] for p in primes)
@@ -372,11 +366,9 @@ def verify_vertex_theorems(recipe):
                               "fail": "Hom(L, M/L) != 0"})
     rigid = _is_rigid(recipe)
     if rigid:
-        alpha = recipe.dims
         vertex_set = set(hull.vertices)
         for gamma in sorted(dims):
-            h, e = generic_hom_ext(recipe.quiver, gamma, vec_sub(alpha, gamma),
-                                   seed=recipe.seed)
+            h, e = generic_hom_ext(recipe.quiver, gamma, vec_sub(recipe.dims, gamma))
             if ((h, e) == (0, 0)) != (gamma in vertex_set):
                 witnesses.append({"gamma": list(gamma), "hom": h, "ext": e,
                                   "fail": "perpendicularity != vertex"})
@@ -385,33 +377,16 @@ def verify_vertex_theorems(recipe):
             "pass": not witnesses, "witnesses": witnesses}
 
 
-def generic_sub_dims(quiver, alpha, seed=0):
-    """Sub-dimension vectors of a general alpha-dimensional representation.
-
-    A general representation has a gamma-dimensional subrepresentation
-    exactly when the generic ext(gamma, alpha - gamma) vanishes, which is
-    sampled at large primes without any subspace enumeration.
-    """
-    if not quiver.acyclic:
-        raise ValueError("generic sub-dimension test requires an acyclic quiver")
-    out = set()
-    for gamma in itertools.product(*(range(a + 1) for a in alpha)):
-        beta = vec_sub(alpha, gamma)
-        if generic_hom_ext(quiver, gamma, beta, seed=seed)[1] == 0:
-            out.add(gamma)
-    return frozenset(out)
-
-
 def verify_saturation(recipe):
     """Every lattice point of the Newton polytope should carry both a
     nonzero coefficient and a subrepresentation; witnesses otherwise.
 
-    For seeded recipes of acyclic quivers the sub-lattice is the generic
-    one; the support check is skipped when the point counts fail to be
-    polynomial (which itself only happens away from the rigid case).
+    For seeded recipes of acyclic quivers the sub-lattice is the exact
+    generic one, ``generic_sub_dims``; the support check is skipped when
+    the point counts fail to be polynomial (only away from the rigid case).
     """
     if recipe.int_matrices is None and recipe.quiver.acyclic:
-        dims = generic_sub_dims(recipe.quiver, recipe.dims, seed=recipe.seed)
+        dims = generic_sub_dims(recipe.quiver, recipe.dims)
     else:
         dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)

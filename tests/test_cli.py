@@ -383,9 +383,10 @@ def test_verify_facets_draws_and_searches_each_representation_once(
 def test_verify_facets_filters_once_per_facet_and_eliminates_once_per_degree(
         capsys, monkeypatch, k2_json):
     """A work-count guard: the stable filtration of each facet's perp runs
-    at the base prime only, and each fit of count tables makes one
-    elimination per distinct degree of its keys."""
-    filtered, fits = [], []
+    at the base prime only, each facet makes one elimination of its stable
+    dimension vectors, and each fit of count tables makes one elimination
+    per distinct degree of its keys."""
+    filtered, fits, iota_solves = [], [], []
     real_filter, real_fit, real_solver = (stabilization.stable_factors,
                                           polynomial.fit_tables, polynomial.solver)
 
@@ -407,15 +408,21 @@ def test_verify_facets_filters_once_per_facet_and_eliminates_once_per_degree(
         fits[-1][2] += 1
         return real_solver(rows, ncols)
 
+    def spy_iota_solver(rows, ncols):
+        iota_solves.append(rows)
+        return real_solver(rows, ncols)
+
     monkeypatch.setattr(stabilization, "stable_factors", spy_filter)
     for module in (polynomial, stabilization):
         monkeypatch.setattr(module, "fit_tables", spy_fit)
     monkeypatch.setattr(polynomial, "solver", spy_solver)
+    monkeypatch.setattr(stabilization, "solver", spy_iota_solver)
     code, out = run(capsys, "verify", "--what", "facets", "--strict",
                     "--quiver", k2_json, "--dims", "2,3", "--seed", "0")
     assert code == 0
     facets = json.loads(out)["report"]["facets"]
     assert filtered == [stabilization.BASE_PRIME] * len(facets)
+    assert len(iota_solves) == len(facets)
     # F and one graded polynomial per facet; F has keys of equal degree.
     assert len(fits) == len(facets) + 1
     assert [len(degrees) for _, degrees, _ in fits] == [n for _, _, n in fits]

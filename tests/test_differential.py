@@ -66,12 +66,20 @@ the same graded data, and at every prime read the same perp dimension
 vector and stable dimension vectors.  A sum of two (1,1) bricks over
 K2, whose stable classes are dependent, still filters at every prime.
 
-``generic_hom_ext``, ``presentations.generic_hom_e`` and the generic End
-take the least hom over seeded draws through one sampler, which stops at
-the first draw that reaches the Euler-form floor.  The loops it replaced
-left only the loop of one prime at the floor and drew on at the later
-primes.  Test-local copies of those loops are the reference, on random
-dimension vectors, weights and seeds over K2, K3, A3 and 1=>2->3.
+``presentations.generic_hom_e`` and the generic End take the least hom
+over seeded draws through one sampler, which stops at the first draw
+that reaches the Euler-form floor.  The loops it replaced left only the
+loop of one prime at the floor and drew on at the later primes.
+Test-local copies of those loops are the reference, on random dimension
+vectors, weights and seeds over K2, K3, A3 and 1=>2->3.
+
+``generic_hom_ext`` and ``generic_sub_dims`` are exact, from Schofield's
+recursion on the Euler form, and draw nothing.  The test-local loop of
+the seeded sampler that ``generic_hom_ext`` replaced is its reference on
+random pairs of dimension vectors (entries up to 3) over K2, K3, A3,
+1=>2->3 and D4; the enumerated ``sub_dim_vectors`` of certified-rigid
+seeded recipes of the same quivers is the reference of
+``generic_sub_dims``.
 """
 
 import itertools
@@ -87,7 +95,7 @@ import exhaustive_polytope
 from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
 from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
 from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
-                                maximizer_dims, subrep_counts,
+                                maximizer_dims, sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
@@ -95,9 +103,9 @@ from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
 from fpoly.presentations import generic_hom_e, hom_e, random_presentation
 from fpoly.quiver import Quiver, euler_form, kronecker_quiver, vec_dot
-from fpoly.rep import (Representation, RepRecipe, generic_hom_ext, hom_dim,
-                       is_arrow_stable, random_representation,
-                       restrict_to_sub, stable_rng)
+from fpoly.rep import (Representation, RepRecipe, generic_hom_ext,
+                       generic_sub_dims, hom_dim, is_arrow_stable,
+                       random_representation, restrict_to_sub, stable_rng)
 from fpoly.stabilization import (BASE_PRIME, graded_semistable_f,
                                  stable_factors, torsion_split)
 from test_acceptance import RIGID_INSTANCES
@@ -114,6 +122,7 @@ QUIVERS = {
                       ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2))),
     "loop": Quiver(("1", "2"), ((0, 0), (0, 1), (1, 0))),
 }
+D4 = Quiver(("1", "2", "3", "4"), ((0, 1), (2, 1), (3, 1)))
 TRIALS = 60
 
 
@@ -264,7 +273,9 @@ def _old_graded_semistable_f(recipe, delta):
                               else _old_split_at_prime(recipe, delta, p))
             if tuple(s.dims for s in stables) != stable_dims:
                 raise NonPolynomialCount(f"stable classes at p={p} do not match")
-            per_prime[p] = (stabilization.graded_counts(split.perp, delta, stables),
+            iota = [s.dims for s in stables]
+            solve = solver(stabilization._iota_rows(iota, len(w_dims)), len(iota))
+            per_prime[p] = (stabilization.graded_counts(split.perp, delta, stables, solve),
                             rep_module._is_rigid_rep(split.perp))
         return per_prime[p]
 
@@ -296,7 +307,7 @@ def _independent(stable_dims):
 def _rigid_recipes(rng, count):
     """Certified-rigid seeded recipes of total dimension 6 at most."""
     quivers = [QUIVERS["K2"], kronecker_quiver(3), QUIVERS["A3"],
-               QUIVERS["1=>2->3"], Quiver(("1", "2", "3", "4"), ((0, 1), (2, 1), (3, 1)))]
+               QUIVERS["1=>2->3"], D4]
     found = 0
     while found < count:
         quiver = rng.choice(quivers)
@@ -924,9 +935,6 @@ def test_generic_samplers_equal_the_loops_they_replaced():
         quiver = rng.choice(quivers)
         a, b = (tuple(rng.randrange(3) for _ in range(quiver.n)) for _ in "ab")
         seed = rng.randrange(100)
-        hom, ext = generic_hom_ext(quiver, a, b, seed=seed)
-        assert (hom, ext) == _looped_hom_ext(quiver, a, b, seed), (quiver, a, b, seed)
-        at_floor["hom_ext", hom == max(0, euler_form(quiver, a, b))] += 1
         assert rep_module._generic_end_dim.__wrapped__(quiver, a) == \
             _looped_end_dim(quiver, a), (quiver, a)
 
@@ -941,7 +949,21 @@ def test_generic_samplers_equal_the_loops_they_replaced():
         assert (hom, e) == _looped_hom_e(quiver, delta, recipe, seed), \
             (quiver, delta, recipe)
         at_floor["hom_e", hom == max(0, vec_dot(delta, b))] += 1
+    # The exact generic (hom, ext) against the seeded sampler it replaced.
+    for _ in range(300):
+        quiver = rng.choice(quivers + [D4])
+        a, b = (tuple(rng.randrange(4) for _ in range(quiver.n)) for _ in "ab")
+        seed = rng.randrange(100)
+        hom, ext = generic_hom_ext(quiver, a, b)
+        assert (hom, ext) == _looped_hom_ext(quiver, a, b, seed), (quiver, a, b, seed)
+        at_floor["hom_ext", hom == max(0, euler_form(quiver, a, b))] += 1
     # Each sampler meets cases that stop at the floor and cases that never
-    # reach it.
+    # reach it, and so does the exact hom.
     assert all(at_floor[kind, reached] > 0
                for kind in ("hom_ext", "hom_e") for reached in (True, False)), at_floor
+
+
+def test_generic_sub_dims_equal_the_enumerated_sets():
+    for recipe in _rigid_recipes(random.Random(23), 60):
+        assert generic_sub_dims(recipe.quiver, recipe.dims) == \
+            sub_dim_vectors(recipe), recipe

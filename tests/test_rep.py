@@ -1,10 +1,13 @@
+import json
 import random
+import traceback
 
 import pytest
 
-from fpoly import rep as rep_module
+from fpoly import cli, rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
-from fpoly.quiver import Quiver, euler_form, kronecker_quiver
+from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
+                          vec_add)
 from fpoly.rep import (RepRecipe, Representation, direct_sum,
                        ext_dim_hereditary, generic_hom_ext, hom_basis,
                        hom_dim, make_subrep, quotient, random_representation,
@@ -136,7 +139,7 @@ def test_generic_end_dim_is_shared_across_seeds(monkeypatch):
         assert made == [dims] * expected
 
 
-def test_generic_hom_ext_known_values(monkeypatch):
+def test_generic_hom_ext_known_values():
     k2 = kronecker_quiver(2)
     assert generic_hom_ext(k2, (1, 2), (1, 2)) == (1, 0)     # rigid root
     assert generic_hom_ext(k2, (1, 0), (0, 1)) == (0, 2)     # ext = 2 arrows
@@ -144,23 +147,53 @@ def test_generic_hom_ext_known_values(monkeypatch):
     k3 = kronecker_quiver(3)
     # <(1,1),(1,1)> = -1 and generic hom vanishes
     assert generic_hom_ext(k3, (1, 1), (1, 1)) == (0, 1)
+    # <a, b> = 0 but generic hom 1: ext(a, b) = -<(0,1,0), b> = 1
+    q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
+    assert generic_hom_ext(q231, (1, 1, 0), (1, 0, 1)) == (1, 1)
 
-    # No hom lies below max(0, <a, b>): a pair that reaches it at its first
-    # draw makes no other, at any prime.  Over 1=>2->3, (1,1,0) and (1,0,1)
-    # have <a, b> = 0 but generic hom 1, so they take all 3 x 8 pairs.
+
+def test_generic_dimensions_draw_nothing(monkeypatch, tmp_path, capsys):
+    """Generic hom, ext and sub-dimension vectors are read off the Euler
+    form; at the large primes only the generic End is sampled."""
     made = []
     real_draw = rep_module.random_representation
 
-    def spy_draw(*args):
-        made.append(args[1])
-        return real_draw(*args)
+    def spy_draw(quiver, dims, p, rng):
+        callers = {frame.f_code.co_name for frame, _ in traceback.walk_stack(None)}
+        made.append((p, "_generic_end_dim" in callers))
+        return real_draw(quiver, dims, p, rng)
 
     monkeypatch.setattr(rep_module, "random_representation", spy_draw)
     q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
-    for quiver, a, b, expected, pairs in (
-            (k2, (1, 2), (1, 2), (1, 0), 1),
-            (k3, (1, 1), (1, 1), (0, 1), 1),
-            (q231, (1, 1, 0), (1, 0, 1), (1, 1), 24)):
-        del made[:]
-        assert generic_hom_ext(quiver, a, b) == expected
-        assert made == [a, b] * pairs
+    for quiver, a, b in ((kronecker_quiver(2), (1, 2), (2, 3)),
+                         (kronecker_quiver(3), (3, 4), (1, 1)),
+                         (q231, (1, 1, 0), (1, 0, 1)), (A3, (2, 1, 2), (1, 2, 1))):
+        generic_hom_ext(quiver, a, b)
+        rep_module.generic_sub_dims(quiver, vec_add(a, b))
+    assert made == []
+
+    path = tmp_path / "q231.json"
+    path.write_text(json.dumps(q231.to_json()))
+    rep_module._generic_end_dim.cache_clear()
+    rep_module._generic_draw.cache_clear()
+    assert cli.main(["verify", "--what", "saturation", "--strict", "--quiver",
+                     str(path), "--dims", "1,2,1", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    large = [by_end for p, by_end in made if p in rep_module.DEFAULT_GENERIC_PRIMES]
+    assert large and all(large)
+
+
+def test_generic_dimensions_reject_bad_input():
+    k2 = kronecker_quiver(2)
+    rep_module._generic_rules.cache_clear()
+    for call in (lambda: generic_hom_ext(k2, (1, 2, 0), (1, 1)),
+                 lambda: generic_hom_ext(k2, (1, 1), (1,)),
+                 lambda: generic_hom_ext(k2, (-1, 2), (1, 1)),
+                 lambda: generic_hom_ext(k2, (1, 1), (0, -1)),
+                 lambda: rep_module.generic_sub_dims(k2, (2,)),
+                 lambda: rep_module.generic_sub_dims(k2, (2, -1)),
+                 lambda: generic_hom_ext(cycle_quiver(2), (1, 0), (0, 1)),
+                 lambda: rep_module.generic_sub_dims(cycle_quiver(3), (1, 1, 1))):
+        with pytest.raises(ValueError):
+            call()
+    assert rep_module._generic_rules.cache_info().currsize == 0
