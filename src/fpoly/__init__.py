@@ -9,12 +9,10 @@ from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   ext_dim_hereditary, generic_hom_ext, generic_sub_dims,
                   hom_basis, hom_dim, make_subrep, quotient, restrict_to_sub,
                   simple_representation)
-from .grassmannian import (count_points, enumerate_subreps, has_subrep,
-                           maximizer_dims, sub_dim_vectors, subrep_counts,
-                           subrep_dim_vectors, tropical_f, dual_tropical_f,
-                           unique_subrep)
-from .polynomial import (MultiPoly, euler_characteristic, f_polynomial,
-                         restrict_to_face)
+from .grassmannian import (enumerate_subreps, maximizer_dims, sub_dim_vectors,
+                           subrep_counts, subrep_dim_vectors, tropical_f,
+                           dual_tropical_f, unique_subrep)
+from .polynomial import MultiPoly, f_polynomial, restrict_to_face
 from .polytope import (Cone, Polytope, convex_hull, dual_cone_rays,
                        lattice_points, maximizing_face,
                        polytope_from_inequalities)

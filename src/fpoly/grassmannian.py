@@ -13,17 +13,17 @@ dimension alone at a free vertex, which constrains nothing downstream,
 once its sources are chosen) and the chosen subspaces a deferred arrow
 still checks.  Choices leading to one state are counted together,
 counts below a state are memoized, and free vertices are counted by
-Gaussian binomials.  ``subrep_counts`` runs it over every dimension at
-every vertex and is memoized by value in a small LRU cache; the
-sub-dimension set, existence and uniqueness tests, graded counts and
-both F-polynomial fits of a representation read that table.
-``count_points`` runs it at the one dimension gamma_v per vertex, for
-the fit of one gamma (``polynomial.euler_characteristic``).
-``enumerate_subreps`` runs the same step depth first at k = gamma_v,
-with no memo and no grouping, and keeps every chosen subspace, free
-vertices included, to yield every point.  Every walk first checks the
-fixed cost cap on dim M (``MAX_VERTEX_DIM`` per vertex, ``MAX_TOTAL_DIM``
-in total).
+Gaussian binomials.  ``subrep_counts`` is the one counting walk: it
+tries every dimension at every vertex, so one walk counts every gamma,
+and it is memoized by value in a small LRU cache.  The sub-dimension
+set, the uniqueness test, the graded counts and both F-polynomial fits
+of a representation read that table; chi of one Gr_gamma is a
+coefficient of ``polynomial.f_polynomial``.  ``enumerate_subreps`` runs
+the same step depth first at k = gamma_v, with no memo and no grouping,
+and keeps every chosen subspace, free vertices included, to yield every
+point.  Every walk first checks the fixed cost cap on dim M
+(``quiver.MAX_VERTEX_DIM`` per vertex, ``quiver.MAX_TOTAL_DIM`` in
+total).
 """
 
 from functools import lru_cache
@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from . import kernels
 from .errors import GenericityError
-from .quiver import MAX_TOTAL_DIM, MAX_VERTEX_DIM, check_cost, vec_dot
+from .quiver import check_cost, vec_dot
 from .rep import Subrep
 
 CERTIFY_PRIMES = (2, 3)
@@ -153,46 +153,17 @@ def enumerate_subreps(rep, gamma):
     yield from points(0, (((), ()),) * n)
 
 
-def count_points(rep, gamma):
-    """|Gr_gamma(M)(F_p)|, from the counting walk restricted to ``gamma``."""
-    rep.quiver.check_dim_vector(gamma)
-    check_cost(rep.dims)
-    return sum(_count_walk(rep, gamma).values())
-
-
-def has_subrep(rep, gamma):
-    """Whether M has a subrepresentation of dimension ``gamma``."""
-    rep.quiver.check_dim_vector(gamma)
-    return tuple(gamma) in subrep_counts(rep)
-
-
 @lru_cache(maxsize=32)
 def subrep_counts(rep):
     """Read-only ``{gamma: |Gr_gamma(M)(F_p)|}`` over every gamma with a
-    point, sorted, from one counting walk.  An over-cap representation
-    raises first, so it never enters the cache."""
+    point, sorted, from one memoized frontier walk (see the module
+    docstring).  An over-cap representation raises first, so it never
+    enters the cache."""
     check_cost(rep.dims)
-    pos = _frontier_plan(rep.quiver)[2]
-    counts = {tuple(suffix[i] for i in pos): c
-              for suffix, c in _count_walk(rep).items()}
-    return MappingProxyType(dict(sorted(counts.items())))
-
-
-def _count_walk(rep, gamma=None):
-    """``{gamma in processing order: count}`` from one memoized frontier
-    walk (see the module docstring): over every gamma with a point, or,
-    given ``gamma``, with k = gamma_v at each vertex v."""
     plan = _frontier_plan(rep.quiver)
-    order, free, _, _, _, kept, settle, start = plan
+    order, free, positions, _, _, kept, settle, start = plan
     p, dims = rep.p, rep.dims
     step = _stepper(rep, plan, kept, settle)
-
-    def ranks(v, low):
-        """The subspace dimensions to try at v, given a forced span of ``low``."""
-        if gamma is None:
-            return range(low, dims[v] + 1)
-        return (gamma[v],) if gamma[v] >= low else ()
-
     memo = {}
 
     def suffixes(i, state):
@@ -207,11 +178,11 @@ def _count_walk(rep, gamma=None):
         if v in free:
             f, rest = state[v], suffixes(i + 1, state[:v] + (None,) + state[v + 1:])
             table = {(k,) + suffix: c * kernels.count_subspaces_containing(n, k, p, f)
-                     for k in ranks(v, f) for suffix, c in rest.items()}
+                     for k in range(f, n + 1) for suffix, c in rest.items()}
         else:
             forced, forced_piv = state[v]
             groups = {}
-            for k in ranks(v, len(forced)):
+            for k in range(len(forced), n + 1):
                 for basis in _subspaces(n, k, p, forced, forced_piv):
                     key = k, step(state, v, basis)
                     groups[key] = groups.get(key, 0) + 1
@@ -224,7 +195,8 @@ def _count_walk(rep, gamma=None):
 
     table = suffixes(0, start)
     memo.clear()  # the memo can be large; release it now
-    return table
+    counts = {tuple(suffix[i] for i in positions): c for suffix, c in table.items()}
+    return MappingProxyType(dict(sorted(counts.items())))
 
 
 def subrep_dim_vectors(rep):
@@ -244,6 +216,7 @@ def sub_dim_vectors(recipe):
 
 def tropical_f(rep, delta):
     """max over subrepresentations L of <delta, dim L>."""
+    rep.quiver.check_dim_vector(delta)
     return max(vec_dot(delta, g) for g in subrep_dim_vectors(rep))
 
 
@@ -255,6 +228,7 @@ def dual_tropical_f(rep, delta):
 
 def maximizer_dims(rep, delta):
     """Dimension vectors of subrepresentations attaining the tropical max."""
+    rep.quiver.check_dim_vector(delta)
     dims = subrep_dim_vectors(rep)
     best = max(vec_dot(delta, g) for g in dims)
     return frozenset(g for g in dims if vec_dot(delta, g) == best)

@@ -3,10 +3,10 @@
 F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 solving one integer linear system for the coefficients of the counting
-polynomial, and evaluating it at q = 1.  ``f_polynomial``,
-``euler_characteristic`` and ``graded_semistable_f`` each plan their
-primes once and pass one count table per prime, in prime order, to the
-one fit ``fit_tables``.  When every counted representation is
+polynomial, and evaluating it at q = 1.  ``f_polynomial`` and
+``stabilization.graded_semistable_f`` each plan their primes once and
+pass one ``grassmannian.subrep_counts`` table per prime, in prime order,
+to the one fit ``fit_tables``.  When every counted representation is
 certified rigid (over an acyclic quiver), Gr_gamma(M) is smooth and
 projective of dimension <gamma, alpha - gamma> (Caldero and Reineke
 2008), so its counting polynomial has that degree and is palindromic and
@@ -22,8 +22,7 @@ import heapq
 import itertools
 
 from .errors import NonPolynomialCount
-from .grassmannian import (CERTIFY_PRIMES, count_points, sub_dim_vectors,
-                           subrep_counts)
+from .grassmannian import CERTIFY_PRIMES, sub_dim_vectors, subrep_counts
 from .intlinalg import solver
 from .quiver import euler_form, vec_dot, vec_sub
 from .rep import _is_rigid, _is_rigid_rep
@@ -339,16 +338,6 @@ def fit_tables(tables, degree, palindromic):
     return {key: chi for key, chi in chis.items() if chi}
 
 
-def euler_characteristic(recipe, gamma):
-    """chi of Gr_gamma of the recipe, counted at the box bound."""
-    recipe.quiver.check_dim_vector(gamma)
-    gamma = tuple(gamma)
-    degree = _degree(recipe.quiver, recipe.dims, False)
-    tables = ((p, {gamma: count_points(recipe.at_prime(p), gamma)})
-              for p in _fit_primes(degree(gamma), palindromic=False))
-    return fit_tables(tables, degree, False).get(gamma, 0)
-
-
 def _rigid_primes(recipe):
     """The primes of the rigid fit, or None if the recipe is not certified
     rigid.  Seeded draws of a rigid dimension vector have the generic End,
@@ -394,6 +383,8 @@ def f_polynomial(recipe):
 
 def restrict_to_face(poly, delta):
     """Terms of maximal delta-weight: the face polynomial in direction delta."""
+    if len(delta) != poly.nvars:
+        raise ValueError(f"weight of length {len(delta)} for {poly.nvars} variables")
     if not poly:
         return poly
     best = max(vec_dot(delta, exp) for exp in poly.terms)

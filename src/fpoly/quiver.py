@@ -84,7 +84,7 @@ class Quiver:
 
     def check_dim_vector(self, a):
         if len(a) != self.n:
-            raise ValueError(f"dimension vector length {len(a)} != {self.n} vertices")
+            raise ValueError(f"vector of length {len(a)} for {self.n} vertices")
 
     def opposite(self):
         return Quiver(self.vertices, tuple((t, s) for s, t in self.arrows))

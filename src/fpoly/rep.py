@@ -379,15 +379,20 @@ def _generic_rules(quiver):
         raise ValueError("generic hom/ext requires an acyclic quiver")
     units = [unit_vector(quiver.n, v) for v in range(quiver.n)]
 
+    def row(b):         # <s, b> = s . row(b)
+        return [euler_form(quiver, e, b) for e in units]
+
     @lru_cache(maxsize=None)
     def subs(alpha):
-        return frozenset(
-            g for g in itertools.product(*(range(a + 1) for a in alpha))
-            if g == alpha or ext(g, vec_sub(alpha, g)) == 0)
+        def embeds(g):  # ext(g, alpha - g) = 0: no s in S(g) has <s, alpha - g> < 0
+            r = row(vec_sub(alpha, g))
+            return all(vec_dot(s, r) >= 0 for s in subs(g))
+        return frozenset(g for g in itertools.product(*(range(a + 1) for a in alpha))
+                         if g == alpha or embeds(g))
 
     def ext(a, b):
-        row = [euler_form(quiver, e, b) for e in units]   # <s, b> = s . row
-        return max(-vec_dot(s, row) for s in subs(a))
+        r = row(b)
+        return max(-vec_dot(s, r) for s in subs(a))
     return subs, ext
 
 

@@ -81,6 +81,7 @@ def torsion_split(m_rep, delta):
 
 
 def is_semistable(m_rep, delta):
+    m_rep.quiver.check_dim_vector(delta)
     if vec_dot(delta, m_rep.dims) != 0:
         return False
     return all(vec_dot(delta, g) <= 0

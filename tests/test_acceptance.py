@@ -10,7 +10,7 @@ import time
 
 from fpoly.cluster import b_matrix, find_by_delta, mutate, run_sequence, \
     seed_from_quiver
-from fpoly.grassmannian import count_points, subrep_dim_vectors
+from fpoly.grassmannian import subrep_counts, subrep_dim_vectors
 from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot, vec_sub
@@ -304,7 +304,7 @@ def test_criterion_9_unique_subrep_without_vertex():
                                      ((0, 1), (0, 0))))
     for p in (2, 3, 5):
         rep = module.at_prime(p)
-        if count_points(rep, (1, 1)) != 1:
+        if subrep_counts(rep).get((1, 1), 0) != 1:
             failures.append(f"(1,1) count at p={p}")
         hull = convex_hull(subrep_dim_vectors(rep))
         if hull.vertices != ((0, 0), (0, 2), (2, 2)):

@@ -173,17 +173,12 @@ def test_compute_reports_the_primes_counted(capsys, monkeypatch, k2_json, dims):
     # K2 (2,3) and (3,4) are rigid and take the palindromic fit; the
     # isotropic (2,2) is counted at the box bound.
     counted = set()
-    real_count, real_table = polynomial.count_points, polynomial.subrep_counts
-
-    def spy_count(m_rep, gamma):
-        counted.add(m_rep.p)
-        return real_count(m_rep, gamma)
+    real_table = polynomial.subrep_counts
 
     def spy_table(m_rep):
         counted.add(m_rep.p)
         return real_table(m_rep)
 
-    monkeypatch.setattr(polynomial, "count_points", spy_count)
     monkeypatch.setattr(polynomial, "subrep_counts", spy_table)
     code, out = run(capsys, "compute", "--quiver", k2_json, "--dims", dims)
     assert code == 0
@@ -492,31 +487,23 @@ def test_facet_reports_are_byte_identical(capsys, tmp_path, quiver, dims, digest
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,
-                                                        k2_json):
-    """A work-count guard: a rigid facet check and a box-bound fit of F
-    read every count from the per-representation tables, and the box fit
-    stops at the first prime where a count fits no integer polynomial;
-    only the fit of one gamma counts one gamma at a time."""
-    counted, tables = [], []
-    real_count, real_table = grassmannian.count_points, grassmannian.subrep_counts
-
-    def spy_count(m_rep, gamma):
-        counted.append((m_rep.p, gamma))
-        return real_count(m_rep, gamma)
+def test_counts_read_one_table_per_prime(capsys, monkeypatch, k2_json):
+    """A work-count guard: a rigid facet check reads its counts from the
+    per-representation tables, and a box-bound fit of F stops at the
+    first prime where a count fits no integer polynomial."""
+    tables = []
+    real_table = grassmannian.subrep_counts
 
     def spy_table(m_rep):
         tables.append(m_rep)
         return real_table(m_rep)
 
-    for module in (grassmannian, polynomial):
-        monkeypatch.setattr(module, "count_points", spy_count)
     for module in (grassmannian, polynomial, stabilization):
         monkeypatch.setattr(module, "subrep_counts", spy_table)
     code, out = run(capsys, "verify", "--what", "facets", "--strict",
                     "--quiver", k2_json, "--dims", "2,3", "--seed", "0")
     assert code == 0 and json.loads(out)["pass"] is True
-    assert tables and not counted
+    assert tables
 
     del tables[:]
     recipe = RepRecipe(kronecker_quiver(3), (3, 4), seed=0)
@@ -524,11 +511,7 @@ def test_counts_take_the_table_or_the_single_gamma_walk(capsys, monkeypatch,
         f_polynomial(recipe)
     # Gr_(1,2) has 2, 3, 0 points at p = 2, 3, 5: f[3, 5] = -3/2.  The
     # box bound would count up to p = 19.
-    assert [m_rep.p for m_rep in tables] == [2, 3, 5] and not counted
-
-    del tables[:]
-    assert polynomial.euler_characteristic(recipe, (0, 1)) == 4  # lines in F^4
-    assert counted == [(p, (0, 1)) for p in (2, 3, 5, 7, 11)] and not tables
+    assert [m_rep.p for m_rep in tables] == [2, 3, 5]
 
 
 def test_rep_file_roundtrip(capsys, tmp_path):

@@ -1,17 +1,17 @@
 """Randomized differential checks of the Grassmannian walks and the
 torsion paths.
 
-``subrep_counts`` (every gamma) and ``count_points`` (one gamma) run one
-memoized counting walk, and ``has_subrep`` and ``unique_subrep`` read
-the table; ``enumerate_subreps`` runs the same step depth first.  All
-are checked against an independent oracle, the brute-force count over
-every tuple of subspaces, and not only against each other.  ``torsion_split`` reads
-L_min and L_max off the extreme maximizing dimension vectors; it is
-checked against the fold of intersections and sums over every
-maximizing subrepresentation.  ``stable_factors`` takes the first point
-of the least delta-null dimension vector as each stable factor; it is
-checked against the stability search it replaced, which tests every
-candidate with the reference ``is_stable`` of ``test_stabilization``.
+``subrep_counts`` counts every gamma in one memoized walk, and
+``unique_subrep`` reads its table; ``enumerate_subreps`` runs the same
+step depth first.  All are checked against an independent oracle, the
+brute-force count over every tuple of subspaces, and not only against
+each other.  ``torsion_split`` reads L_min and L_max off the extreme
+maximizing dimension vectors; it is checked against the fold of
+intersections and sums over every maximizing subrepresentation.
+``stable_factors`` takes the first point of the least delta-null
+dimension vector as each stable factor; it is checked against the
+stability search it replaced, which tests every candidate with the
+reference ``is_stable`` of ``test_stabilization``.
 All cases are small random representations, some with sparse matrices.
 The 4-cycle has arrows that close a cycle, so its walks take the
 deferred-arrow path; the loop quiver's loop is a deferred arrow that
@@ -45,9 +45,9 @@ Any other recipe is fitted at the box bound from one count table per
 prime.  ``fit_tables`` reads the tables in prime order and stops at the
 first prime where a Newton divided difference of some key's counts is a
 fraction.  The box fit's outcome, F or the error type, is checked
-against the fit of one gamma at a time with ``count_points`` at every
-box prime, on random non-rigid seeded and explicit recipes of K1, K2,
-K3, A3 and 1=>2->3.  The early stop is checked against the full fit of
+against a test-local fit of one gamma at a time, from its counts at
+every box prime, on random non-rigid seeded and explicit recipes of K1,
+K2, K3, A3 and 1=>2->3.  The early stop is checked against the full fit of
 ``_chi_fit`` on the same points, plain and palindromic: it never fires
 on the values of an integer polynomial, and fires on random counts only
 where that fit fails.  ``_chi_fit`` itself is one integer elimination,
@@ -94,15 +94,16 @@ import pytest
 import exhaustive_polytope
 from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
 from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
-from fpoly.grassmannian import (count_points, enumerate_subreps, has_subrep,
-                                maximizer_dims, sub_dim_vectors, subrep_counts,
+from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
+                                sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
 from fpoly.polytope import (convex_hull, dual_cone_rays,
                             polytope_from_inequalities)
 from fpoly.presentations import generic_hom_e, hom_e, random_presentation
-from fpoly.quiver import Quiver, euler_form, kronecker_quiver, vec_dot
+from fpoly.quiver import (MAX_VERTEX_DIM, Quiver, euler_form, kronecker_quiver,
+                          vec_dot)
 from fpoly.rep import (Representation, RepRecipe, generic_hom_ext,
                        generic_sub_dims, hom_dim, is_arrow_stable,
                        random_representation, restrict_to_sub, stable_rng)
@@ -159,14 +160,14 @@ def _folded_extremes(rep, delta):
     return tuple(low), tuple(high)
 
 
-def test_has_subrep_agrees_with_point_count():
+def test_enumeration_agrees_with_point_count():
     assert not QUIVERS["4-cycle"].acyclic
     rng = random.Random(30)
     for name, quiver in QUIVERS.items():
         for rep in _random_reps(quiver, rng):
             for gamma in itertools.product(*(range(d + 1) for d in rep.dims)):
                 where = (name, rep.p, rep.matrices, gamma)
-                count = count_points(rep, gamma)
+                count = subrep_counts(rep).get(gamma, 0)
                 subs = list(enumerate_subreps(rep, gamma))
                 assert count == brute_force_count(rep, gamma), where
                 assert len(subs) == count, where
@@ -174,7 +175,6 @@ def test_has_subrep_agrees_with_point_count():
                 for sub in subs:
                     assert sub.dims == gamma, where
                     assert is_arrow_stable(rep, sub.bases, sub.pivots), where
-                assert has_subrep(rep, gamma) == (count > 0), where
 
 
 def test_count_table_equals_brute_force():
@@ -191,7 +191,7 @@ def test_count_table_equals_brute_force():
                 box = itertools.product(*(range(d + 1) for d in dims))
                 expected = {}
                 for gamma in box:
-                    count = count_points(rep, gamma)
+                    count = table.get(gamma, 0)
                     assert count == brute_force_count(rep, gamma), (where, gamma)
                     if count:
                         expected[gamma] = count
@@ -393,8 +393,7 @@ def test_per_prime_caches_return_the_uncached_values():
             assert cold == draw.__wrapped__(recipe, p)
             assert cold.p == p and cold.dims == recipe.dims
             reps[recipe.seed, p] = cold
-            box = itertools.product(*(range(d + 1) for d in cold.dims))
-            expected = {g for g in box if count_points(cold, g) > 0}
+            expected = set(dims_of.__wrapped__(cold))
             assert subrep_dim_vectors(cold) == expected
             assert subrep_dim_vectors(cold) == expected
     # Distinct seeds and primes are distinct draws, each its own entry.
@@ -413,7 +412,7 @@ def test_per_prime_caches_return_the_uncached_values():
 
 def test_cost_cap_is_checked_on_every_call():
     one_vertex = Quiver(("1",), ())
-    big = Representation(one_vertex, 2, (grassmannian.MAX_VERTEX_DIM + 1,), ())
+    big = Representation(one_vertex, 2, (MAX_VERTEX_DIM + 1,), ())
     grassmannian.subrep_counts.cache_clear()
     for _ in range(2):
         with pytest.raises(CostCapExceeded):
@@ -607,13 +606,13 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
 
 
 def _fit_one_gamma_at_a_time(recipe):
-    """The box-bound fit of F that reads no count table: each gamma in box
-    order, counted with ``count_points`` at every box prime and fitted
-    before the next gamma is counted."""
+    """The box-bound fit of F with no early stop: each gamma in box order,
+    its counts read from the count table at every box prime and fitted
+    by the test-local ``chi_from_counts``."""
     terms = {}
     for gamma in itertools.product(*(range(d + 1) for d in recipe.dims)):
         degree = sum(g * (a - g) for g, a in zip(gamma, recipe.dims))
-        points = [(p, count_points(recipe.at_prime(p), gamma))
+        points = [(p, subrep_counts(recipe.at_prime(p)).get(gamma, 0))
                   for p in polynomial._box_primes(recipe.dims)]
         terms[gamma] = chi_from_counts(points, degree, palindromic=False)
     poly = MultiPoly(len(recipe.dims), terms)

@@ -1,0 +1,69 @@
+"""Import hygiene of ``src/fpoly``, read with the standard ``ast`` module.
+
+Every name a module other than ``__init__`` imports is used in that
+module, and every private or upper-case top-level name is referenced in
+``src/fpoly`` outside its own definition.  ``kernels.BACKEND`` is read
+by the benchmark harness and ``__version__`` by package tools, so both
+are allowed by name.
+"""
+
+import ast
+from pathlib import Path
+
+import fpoly
+
+SOURCES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(Path(fpoly.__file__).parent.glob("*.py"))}
+ALLOWED = {("kernels", "BACKEND"), ("__init__", "__version__")}
+
+
+def _imported(tree):
+    """Names bound by the module's imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def _referenced(node):
+    """Names a node reads: loaded names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _defined(stmt):
+    """Top-level names one statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, (ast.AnnAssign, ast.AugAssign))
+               else [])
+    return {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in SOURCES.items():
+        if module == "__init__":
+            continue
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{module}: {name}" for name in _imported(tree) if name not in used]
+    assert not unused
+
+
+def test_every_private_or_constant_name_is_referenced():
+    references, candidates = set(), []
+    for module, tree in SOURCES.items():
+        for stmt in tree.body:
+            defined = _defined(stmt)
+            references |= set(_referenced(stmt)) - defined
+            candidates += [(module, name) for name in defined
+                           if name.startswith("_") or name.isupper()]
+    unreferenced = [f"{module}.{name}" for module, name in candidates
+                    if name not in references and (module, name) not in ALLOWED]
+    assert not unreferenced

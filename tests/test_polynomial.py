@@ -4,9 +4,9 @@ import pytest
 
 from fpoly import polynomial
 from fpoly.errors import NonPolynomialCount
-from fpoly.grassmannian import count_points, subrep_counts
-from fpoly.polynomial import (MultiPoly, counted_primes, euler_characteristic,
-                              f_polynomial, first_primes, restrict_to_face)
+from fpoly.grassmannian import subrep_counts
+from fpoly.polynomial import (MultiPoly, counted_primes, f_polynomial,
+                              first_primes, restrict_to_face)
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
 
@@ -195,26 +195,20 @@ def test_f_polynomial_known_small_cases():
 def test_euler_characteristic_grassmannian_of_vector_space():
     # plain Grassmannian chi = binomial(n, k)
     pt = Quiver(("1",), ())
-    r = RepRecipe(pt, (4,), seed=0)
-    assert [euler_characteristic(r, (k,)) for k in range(5)] == [1, 4, 6, 4, 1]
-    # Beyond the dimension the box degree k (4 - k) is negative: no point.
-    assert [euler_characteristic(r, (k,)) for k in (5, 7)] == [0, 0]
+    f = f_polynomial(RepRecipe(pt, (4,), seed=0))
+    assert [f.coefficient((k,)) for k in range(5)] == [1, 4, 6, 4, 1]
+    # Beyond the dimension there is no point.
+    assert [f.coefficient((k,)) for k in (5, 7)] == [0, 0]
 
 
 def _spy_counts(monkeypatch):
-    """``("point", p)`` per point count and ``("table", p)`` per count-table
-    read of ``polynomial``."""
+    """``("table", p)`` per count-table read of ``polynomial``."""
     counted = []
-
-    def spy_count(m_rep, gamma):
-        counted.append(("point", m_rep.p))
-        return count_points(m_rep, gamma)
 
     def spy_table(m_rep):
         counted.append(("table", m_rep.p))
         return subrep_counts(m_rep)
 
-    monkeypatch.setattr(polynomial, "count_points", spy_count)
     monkeypatch.setattr(polynomial, "subrep_counts", spy_table)
     return counted
 
@@ -226,7 +220,7 @@ def test_criterion_4_counts_at_few_small_primes(monkeypatch):
     q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
     recipe = RepRecipe(q231, (2, 4, 1), seed=0)
     assert len(f_polynomial(recipe)) == 13
-    # One count table per rigid prime, and no point count of one gamma.
+    # One count table per rigid prime.
     assert counted_primes(recipe) == [2, 3, 5, 7]
     assert counted == [("table", p) for p in counted_primes(recipe)]
 

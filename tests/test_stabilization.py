@@ -1,7 +1,8 @@
 import pytest
 
-from fpoly.grassmannian import count_points, subrep_counts, subrep_dim_vectors
-from fpoly.polynomial import MultiPoly, f_polynomial
+from fpoly.grassmannian import (maximizer_dims, subrep_counts,
+                                subrep_dim_vectors, tropical_f)
+from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, generic_hom_ext, hom_dim, quotient,
@@ -109,6 +110,20 @@ def test_facet_restriction_brick_sum():
     assert out["pass"]
 
 
+@pytest.mark.parametrize("delta", [(0, 1, 5), (0,)])
+def test_a_weight_of_the_wrong_length_is_a_value_error(delta):
+    recipe = RepRecipe(kronecker_quiver(2), (2, 3), seed=0)
+    m = recipe.at_prime(2)
+    calls = [lambda: verify_facet_restriction(recipe, delta),
+             lambda: restrict_to_face(MultiPoly(2), delta),
+             lambda: maximizer_dims(m, delta),
+             lambda: tropical_f(m, delta),
+             lambda: is_semistable(m, delta)]
+    for call in calls:
+        with pytest.raises(ValueError, match="of length"):
+            call()
+
+
 def test_facet_restrictions_of_a_real_schur_root():
     # the (2,4,1)-dimensional rigid representation of 1 => 2 -> 3
     r = RepRecipe(Q231, (2, 4, 1), seed=0)
@@ -166,7 +181,7 @@ def test_vertex_count_one_needs_genericity():
     assert out["pass"] and not out["rigid"]
     assert out["vertices"] == [[0, 0], [0, 2], [2, 2]]
     for p in (2, 3, 5):
-        assert count_points(K33_EXTENSION.at_prime(p), (1, 1)) == 1
+        assert subrep_counts(K33_EXTENSION.at_prime(p)).get((1, 1), 0) == 1
 
 
 def test_perpendicularity_needs_rigidity():
