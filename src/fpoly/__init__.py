@@ -1,8 +1,8 @@
 """F-polynomials, tropical F-polynomials, and Newton polytopes of quiver
 representations, with stabilization functors and structural verifiers."""
 
-from .errors import (CheckFailed, CostCapExceeded, FpolyError, GenericityError,
-                     InvalidInput, InvalidSubrepresentation, InvariantViolation,
+from .errors import (CostCapExceeded, FpolyError, GenericityError, InvalidInput,
+                     InvalidSubrepresentation, InvariantViolation,
                      NonPolynomialCount)
 from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
@@ -13,9 +13,7 @@ from .grassmannian import (enumerate_subreps, maximizer_dims, sub_dim_vectors,
                            subrep_counts, subrep_dim_vectors, tropical_f,
                            dual_tropical_f, unique_subrep)
 from .polynomial import MultiPoly, f_polynomial, restrict_to_face
-from .polytope import (Cone, Polytope, convex_hull, dual_cone_rays,
-                       lattice_points, maximizing_face,
-                       polytope_from_inequalities)
+from .polytope import Polytope, convex_hull, lattice_points
 from .presentations import (Presentation, cokernel, generic_cokernel,
                             generic_hom_e, hom_e, injective_representation,
                             nakayama_kernel, projective_representation,
@@ -23,10 +21,9 @@ from .presentations import (Presentation, cokernel, generic_cokernel,
 from .cluster import (Seed, b_matrix, find_by_delta, initial_seed, mutate,
                       run_sequence, seed_from_quiver)
 from .stabilization import (GradedData, StableFactorData, TorsionSplit,
-                            collapse_monomial, delta_cones,
-                            graded_semistable_f, is_semistable,
-                            newton_via_cones, perpendicular_quiver,
-                            stable_factors, torsion_split,
+                            collapse_monomial, graded_semistable_f,
+                            is_semistable, perpendicular_quiver,
+                            stable_factors, torsion_split, verify_cones,
                             verify_facet_restriction, verify_saturation,
                             verify_vertex_theorems)
 

@@ -6,8 +6,9 @@ stable contract: 0 success, 1 failed verification under --strict,
 2 a dimension vector over the fixed enumeration cost cap (checked before
 any draw), 3 non-polynomial point counts, 4 a seeded recipe that cannot
 be certified generic, 5 a broken internal invariant (a bug, not a failed
-theorem check), 6 invalid input, an unwritable ``--out`` file or a closed
-standard output.  Each error prints one ``error:`` line.
+theorem check; the command line takes no subspaces, so an invalid
+subrepresentation is one too), 6 invalid input, an unwritable ``--out``
+file or a closed standard output.  Each error prints one ``error:`` line.
 """
 
 import argparse
@@ -19,20 +20,21 @@ import os
 import sys
 
 from .cluster import b_matrix, find_by_delta, run_sequence
-from .errors import (CheckFailed, CostCapExceeded, GenericityError,
-                     InvalidInput, InvariantViolation, NonPolynomialCount)
+from .errors import (CostCapExceeded, GenericityError, InvalidInput,
+                     InvalidSubrepresentation, InvariantViolation,
+                     NonPolynomialCount)
 from .grassmannian import check_cost, subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
 from .quiver import Quiver
-from .stabilization import (newton_via_cones, verify_facet_restriction,
+from .stabilization import (verify_cones, verify_facet_restriction,
                             verify_saturation, verify_vertex_theorems)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 ERROR_EXITS = {CostCapExceeded: 2, NonPolynomialCount: 3, GenericityError: 4,
-               InvariantViolation: 5, InvalidInput: 6}
+               InvariantViolation: 5, InvalidSubrepresentation: 5, InvalidInput: 6}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,13 +192,7 @@ def cmd_verify(args):
     elif args.what == "facets":
         result = _verify_facets(recipe, fpoly)
     elif args.what == "cones":
-        try:
-            hull = newton_via_cones(recipe)
-            result = {"check": "cones", "pass": True,
-                      "witnesses": [], "polytope": hull.to_json()}
-        except CheckFailed as exc:
-            result = {"check": "cones", "pass": False,
-                      "witnesses": [str(exc)]}
+        result = verify_cones(recipe)
     return {
         "command": "verify",
         "instance": {"dims": list(recipe.dims), "seed": recipe.seed},

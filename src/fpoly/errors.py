@@ -18,10 +18,6 @@ class InvariantViolation(FpolyError):
     """Raised when an internal invariant breaks: a bug, not a failed check."""
 
 
-class CheckFailed(FpolyError):
-    """Raised when two computations of one object disagree: a theorem fails."""
-
-
 class InvalidSubrepresentation(FpolyError):
     """Raised when subspaces are not stable under the arrow maps."""
 

@@ -1,16 +1,15 @@
 """Exact low-dimensional polyhedral geometry over the integers.
 
-Hulls, vertex enumeration and dual cones all go through one integer
-double description routine, ``_cone_rays`` (Motzkin et al. 1953;
-Fukuda and Prodon, "Double description method revisited", 1996).  Affine
-hulls, lineality spaces and starting rays come from the fraction-free
-echelon of ``intlinalg``.  All arithmetic is integer; facet normals are
+Hulls and their vertices come from one integer double description
+routine, ``_cone_rays`` (Motzkin et al. 1953; Fukuda and Prodon, "Double
+description method revisited", 1996), run on the cone over the points.
+Affine hulls and starting rays come from the fraction-free echelon of
+``intlinalg``.  All arithmetic is integer; facet normals are
 indivisible integer vectors oriented outward (polytope = {x : n.x <= h}).
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation
 from .intlinalg import echelon, nullspace, primitive
@@ -141,72 +140,3 @@ def lattice_points(polytope):
         if polytope.contains(point):
             out.append(point)
     return out
-
-
-def maximizing_face(polytope, delta):
-    """(max of delta over the polytope, vertices attaining it)."""
-    if not polytope.vertices:
-        raise ValueError("empty polytope")
-    vals = [vec_dot(delta, v) for v in polytope.vertices]
-    h = max(vals)
-    face = tuple(v for v, x in zip(polytope.vertices, vals) if x == h)
-    return h, face
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Polyhedral cone generated by the listed indivisible rays."""
-
-    rays: tuple
-
-    def __post_init__(self):
-        if len(set(self.rays)) != len(self.rays):
-            raise ValueError("duplicate rays")
-
-
-def dual_cone_rays(inequalities, ambient=None):
-    """Generators of {delta : delta(v) <= 0 for all given v}.
-
-    Returns the extremal rays of the pointed part (representatives in the
-    span of the inequality vectors) plus +/- a basis of the lineality
-    space.
-    """
-    inequalities = [tuple(v) for v in inequalities if any(v)]
-    if ambient is None:
-        if not inequalities:
-            raise ValueError("ambient dimension required without inequalities")
-        ambient = len(inequalities[0])
-
-    rays = []
-    for r in nullspace(*echelon(inequalities, ambient), ambient):
-        rays += [r, tuple(-x for x in r)]
-
-    # The pointed part lies in the span of the inequality vectors, where
-    # each lineality ray r vanishes: r.y >= 0 and -r.y >= 0 are both rows.
-    if inequalities:
-        rows = [tuple(-x for x in v) for v in inequalities] + rays
-        rays += [y for y, _ in _cone_rays(rows)]
-    return Cone(tuple(sorted(set(rays))))
-
-
-def polytope_from_inequalities(facets, ambient):
-    """Bounded integer polytope from inequalities n.x <= h.
-
-    Vertices are the rays (t, x) with t > 0 of the cone t.h - n.x >= 0,
-    t >= 0, scaled to x/t; the result is rebuilt with convex_hull so the
-    facet list is irredundant.  An empty or unbounded system raises
-    ValueError.
-    """
-    rows = [(h,) + tuple(-c for c in n) for n, h in facets]
-    vertices = set()
-    for (t, *x), _ in _cone_rays(rows + [(1,) + (0,) * ambient]):
-        if t == 0:
-            raise ValueError("inequality system is unbounded or empty: "
-                             f"recession direction {tuple(x)}")
-        if any(c % t for c in x):
-            raise ValueError(f"non-integral vertex {tuple(Fraction(c, t) for c in x)}; "
-                             "not a lattice polytope")
-        vertices.add(tuple(c // t for c in x))
-    if not vertices:
-        raise ValueError("inequality system has no vertices (empty or unbounded)")
-    return convex_hull(vertices)

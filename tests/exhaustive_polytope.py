@@ -1,11 +1,16 @@
-"""Exhaustive subset searches for the three polyhedral conversions.
+"""Exhaustive subset searches for three polyhedral conversions.
 
 These are the original implementations of ``convex_hull``,
 ``polytope_from_inequalities`` and ``dual_cone_rays``: every d-subset of
 points, every ``ambient``-subset of facets and every (d-1)-subset of
-inequalities is tried.  They are kept here only as the reference that
-``tests/test_differential.py`` compares the double description routine
-against, on small random inputs.
+inequalities is tried.  They are kept here only as references for
+``tests/test_differential.py``, on small random inputs: ``convex_hull``
+for the library's double description routine, and the other two for the
+round trip that the cones check replaced (dualize the hull's vertices at
+0 and at alpha, rebuild a polytope from the rays, compare).  So that
+round trip runs at 2,000 inputs in seconds, ``polytope_from_inequalities``
+solves each subset by integer Cramer's rule, and like the library
+function it stands for, it rejects an unbounded system.
 
 The rational linear algebra they use (``rref_frac`` and the helpers on
 it, ``_affine_hull`` and the cofactor normal) is kept here as well, in
@@ -17,7 +22,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from fpoly.polytope import Cone, Polytope
+from fpoly.polytope import Polytope
 from fpoly.quiver import vec_dot, vec_sub
 
 MAX_CONE_DIM = 6  # the subset search over inequalities is exponential
@@ -214,7 +219,7 @@ def dual_cone_rays(inequalities, ambient=None):
     span_basis, _ = rref_frac(inequalities, ambient) if inequalities else ([], ())
     d = len(span_basis)
     if d == 0:
-        return Cone(tuple(sorted(set(rays))))
+        return tuple(sorted(set(rays)))
     if d == 1:
         candidates = [span_basis[0]]
     else:
@@ -240,24 +245,51 @@ def dual_cone_rays(inequalities, ambient=None):
         if r not in seen:
             seen.add(r)
             rays.append(r)
-    return Cone(tuple(sorted(set(rays))))
+    return tuple(sorted(set(rays)))
+
+
+def _recession_direction(normals, ambient):
+    """A nonzero d with n.d <= 0 for every normal n, or None.
+
+    If the normals do not span, d is a lineality direction; otherwise the
+    cone of such d, if not zero, has an extreme ray, the kernel line of
+    some ambient - 1 of the normals.
+    """
+    lineality = nullspace_frac(normals or [(0,) * ambient], ambient)
+    if lineality:
+        return primitive_vector(lineality[0])
+    for subset in itertools.combinations(normals, ambient - 1):
+        d = _cofactor_normal(subset, ambient) if ambient > 1 else (1,)
+        for r in (d, tuple(-x for x in d)):
+            if any(r) and all(vec_dot(n, r) <= 0 for n in normals):
+                return r
+    return None
 
 
 def polytope_from_inequalities(facets, ambient):
-    """Polytope from inequalities n.x <= h, by solving every facet subset."""
+    """Polytope from inequalities n.x <= h, by solving every facet subset
+    with Cramer's rule: x = nums / det.  A system with a recession
+    direction is unbounded or empty, and raises ValueError."""
     facets = [(tuple(n), h) for n, h in facets]
+    direction = _recession_direction([n for n, _ in facets], ambient)
+    if direction is not None:
+        raise ValueError(f"inequality system is unbounded or empty: "
+                         f"recession direction {direction}")
     vertices = set()
     for subset in itertools.combinations(facets, ambient):
-        rows = [n for n, _ in subset]
-        rhs = [h for _, h in subset]
-        x = solve_frac(rows, rhs, ambient)
-        if x is None:
+        det = _int_det([n for n, _ in subset])
+        if det == 0:
             continue
-        if any(vec_dot(n, x) > h for n, h in facets):
+        nums = [_int_det([n[:j] + (h,) + n[j + 1:] for n, h in subset])
+                for j in range(ambient)]
+        if det < 0:
+            det, nums = -det, [-c for c in nums]
+        if any(vec_dot(n, nums) > h * det for n, h in facets):
             continue
-        if any(f.denominator != 1 for f in x):
-            raise ValueError(f"non-integral vertex {x}; not a lattice polytope")
-        vertices.add(tuple(int(f) for f in x))
+        if any(c % det for c in nums):
+            raise ValueError(f"non-integral vertex {tuple(Fraction(c, det) for c in nums)}; "
+                             "not a lattice polytope")
+        vertices.add(tuple(c // det for c in nums))
     if not vertices:
         raise ValueError("inequality system has no vertices (empty or unbounded)")
     return convex_hull(vertices)

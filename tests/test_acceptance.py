@@ -16,7 +16,7 @@ from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot, vec_sub
 from fpoly.rep import (RepRecipe, ext_dim_hereditary, generic_hom_ext,
                        random_representation)
-from fpoly.stabilization import (generic_sub_dims, newton_via_cones,
+from fpoly.stabilization import (generic_sub_dims, verify_cones,
                                  verify_facet_restriction, verify_saturation)
 
 CYCLE4 = Quiver(("1", "2", "3", "4"),
@@ -154,8 +154,10 @@ def test_criterion_4_real_schur_root_end_to_end():
                  + 2 * y1 * y2 ** 4 * y3 + y1 ** 2 * y2 ** 4 * y3)
     if fpoly != printed_f or len(fpoly) != 13:
         failures.append("counting F-polynomial differs from printed")
-    hull = newton_via_cones(recipe)
-    normals = {n for n, _ in hull.facets}
+    cones = verify_cones(recipe)
+    if not cones["pass"]:
+        failures.append(f"cones check failed: {cones['witnesses']}")
+    normals = {tuple(f["normal"]) for f in cones.get("polytope", {}).get("facets", ())}
     if normals != {(2, -1, 0), (1, 0, -2), (-1, 0, 0), (0, 0, 1), (0, 1, -1)}:
         failures.append(f"cone normals {sorted(normals)}")
     table = {

@@ -296,17 +296,21 @@ def test_exit_code_not_generic(capsys, k3_json):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# A hull with the facet x - y <= 1, through neither 0 nor (3, 3).  The
+# round trip that the cones check replaced rebuilt from the weight cones a
+# polytope with the vertex (3, 3/2) and raised ValueError.
+STRAY_FACET_POINTS = {(0, 0), (0, 1), (0, 3), (2, 1), (3, 2), (3, 3)}
+
+
 def test_verify_cones_disagreement_is_a_failed_check(capsys, monkeypatch, k2_json):
-    square = polytope.convex_hull([(0, 0), (0, 1), (1, 0), (1, 1)])
-    monkeypatch.setattr(stabilization, "polytope_from_inequalities",
-                        lambda facets, ambient: square)
+    monkeypatch.setattr(stabilization, "sub_dim_vectors",
+                        lambda recipe: STRAY_FACET_POINTS)
     code, out = run(capsys, "verify", "--what", "cones", "--strict",
-                    "--quiver", k2_json, "--dims", "2,3")
+                    "--quiver", k2_json, "--dims", "3,3")
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
-    [witness] = report["report"]["witnesses"]
-    assert witness.startswith("cone reconstruction disagrees with the direct "
-                              "hull; witness facets: [")
+    assert report["report"]["witnesses"] == [
+        "facets through neither 0 nor dim M: [((1, -1), 1)]"]
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch, k2_json):
@@ -468,6 +472,17 @@ def test_facet_perp_that_is_not_semistable_is_exit_5(capsys, monkeypatch, k2_jso
                             "for this weight\n")
 
 
+def test_invalid_subrepresentation_is_a_broken_invariant(capsys, monkeypatch, k2_json):
+    # The command line takes no subspaces, so subspaces that are not a
+    # subrepresentation come from a bug (here in torsion_split).
+    monkeypatch.setattr(rep, "is_arrow_stable", lambda *args: False)
+    code = main(["verify", "--what", "facets", "--strict",
+                 "--quiver", k2_json, "--dims", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: subspaces are not stable under the arrows\n"
+
+
 # sha256 of the standard output of verify --what facets --strict --seed 0.
 FACET_REPORTS = (
     (kronecker_quiver(2), "2,3",
@@ -523,3 +538,30 @@ def test_rep_file_roundtrip(capsys, tmp_path):
     assert code == 0
     poly = MultiPoly.from_json(json.loads(out)["fpoly"])
     assert poly == f_polynomial(recipe)
+
+
+# sha256 of the standard output of verify --what cones --strict --seed 0.
+A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
+A7 = Quiver(tuple(str(v + 1) for v in range(7)), tuple((v, v + 1) for v in range(6)))
+CONE_REPORTS = (
+    (kronecker_quiver(2), "2,3",
+     "a94da2b2fa4da02e0ee9dbe43b408ce7e2251079a82bcdad78da9f5339dedf32"),
+    (kronecker_quiver(2), "0,3",
+     "872c5a61404d827777aaf1157af2789d81c69c063ba33be684eb5db9d94b5585"),
+    (A3, "1,0,1",
+     "8f7731eeb1e63cae31bddec8d991698a39bf4bf5b6d76a23a48ecf08dda9a9ee"),
+    (Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2))), "2,4,1",
+     "6b34421def8b44a0b7cccd4f5daf98025172ee67b6d8f1e28a4c131da22ea5e8"),
+    (A7, "1,1,1,1,1,1,1",
+     "2fc2e68ba3ef7adc8f875bd7ab9c27a2171a759f4501301342d263755c4ca152"),
+)
+
+
+@pytest.mark.parametrize("quiver, dims, digest", CONE_REPORTS)
+def test_cone_reports_are_byte_identical(capsys, tmp_path, quiver, dims, digest):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(quiver.to_json()))
+    code, out = run(capsys, "verify", "--what", "cones", "--strict",
+                    "--quiver", str(path), "--dims", dims, "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

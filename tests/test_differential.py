@@ -17,18 +17,22 @@ The 4-cycle has arrows that close a cycle, so its walks take the
 deferred-arrow path; the loop quiver's loop is a deferred arrow that
 its own vertex checks.
 
-``convex_hull``, ``polytope_from_inequalities`` and ``dual_cone_rays``
-share one double description routine; they are checked for exact
-equality against the exhaustive subset searches in
+``convex_hull`` runs one double description routine; it is checked for
+exact equality against the exhaustive subset search in
 ``exhaustive_polytope``, on random point sets (with duplicates and
-lower-dimensional sets) and random inequality lists.  The oracle keeps
-its own ``Fraction`` elimination, affine hull and cofactor normals and
-imports only ``Cone`` and ``Polytope`` from the library, so a fault in
-the library's integer echelon (``intlinalg``) cannot reach both sides.
-That echelon, with its rank, null space and solver, is also compared
-directly with the oracle's ``Fraction`` elimination.  The oracle keeps
-its own cap of 6 on the cone dimension, as its subset search is
-exponential; the library has none.
+lower-dimensional sets).  The oracle keeps its own ``Fraction``
+elimination, affine hull and cofactor normals and imports only
+``Polytope`` from the library, so a fault in the library's integer
+echelon (``intlinalg``) cannot reach both sides.  That echelon, with its
+rank, null space and solver, is also compared directly with the
+oracle's ``Fraction`` elimination.
+
+``verify_cones`` passes when every facet of the hull passes through 0 or
+alpha.  The round trip it replaced, rebuilt on the oracle's dual cones
+and H-to-V conversion, is its reference on random point sets that
+contain 0 and alpha, with 1-4 coordinates, some of them
+lower-dimensional: the same pass or fail (a rebuild that raises is a
+fail), and a witness naming exactly the facets through neither.
 
 ``RepRecipe.at_prime`` and ``subrep_counts`` are memoized by value;
 their cached results are checked against the uncached computations, and
@@ -88,6 +92,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,11 +104,10 @@ from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
-from fpoly.polytope import (convex_hull, dual_cone_rays,
-                            polytope_from_inequalities)
+from fpoly.polytope import convex_hull
 from fpoly.presentations import generic_hom_e, hom_e, random_presentation
 from fpoly.quiver import (MAX_VERTEX_DIM, Quiver, euler_form, kronecker_quiver,
-                          vec_dot)
+                          vec_dot, vec_sub)
 from fpoly.rep import (Representation, RepRecipe, generic_hom_ext,
                        generic_sub_dims, hom_dim, is_arrow_stable,
                        random_representation, restrict_to_sub, stable_rng)
@@ -442,33 +446,55 @@ def _random_points(rng, dim):
 
 def test_polytope_conversions_equal_exhaustive_search():
     rng = random.Random(32)
-    rebuilt = 0
     for trial in range(200):
         dim = trial % 5 + 1
         points = _random_points(rng, dim)
-        expected = exhaustive_polytope.convex_hull(points)
-        assert convex_hull(points) == expected, points
-        # Each affine-hull equation enters as a pair of inequalities.
-        ineqs = expected.facets + tuple(
-            e for n, h in expected.equations
-            for e in ((n, h), (tuple(-x for x in n), -h)))
-        if expected.dim > 0 and len(ineqs) <= 9:
-            rebuilt += 1
-            assert (polytope_from_inequalities(ineqs, dim)
-                    == exhaustive_polytope.polytope_from_inequalities(ineqs, dim)
-                    == expected), ineqs
-    assert rebuilt > 100
+        assert convex_hull(points) == exhaustive_polytope.convex_hull(points), points
 
 
-def test_dual_cone_rays_equal_exhaustive_search():
-    rng = random.Random(33)
-    for trial in range(300):
-        ambient = trial % 6 + 1
-        box = rng.choice((1, 2))
-        ineqs = [tuple(rng.randrange(-box, box + 1) for _ in range(ambient))
-                 for _ in range(rng.randrange(8))]
-        assert (dual_cone_rays(ineqs, ambient=ambient)
-                == exhaustive_polytope.dual_cone_rays(ineqs, ambient=ambient)), ineqs
+def _cones_round_trip(points, alpha):
+    """The cones check that ``verify_cones`` replaced, on the oracle: the
+    hull's vertices dualized at 0 and at alpha give the two weight cones,
+    whose rays cut out a polytope that must be the hull.  Returns the hull
+    and whether the check passed (None where the rebuild raises)."""
+    hull = exhaustive_polytope.convex_hull(points)
+    hom_rays = exhaustive_polytope.dual_cone_rays(hull.vertices, len(alpha))
+    e_rays = exhaustive_polytope.dual_cone_rays(
+        [vec_sub(v, alpha) for v in hull.vertices], len(alpha))
+    ineqs = {(r, 0) for r in hom_rays} | {(r, vec_dot(r, alpha)) for r in e_rays}
+    try:
+        rebuilt = exhaustive_polytope.polytope_from_inequalities(sorted(ineqs), len(alpha))
+    except ValueError:
+        return hull, None
+    return hull, (rebuilt.vertices, rebuilt.facets) == (hull.vertices, hull.facets)
+
+
+def test_cones_check_equals_the_round_trip(monkeypatch):
+    monkeypatch.setattr(stabilization, "sub_dim_vectors", lambda recipe: recipe.points)
+    rng = random.Random(35)
+    outcomes = Counter()
+    for trial in range(2000):
+        dim = trial % 4 + 1
+        alpha = tuple(rng.randrange(rng.choice((1, 2, 3)) + 1) for _ in range(dim))
+        low = rng.choice((0, -1))
+        points = [tuple(rng.randrange(low, a + 1) for a in alpha)
+                  for _ in range(rng.randrange(5))] + [(0,) * dim, alpha]
+        if dim > 1 and rng.random() < 0.3:
+            # A lower-dimensional set through 0: the last coordinate is
+            # linear in the others.
+            coef = [rng.randrange(-2, 3) for _ in range(dim - 1)]
+            points = [p[:-1] + (vec_dot(coef, p[:-1]),) for p in points]
+            alpha = points[-1]
+        hull, passed = _cones_round_trip(points, alpha)
+        report = stabilization.verify_cones(SimpleNamespace(dims=alpha, points=points))
+        assert report["pass"] == bool(passed), (points, alpha)
+        if passed:
+            assert report["polytope"] == hull.to_json()
+        else:
+            stray = [(n, h) for n, h in hull.facets if h not in (0, vec_dot(n, alpha))]
+            assert report["witnesses"] == [f"facets through neither 0 nor dim M: {stray}"]
+        outcomes[passed] += 1
+    assert min(outcomes[True], outcomes[False], outcomes[None]) > 20, outcomes
 
 
 def _random_matrix(rng, ncols):

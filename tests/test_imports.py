@@ -4,13 +4,15 @@ Every name a module other than ``__init__`` imports is used in that
 module, and every private or upper-case top-level name is referenced in
 ``src/fpoly`` outside its own definition.  ``kernels.BACKEND`` is read
 by the benchmark harness and ``__version__`` by package tools, so both
-are allowed by name.
+are allowed by name.  Every error type of ``fpoly.errors`` has a
+command-line exit code.
 """
 
 import ast
 from pathlib import Path
 
 import fpoly
+from fpoly import cli, errors
 
 SOURCES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(Path(fpoly.__file__).parent.glob("*.py"))}
@@ -67,3 +69,11 @@ def test_every_private_or_constant_name_is_referenced():
     unreferenced = [f"{module}.{name}" for module, name in candidates
                     if name not in references and (module, name) not in ALLOWED]
     assert not unreferenced
+
+
+def test_every_error_has_an_exit_code():
+    subclasses = [value for value in vars(errors).values()
+                  if isinstance(value, type) and issubclass(value, errors.FpolyError)
+                  and value is not errors.FpolyError]
+    assert subclasses
+    assert [e.__name__ for e in subclasses if e not in cli.ERROR_EXITS] == []

@@ -7,12 +7,12 @@ from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, generic_hom_ext, hom_dim, quotient,
                        restrict_to_sub)
-from fpoly.stabilization import (collapse_monomial, delta_cones,
-                                 generic_sub_dims, graded_semistable_f,
-                                 is_semistable, newton_via_cones,
+from fpoly.stabilization import (collapse_monomial, generic_sub_dims,
+                                 graded_semistable_f, is_semistable,
                                  perpendicular_quiver, stable_factors,
-                                 torsion_split, verify_facet_restriction,
-                                 verify_saturation, verify_vertex_theorems)
+                                 torsion_split, verify_cones,
+                                 verify_facet_restriction, verify_saturation,
+                                 verify_vertex_theorems)
 
 
 def is_stable(m_rep, delta):
@@ -160,11 +160,15 @@ def test_collapse_monomial_inverts_substitution():
 
 def test_weight_cones_recover_the_facet_normals():
     r = RepRecipe(Q231, (2, 4, 1), seed=0)
-    r0, r1 = delta_cones(r)
-    assert set(r0.rays) | set(r1.rays) == {(2, -1, 0), (1, 0, -2), (-1, 0, 0),
-                                           (0, 0, 1), (0, 1, -1)}
-    rebuilt = newton_via_cones(r)
-    assert {n for n, _ in rebuilt.facets} == set(r0.rays) | set(r1.rays)
+    report = verify_cones(r)
+    assert report["pass"] and report["witnesses"] == []
+    facets = [(tuple(f["normal"]), f["offset"]) for f in report["polytope"]["facets"]]
+    # Each facet lies in the hom-vanishing cone (through 0) or the
+    # e-vanishing cone (through alpha).
+    hom_cone = {n for n, h in facets if h == 0}
+    e_cone = {n for n, h in facets if h == vec_dot(n, r.dims)}
+    assert hom_cone | e_cone == {(2, -1, 0), (1, 0, -2), (-1, 0, 0),
+                                 (0, 0, 1), (0, 1, -1)}
 
 
 def test_vertex_theorems_rigid_kronecker():
