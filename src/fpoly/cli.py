@@ -4,9 +4,10 @@ Subcommands: compute, subdims, mutate, polytope, verify.  All output is
 deterministic JSON (sorted keys) for a fixed seed; exit codes are a
 stable contract: 0 success, 1 failed verification under --strict,
 2 a dimension vector over the fixed enumeration cost cap (checked before
-any draw), 3 non-polynomial point counts, 4 a seeded recipe that cannot
-be certified generic, 5 a broken internal invariant (a bug, not a failed
-theorem check; the command line takes no subspaces, so an invalid
+any draw), 3 non-polynomial point counts, 4 no generic certificate (the
+sub-dimension sets of explicit matrices or a cyclic quiver differ across
+primes, or no generic draw), 5 a broken internal invariant (a bug, not a
+failed theorem check; the command line takes no subspaces, so an invalid
 subrepresentation is one too), 6 invalid input, an unwritable ``--out``
 file or a closed standard output.  Each error prints one ``error:`` line.
 """

@@ -22,7 +22,7 @@ import heapq
 import itertools
 
 from .errors import NonPolynomialCount
-from .grassmannian import CERTIFY_PRIMES, sub_dim_vectors, subrep_counts
+from .grassmannian import CERTIFY_PRIMES, certified_sub_dims, subrep_counts
 from .intlinalg import solver
 from .quiver import euler_form, vec_dot, vec_sub
 from .rep import _is_rigid, _is_rigid_rep
@@ -342,15 +342,15 @@ def _rigid_primes(recipe):
     """The primes of the rigid fit, or None if the recipe is not certified
     rigid.  Seeded draws of a rigid dimension vector have the generic End,
     so are rigid at every prime.  Explicit matrices must be rigid mod 2 and
-    3, where their sub-dimension vectors are certified, and then skip the
-    finitely many later primes where their reduction is not rigid."""
+    3, and then skip the later primes where their reduction is not rigid.
+    The degree bound is read off the fit's own count tables at 2 and 3."""
     def rigid_at(p):
         return recipe.int_matrices is None or _is_rigid_rep(recipe.at_prime(p))
 
     if not (_is_rigid(recipe) and all(map(rigid_at, CERTIFY_PRIMES))):
         return None
     degree = _degree(recipe.quiver, recipe.dims, True)
-    need = len(_fit_primes(max(map(degree, sub_dim_vectors(recipe))), palindromic=True))
+    need = len(_fit_primes(max(map(degree, certified_sub_dims(recipe))), palindromic=True))
     return list(itertools.islice(filter(rigid_at, _primes()), need))
 
 

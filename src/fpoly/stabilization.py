@@ -35,8 +35,8 @@ from .polynomial import (MultiPoly, _box_primes, _degree, _fit_primes,
 from .polytope import convex_hull, lattice_points
 from .quiver import Quiver, vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, _is_rigid, _is_rigid_rep,
-                  ext_dim_hereditary, generic_hom_ext, generic_sub_dims,
-                  hom_dim, make_subrep, quotient, restrict_to_sub)
+                  ext_dim_hereditary, generic_hom_ext, hom_dim, make_subrep,
+                  quotient, restrict_to_sub)
 
 BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
@@ -373,14 +373,11 @@ def verify_saturation(recipe):
     """Every lattice point of the Newton polytope should carry both a
     nonzero coefficient and a subrepresentation; witnesses otherwise.
 
-    For seeded recipes of acyclic quivers the sub-lattice is the exact
-    generic one, ``generic_sub_dims``; the support check is skipped when
-    the point counts fail to be polynomial (only away from the rigid case).
+    The sub-lattice is the recipe's ``sub_dim_vectors``; the support check
+    is skipped when the point counts fail to be polynomial (only away from
+    the rigid case).
     """
-    if recipe.int_matrices is None and recipe.quiver.acyclic:
-        dims = generic_sub_dims(recipe.quiver, recipe.dims)
-    else:
-        dims = sub_dim_vectors(recipe)
+    dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)
     missing_sub = [list(point) for point in lattice_points(hull)
                    if point not in dims]

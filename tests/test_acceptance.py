@@ -15,9 +15,9 @@ from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, vec_dot, vec_sub
 from fpoly.rep import (RepRecipe, ext_dim_hereditary, generic_hom_ext,
-                       random_representation)
-from fpoly.stabilization import (generic_sub_dims, verify_cones,
-                                 verify_facet_restriction, verify_saturation)
+                       generic_sub_dims, random_representation)
+from fpoly.stabilization import (verify_cones, verify_facet_restriction,
+                                 verify_saturation)
 
 CYCLE4 = Quiver(("1", "2", "3", "4"),
                 ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2)))

@@ -288,12 +288,33 @@ def test_exit_code_non_polynomial_count_of_a_non_rigid_root(capsys, k3_json):
     assert code == 3 and out == ""
 
 
-def test_exit_code_not_generic(capsys, k3_json):
-    # Seed 0 of K3 (2,2) has different sub-dimension sets at p = 2 and 3.
-    code = main(["polytope", "--quiver", k3_json, "--dims", "2,2", "--seed", "0"])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_exit_code_not_generic(capsys, tmp_path):
+    # Explicit K2 (1,1) matrices [[2]] and [[4]] vanish mod 2, where (1,0)
+    # is a sub-dimension vector, but not mod 3, where it is not.
+    recipe = RepRecipe(kronecker_quiver(2), (1, 1), int_matrices=(((2,),), ((4,),)))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(recipe.to_json()))
+    code = main(["polytope", "--rep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_seeded_non_rigid_hull_is_the_generic_one(capsys, k3_json):
+    """A seeded recipe on an acyclic quiver takes the hull of S(alpha), so
+    non-rigid K3 inputs whose seed-0 draws differ mod 2 and 3 pass."""
+    def report(dims, *argv):
+        code, out = run(capsys, *argv, "--quiver", k3_json, "--dims", dims, "--seed", "0")
+        assert code == 0
+        return json.loads(out)
+
+    assert report("2,2", "polytope")["vertices"] == [[0, 0], [0, 2], [2, 2]]
+    hull = [[0, 0], [0, 4], [3, 4]]
+    assert report("3,4", "polytope")["vertices"] == hull
+    cones = report("3,4", "verify", "--what", "cones", "--strict")
+    assert cones["report"]["polytope"]["vertices"] == hull
+    vertices = report("3,4", "verify", "--what", "vertices", "--strict")
+    assert vertices["report"]["vertices"] == hull
 
 
 # A hull with the facet x - y <= 1, through neither 0 nor (3, 3).  The

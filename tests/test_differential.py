@@ -81,9 +81,9 @@ vectors, weights and seeds over K2, K3, A3 and 1=>2->3.
 recursion on the Euler form, and draw nothing.  The test-local loop of
 the seeded sampler that ``generic_hom_ext`` replaced is its reference on
 random pairs of dimension vectors (entries up to 3) over K2, K3, A3,
-1=>2->3 and D4; the enumerated ``sub_dim_vectors`` of certified-rigid
-seeded recipes of the same quivers is the reference of
-``generic_sub_dims``.
+1=>2->3 and D4.  The sub-dimension sets enumerated at p = 2 and 3,
+``certified_sub_dims``, of certified-rigid seeded recipes of the same
+quivers are the reference of ``generic_sub_dims``.
 """
 
 import itertools
@@ -425,6 +425,9 @@ def test_cost_cap_is_checked_on_every_call():
     # call misses.
     info = grassmannian.subrep_counts.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+    # S(alpha) of a seeded recipe needs no walk, and still checks the cap.
+    with pytest.raises(CostCapExceeded):
+        sub_dim_vectors(RepRecipe(QUIVERS["K2"], (MAX_VERTEX_DIM + 1,) * 2))
 
 
 def _random_points(rng, dim):
@@ -989,6 +992,8 @@ def test_generic_samplers_equal_the_loops_they_replaced():
 
 
 def test_generic_sub_dims_equal_the_enumerated_sets():
-    for recipe in _rigid_recipes(random.Random(23), 60):
+    # The vertex and cones reports read only the set, so equal sets also
+    # keep those reports of certified-rigid recipes unchanged.
+    for recipe in _rigid_recipes(random.Random(23), 100):
         assert generic_sub_dims(recipe.quiver, recipe.dims) == \
-            sub_dim_vectors(recipe), recipe
+            grassmannian.certified_sub_dims(recipe), recipe

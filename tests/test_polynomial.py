@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fpoly import polynomial
+from fpoly import grassmannian, polynomial
 from fpoly.errors import NonPolynomialCount
 from fpoly.grassmannian import subrep_counts
 from fpoly.polynomial import (MultiPoly, counted_primes, f_polynomial,
@@ -217,6 +217,8 @@ def test_criterion_4_counts_at_few_small_primes(monkeypatch):
     # The box bound counted 130 times here, at primes up to 17, and the
     # fit of one gamma at a time 33 times.
     counted = _spy_counts(monkeypatch)
+    # The degree bound is read off the tables at 2 and 3, not off S(alpha).
+    monkeypatch.setattr(grassmannian, "generic_sub_dims", None)
     q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
     recipe = RepRecipe(q231, (2, 4, 1), seed=0)
     assert len(f_polynomial(recipe)) == 13

@@ -4,7 +4,7 @@ import traceback
 
 import pytest
 
-from fpoly import cli, rep as rep_module
+from fpoly import cli, grassmannian, rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
                           vec_add)
@@ -154,7 +154,9 @@ def test_generic_hom_ext_known_values():
 
 def test_generic_dimensions_draw_nothing(monkeypatch, tmp_path, capsys):
     """Generic hom, ext and sub-dimension vectors are read off the Euler
-    form; at the large primes only the generic End is sampled."""
+    form, and so are the hulls of ``polytope`` and ``verify --what cones``
+    on a seeded acyclic recipe; at the large primes only the generic End
+    is sampled."""
     made = []
     real_draw = rep_module.random_representation
 
@@ -176,6 +178,11 @@ def test_generic_dimensions_draw_nothing(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(q231.to_json()))
     rep_module._generic_end_dim.cache_clear()
     rep_module._generic_draw.cache_clear()
+    grassmannian.subrep_counts.cache_clear()
+    for argv in (["polytope"], ["verify", "--what", "cones", "--strict"]):
+        assert cli.main(argv + ["--quiver", str(path), "--dims", "2,3,2"]) == 0
+    capsys.readouterr()
+    assert made == [] and grassmannian.subrep_counts.cache_info().misses == 0
     assert cli.main(["verify", "--what", "saturation", "--strict", "--quiver",
                      str(path), "--dims", "1,2,1", "--seed", "7"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True

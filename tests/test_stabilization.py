@@ -5,12 +5,11 @@ from fpoly.grassmannian import (maximizer_dims, subrep_counts,
 from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
 from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
-from fpoly.rep import (RepRecipe, generic_hom_ext, hom_dim, quotient,
-                       restrict_to_sub)
-from fpoly.stabilization import (collapse_monomial, generic_sub_dims,
-                                 graded_semistable_f, is_semistable,
-                                 perpendicular_quiver, stable_factors,
-                                 torsion_split, verify_cones,
+from fpoly.rep import (RepRecipe, generic_hom_ext, generic_sub_dims, hom_dim,
+                       quotient, restrict_to_sub)
+from fpoly.stabilization import (collapse_monomial, graded_semistable_f,
+                                 is_semistable, perpendicular_quiver,
+                                 stable_factors, torsion_split, verify_cones,
                                  verify_facet_restriction, verify_saturation,
                                  verify_vertex_theorems)
 
