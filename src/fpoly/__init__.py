@@ -7,7 +7,7 @@ from .errors import (CostCapExceeded, FpolyError, GenericityError, InvalidInput,
 from .quiver import Quiver, euler_form, kronecker_quiver, cycle_quiver
 from .rep import (Representation, RepRecipe, Subrep, direct_sum,
                   ext_dim_hereditary, generic_hom_ext, generic_sub_dims,
-                  hom_basis, hom_dim, make_subrep, quotient, restrict_to_sub,
+                  hom_dim, make_subrep, quotient, restrict_to_sub,
                   simple_representation)
 from .grassmannian import (enumerate_subreps, maximizer_dims, sub_dim_vectors,
                            subrep_counts, subrep_dim_vectors, tropical_f,

@@ -206,15 +206,11 @@ def subrep_dim_vectors(rep):
 
 def sub_dim_vectors(recipe):
     """A recipe's sub-dimension set, chosen here alone: S(alpha), exact with
-    no draw, for a seeded recipe on an acyclic quiver; else the certified set."""
+    no draw, for a seeded recipe on an acyclic quiver; else the gammas with
+    an F_p-point, which must agree at the CERTIFY_PRIMES."""
     check_cost(recipe.dims)
     if recipe.int_matrices is None and recipe.quiver.acyclic:
         return generic_sub_dims(recipe.quiver, recipe.dims)
-    return certified_sub_dims(recipe)
-
-
-def certified_sub_dims(recipe):
-    """The gammas with an F_p-point, which must agree at the CERTIFY_PRIMES."""
     results = [subrep_dim_vectors(recipe.at_prime(p)) for p in CERTIFY_PRIMES]
     if any(r != results[0] for r in results[1:]):
         raise GenericityError(

@@ -4,28 +4,27 @@ F-polynomial coefficients are Euler characteristics of quiver
 Grassmannians, recovered by counting F_p-points at enough primes,
 solving one integer linear system for the coefficients of the counting
 polynomial, and evaluating it at q = 1.  ``f_polynomial`` and
-``stabilization.graded_semistable_f`` each plan their primes once and
-pass one ``grassmannian.subrep_counts`` table per prime, in prime order,
-to the one fit ``fit_tables``.  When every counted representation is
-certified rigid (over an acyclic quiver), Gr_gamma(M) is smooth and
-projective of dimension <gamma, alpha - gamma> (Caldero and Reineke
-2008), so its counting polynomial has that degree and is palindromic and
-is fitted from about half as many primes.  Otherwise the degree is the
-box bound sum gamma_v (alpha_v - gamma_v), the dimension of the ambient
-product of Grassmannians.  At least one extra prime is always checked; a
-count that no integer polynomial gives raises an error, at the first
-prime where a Newton divided difference is a fraction, rather than being
-averaged away.
+``stabilization.graded_semistable_f`` plan their primes through the one
+``plan_fit`` and pass one ``grassmannian.subrep_counts`` table per prime,
+in prime order, to the one fit ``fit_tables``.  When M is rigid mod 2
+and 3 (over an acyclic quiver), Gr_gamma(M) is smooth and projective of
+dimension <gamma, alpha - gamma> (Caldero and Reineke 2008), so its
+counting polynomial has that degree and is palindromic and is fitted
+from about half as many primes, those where M is rigid.  Otherwise
+the degree is the box bound sum gamma_v (alpha_v - gamma_v), the
+dimension of the ambient product of Grassmannians.  At least one extra
+prime is always checked; a count that no integer polynomial gives
+raises an error, at the first prime where a Newton divided difference
+is a fraction, rather than being averaged away.
 """
 
 import heapq
 import itertools
 
 from .errors import NonPolynomialCount
-from .grassmannian import CERTIFY_PRIMES, certified_sub_dims, subrep_counts
+from .grassmannian import CERTIFY_PRIMES, subrep_counts, subrep_dim_vectors
 from .intlinalg import solver
 from .quiver import euler_form, vec_dot, vec_sub
-from .rep import _is_rigid, _is_rigid_rep
 
 VERIFY_PRIMES = 1
 
@@ -338,42 +337,43 @@ def fit_tables(tables, degree, palindromic):
     return {key: chi for key, chi in chis.items() if chi}
 
 
-def _rigid_primes(recipe):
-    """The primes of the rigid fit, or None if the recipe is not certified
-    rigid.  Seeded draws of a rigid dimension vector have the generic End,
-    so are rigid at every prime.  Explicit matrices must be rigid mod 2 and
-    3, and then skip the later primes where their reduction is not rigid.
-    The degree bound is read off the fit's own count tables at 2 and 3."""
-    def rigid_at(p):
-        return recipe.int_matrices is None or _is_rigid_rep(recipe.at_prime(p))
+def plan_fit(quiver, alpha, rigid_at, base_dims):
+    """``(primes, degree, palindromic)``: the one plan of a fit of the
+    count tables of an alpha-dimensional M, keyed by gamma <= alpha.
 
-    if not (_is_rigid(recipe) and all(map(rigid_at, CERTIFY_PRIMES))):
-        return None
-    degree = _degree(recipe.quiver, recipe.dims, True)
-    need = len(_fit_primes(max(map(degree, certified_sub_dims(recipe))), palindromic=True))
-    return list(itertools.islice(filter(rigid_at, _primes()), need))
+    If M mod p is rigid (``rigid_at(p)``) at every CERTIFY_PRIMES, the fit
+    is palindromic at degree <gamma, alpha - gamma>, from the first primes
+    where M is rigid, as many as the largest degree over ``base_dims()``
+    needs.  Otherwise it reads the box primes at the box bound."""
+    if all(map(rigid_at, CERTIFY_PRIMES)):
+        degree = _degree(quiver, alpha, True)
+        need = len(_fit_primes(max(map(degree, base_dims())), palindromic=True))
+        return list(itertools.islice(filter(rigid_at, _primes()), need)), degree, True
+    return _box_primes(alpha), _degree(quiver, alpha, False), False
+
+
+def _recipe_plan(recipe):
+    """``plan_fit`` of a recipe, sized by its sub-dimension vectors mod 2."""
+    return plan_fit(recipe.quiver, recipe.dims, recipe.is_rigid_at,
+                    lambda: subrep_dim_vectors(recipe.at_prime(CERTIFY_PRIMES[0])))
 
 
 def counted_primes(recipe):
-    """The primes at which ``f_polynomial`` counts points, in order: the
-    rigid primes, or the box primes."""
-    return _rigid_primes(recipe) or _box_primes(recipe.dims)
+    """The primes at which ``f_polynomial`` counts points, in order."""
+    return _recipe_plan(recipe)[0]
 
 
 def f_polynomial(recipe):
     """Generating polynomial of Grassmannian Euler characteristics.
 
-    A certified-rigid recipe reads one count table per rigid prime and
-    fits every gamma palindromically; any other recipe reads one per box
-    prime and fits every gamma at the box bound.  Both stop at the first
-    count that no integer polynomial gives.
+    A recipe that is rigid mod 2 and 3 reads one count table per prime
+    where it is rigid and fits every gamma palindromically; any other
+    recipe reads one per box prime and fits every gamma at the box bound.
+    Both stop at the first count that no integer polynomial gives.
     """
-    primes = _rigid_primes(recipe)
-    rigid = primes is not None
-    tables = ((p, subrep_counts(recipe.at_prime(p)))
-              for p in primes or _box_primes(recipe.dims))
-    terms = fit_tables(tables, _degree(recipe.quiver, recipe.dims, rigid), rigid)
-    poly = MultiPoly(len(recipe.dims), terms)
+    primes, degree, palindromic = _recipe_plan(recipe)
+    tables = ((p, subrep_counts(recipe.at_prime(p))) for p in primes)
+    poly = MultiPoly(len(recipe.dims), fit_tables(tables, degree, palindromic))
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
         raise NonPolynomialCount(
             "computed polynomial lacks unit constant or top term; "

@@ -189,7 +189,7 @@ def direct_sum(m, n):
 
 
 def _hom_system(m, n):
-    """Constraint matrix whose null space is Hom(M, N)."""
+    """Constraint matrix whose null space is Hom(M, N), and its width."""
     nv = m.quiver.n
     offsets = []
     total = 0
@@ -209,34 +209,16 @@ def _hom_system(m, n):
                 for k in range(n.dims[s]):
                     row[offsets[s] + k * m.dims[s] + c] -= na[r][k]
                 rows.append(tuple(x % m.p for x in row))
-    return tuple(rows), total, offsets
+    return tuple(rows), total
 
 
 def hom_dim(m, n):
     """dim Hom_Q(M, N) over F_p."""
     _check_compatible(m, n)
-    rows, total, _ = _hom_system(m, n)
+    rows, total = _hom_system(m, n)
     if total == 0:
         return 0
     return total - kernels.rank(rows, total, m.p)
-
-
-def hom_basis(m, n):
-    """Basis of Hom(M, N) as tuples of per-vertex matrices."""
-    _check_compatible(m, n)
-    rows, total, offsets = _hom_system(m, n)
-    if total == 0:
-        return ()
-    null = kernels.nullspace(rows, total, m.p)
-    out = []
-    for vec in null:
-        mats = []
-        for v in range(m.quiver.n):
-            o = offsets[v]
-            mats.append(tuple(tuple(vec[o + r * m.dims[v] + c] for c in range(m.dims[v]))
-                              for r in range(n.dims[v])))
-        out.append(tuple(mats))
-    return tuple(out)
 
 
 def ext_dim_hereditary(m, n):
@@ -277,6 +259,19 @@ class RepRecipe:
                          for mat in self.int_matrices)
             return Representation(self.quiver, p, self.dims, mats)
         return _generic_draw(self, p)
+
+    def is_rigid_at(self, p):
+        """Whether M mod p is rigid.  Explicit matrices answer for their
+        own reduction.  Every seeded draw has the generic End, so it is
+        rigid exactly when the quiver is acyclic and that End has dimension
+        <alpha, alpha>: then ext(M, M) = 0, with no End recomputed.  The
+        generic ext(alpha, alpha) is no test: it is 0 for the Kronecker
+        (1,1), whose general M has Ext(M, M) = 1."""
+        if self.int_matrices is not None:
+            return _is_rigid_rep(self.at_prime(p))
+        quiver, alpha = self.quiver, self.dims
+        return (quiver.acyclic
+                and _generic_end_dim(quiver, alpha) == euler_form(quiver, alpha, alpha))
 
     @classmethod
     def from_json(cls, data):
@@ -348,21 +343,6 @@ def _generic_end_dim(quiver, dims):
 
     floor = max(euler_form(quiver, dims, dims), 1) if any(dims) else 0
     return _least_hom(draw, floor, END_DIM_TRIALS)
-
-
-def _is_rigid(recipe):
-    """Whether the general representation of the recipe's dimension
-    vector is rigid: on an acyclic quiver, ext(M, M) = 0 exactly when the
-    generic dim End(M) equals the Euler form <alpha, alpha>.
-
-    Each seeded draw is certified to have that generic endomorphism
-    dimension, so for a seeded recipe every reduction is then rigid.
-    The generic ext(alpha, alpha) is no test: it is 0 for the Kronecker
-    (1,1), whose general M has Ext(M, M) = 1.
-    """
-    quiver, alpha = recipe.quiver, recipe.dims
-    return (quiver.acyclic
-            and _generic_end_dim(quiver, alpha) == euler_form(quiver, alpha, alpha))
 
 
 def _is_rigid_rep(rep):

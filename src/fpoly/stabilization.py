@@ -27,16 +27,17 @@ they describe it when every facet passes through one of the two.
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonPolynomialCount
-from .grassmannian import (enumerate_subreps, maximizer_dims, subrep_counts,
-                           subrep_dim_vectors, sub_dim_vectors, unique_subrep)
+from .grassmannian import (CERTIFY_PRIMES, enumerate_subreps, maximizer_dims,
+                           subrep_counts, subrep_dim_vectors, sub_dim_vectors,
+                           unique_subrep)
 from .intlinalg import solver
-from .polynomial import (MultiPoly, _box_primes, _degree, _fit_primes,
-                         f_polynomial, fit_tables, restrict_to_face)
+from .polynomial import (MultiPoly, f_polynomial, fit_tables, plan_fit,
+                         restrict_to_face)
 from .polytope import convex_hull, lattice_points
 from .quiver import Quiver, vec_dot, vec_sub
-from .rep import (Subrep, _coords_in_basis, _is_rigid, _is_rigid_rep,
-                  ext_dim_hereditary, generic_hom_ext, hom_dim, make_subrep,
-                  quotient, restrict_to_sub)
+from .rep import (Subrep, _coords_in_basis, _is_rigid_rep, ext_dim_hereditary,
+                  generic_hom_ext, hom_dim, make_subrep, quotient,
+                  restrict_to_sub)
 
 BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
@@ -211,10 +212,11 @@ def graded_semistable_f(recipe, delta):
     gamma = iota m, solved by one elimination of iota that rejects a
     delta-null gamma outside its cone, and a later prime checks only that
     its W is semistable of dimension vector w; else each prime filters its
-    own W, which must have the base prime's stable dims.  When every
-    counted W is rigid, the graded tables are fitted as a rigid recipe's
-    count tables are, at degree <gamma, w - gamma>, from primes sized by
-    the base prime's grades; otherwise at the box bound of w.  Either fit
+    own W, which must have the base prime's stable dims.  The primes come
+    from ``plan_fit``, as a recipe's do: if the stable dims are independent
+    and W is rigid mod 2 and 3, the graded tables are fitted at degree
+    <gamma, w - gamma> from the primes where W is rigid, as many as the
+    base prime's grades need; otherwise at the box bound of w.  Either fit
     stops at the first prime whose counts no integer polynomial gives.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
@@ -236,21 +238,16 @@ def graded_semistable_f(recipe, delta):
                             _is_rigid_rep(split.perp))
         return per_prime[p]
 
-    def grade_degree(palindromic):
-        """m -> the degree of the counting polynomial of Gr_{iota m}(W)."""
-        degree = _degree(recipe.quiver, w_dims, palindromic)
-        return lambda m: degree(tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
-                                      for v in range(len(w_dims))))
+    def iota(m):
+        """The dimension vector sum m_i dim V_i of grade m."""
+        return tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
+                     for v in range(len(w_dims)))
 
-    base_counts, palindromic = counts_at(BASE_PRIME)
-    palindromic = palindromic and solve is not None
-    if palindromic:
-        primes = _fit_primes(max(map(grade_degree(True), base_counts)), palindromic=True)
-        palindromic = all(counts_at(p)[1] for p in primes)
-    if not palindromic:
-        primes = _box_primes(w_dims)
+    primes, degree, palindromic = plan_fit(
+        recipe.quiver, w_dims, lambda p: solve is not None and counts_at(p)[1],
+        lambda: map(iota, counts_at(BASE_PRIME)[0]))
     terms = fit_tables(((p, counts_at(p)[0]) for p in primes),
-                       grade_degree(palindromic), palindromic)
+                       lambda m: degree(iota(m)), palindromic)
     return GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
                       base_split.l_min.dims, base_split.l_max.dims)
 
@@ -356,7 +353,7 @@ def verify_vertex_theorems(recipe):
         if hom_dim(l_rep, q_rep) != 0:
             witnesses.append({"gamma": list(gamma),
                               "fail": "Hom(L, M/L) != 0"})
-    rigid = _is_rigid(recipe)
+    rigid = all(map(recipe.is_rigid_at, CERTIFY_PRIMES))
     if rigid:
         vertex_set = set(hull.vertices)
         for gamma in sorted(dims):

@@ -128,6 +128,23 @@ def test_verify_vertices_rigid_verdict(capsys, k2_json, dims, rigid):
     assert code == 0 and report["rigid"] is rigid and not report["witnesses"]
 
 
+@pytest.mark.parametrize("arrow,rigid", [(0, False), (1, True)])
+def test_explicit_vertex_report_is_rigid_only_where_the_matrices_are(
+        capsys, tmp_path, arrow, rigid):
+    # A2 (1,1) with the zero arrow is S1 + S2, which is not rigid, so the
+    # perpendicularity test is skipped.  Rigidity read off the dimension
+    # vector alone called it rigid, and that test then failed at (1,0).
+    # The nonzero arrow gives the rigid projective P1.
+    recipe = RepRecipe(Quiver(("1", "2"), ((0, 1),)), (1, 1),
+                       int_matrices=(((arrow,),),))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(recipe.to_json()))
+    code, out = run(capsys, "verify", "--what", "vertices", "--strict",
+                    "--rep", str(path))
+    report = json.loads(out)["report"]
+    assert code == 0 and report["rigid"] is rigid and not report["witnesses"]
+
+
 def test_verify_saturation_failure_is_exit_1_under_strict(capsys, k3_json):
     code, out = run(capsys, "verify", "--what", "saturation", "--strict",
                     "--quiver", k3_json, "--dims", "3,4")

@@ -43,7 +43,13 @@ fit their count tables, through the one ``polynomial.fit_tables``, as
 palindromic counting polynomials of degree <gamma, alpha - gamma> from
 fewer primes.  The box-bound fit, forced by patching the two rigidity
 gates, is their reference on the rigid instances of acceptance criteria
-7 and 8.
+7 and 8.  Both plan their primes through ``polynomial.plan_fit``.  A
+test-local copy of the two plans it replaced is its reference on
+certified-rigid seeded recipes and on explicit recipes rigid mod 2 and
+3: the recipe's plan (the generic End sampled at large primes, each
+explicit reduction, and the sub-dimension sets at p = 2 and 3) and the
+graded plan (W rigid at every prime of the plan, else the box primes)
+read the same primes.
 
 Any other recipe is fitted at the box bound from one count table per
 prime.  ``fit_tables`` reads the tables in prime order and stops at the
@@ -81,9 +87,9 @@ vectors, weights and seeds over K2, K3, A3 and 1=>2->3.
 recursion on the Euler form, and draw nothing.  The test-local loop of
 the seeded sampler that ``generic_hom_ext`` replaced is its reference on
 random pairs of dimension vectors (entries up to 3) over K2, K3, A3,
-1=>2->3 and D4.  The sub-dimension sets enumerated at p = 2 and 3,
-``certified_sub_dims``, of certified-rigid seeded recipes of the same
-quivers are the reference of ``generic_sub_dims``.
+1=>2->3 and D4.  The sub-dimension sets enumerated at p = 2 and 3 of
+certified-rigid seeded recipes of the same quivers are the reference of
+``generic_sub_dims``.
 """
 
 import itertools
@@ -99,8 +105,8 @@ import pytest
 import exhaustive_polytope
 from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
 from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
-from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
-                                sub_dim_vectors, subrep_counts,
+from fpoly.grassmannian import (CERTIFY_PRIMES, enumerate_subreps,
+                                maximizer_dims, sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
@@ -308,8 +314,15 @@ def _independent(stable_dims):
                   len(stable_dims)) is not None
 
 
-def _rigid_recipes(rng, count):
-    """Certified-rigid seeded recipes of total dimension 6 at most."""
+def _certified_rigid(recipe):
+    """Whether the recipe is rigid mod every CERTIFY_PRIMES, as the rigid
+    fit and the vertex report ask."""
+    return all(map(recipe.is_rigid_at, CERTIFY_PRIMES))
+
+
+def _rigid_recipes(rng, count, explicit=False):
+    """Certified-rigid recipes of total dimension 6 at most: seeded, or
+    with explicit matrices (entries from -3 to 7) rigid mod 2 and 3."""
     quivers = [QUIVERS["K2"], kronecker_quiver(3), QUIVERS["A3"],
                QUIVERS["1=>2->3"], D4]
     found = 0
@@ -318,8 +331,11 @@ def _rigid_recipes(rng, count):
         dims = tuple(rng.randrange(4) for _ in range(quiver.n))
         if not 0 < sum(dims) <= 6:
             continue
-        recipe = RepRecipe(quiver, dims, seed=rng.randrange(100))
-        if polynomial._rigid_primes(recipe) is not None:
+        recipe = (RepRecipe(quiver, dims, int_matrices=tuple(
+            tuple(tuple(rng.randrange(-3, 8) for _ in range(dims[s]))
+                  for _ in range(dims[t])) for s, t in quiver.arrows)) if explicit
+            else RepRecipe(quiver, dims, seed=rng.randrange(100)))
+        if _certified_rigid(recipe):
             found += 1
             yield recipe
 
@@ -601,7 +617,7 @@ def test_rigid_fit_equals_box_bound_fit(monkeypatch):
         run[0] = "fast"
         fast = _f_and_facets(recipe)
         with monkeypatch.context() as box_bound:
-            box_bound.setattr(polynomial, "_is_rigid", lambda recipe: False)
+            box_bound.setattr(RepRecipe, "is_rigid_at", lambda recipe, p: False)
             box_bound.setattr(stabilization, "_is_rigid_rep", lambda w_rep: False)
             run[0] = "box"
             box = _f_and_facets(recipe, list(fast[1]))
@@ -617,7 +633,7 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
     k2 = kronecker_quiver(2)
     # (2,2) is isotropic: two independent draws have no homs between
     # them, but a general module has a 2-dimensional End.
-    assert not rep_module._is_rigid(RepRecipe(k2, (2, 2), seed=1))
+    assert not RepRecipe(k2, (2, 2), seed=1).is_rigid_at(2)
     tables = []
 
     def spy(m_rep):
@@ -632,6 +648,92 @@ def test_non_rigid_recipes_stay_on_the_box_bound(monkeypatch):
     with pytest.raises(NonPolynomialCount, match=r"\(7, 2\)\] of Gr_\(1, 1\)"):
         polynomial.f_polynomial(RepRecipe(k2, (2, 2), seed=1))
     assert tables == [2, 3, 5, 7]
+
+
+def _old_rigid_primes(recipe):
+    """The recipe's rigid primes as planned before ``plan_fit``, or None:
+    the generic End sampled at large primes must equal <alpha, alpha>,
+    explicit matrices must be rigid mod 2 and 3 and skip the later primes
+    where they are not, and the degree bound reads the sub-dimension sets
+    at p = 2 and 3, which must agree."""
+    quiver, alpha = recipe.quiver, recipe.dims
+
+    def rigid_at(p):
+        return recipe.int_matrices is None or rep_module._is_rigid_rep(recipe.at_prime(p))
+
+    if not (quiver.acyclic and rep_module._generic_end_dim(quiver, alpha)
+            == euler_form(quiver, alpha, alpha) and all(map(rigid_at, (2, 3)))):
+        return None
+    sets = {subrep_dim_vectors(recipe.at_prime(p)) for p in (2, 3)}
+    assert len(sets) == 1, recipe
+    degree = polynomial._degree(quiver, alpha, True)
+    need = len(polynomial._fit_primes(max(map(degree, sets.pop())), palindromic=True))
+    return list(itertools.islice(filter(rigid_at, polynomial._primes()), need))
+
+
+def _old_graded_primes(quiver, w_dims, rigid_at, base_dims):
+    """The graded fit's primes as planned before ``plan_fit``: the first
+    primes that the base grades need if W is rigid at each of them, else
+    every box prime."""
+    if rigid_at(BASE_PRIME):
+        degree = polynomial._degree(quiver, w_dims, True)
+        primes = polynomial._fit_primes(max(map(degree, base_dims())), palindromic=True)
+        if all(map(rigid_at, primes)):
+            return primes
+    return polynomial._box_primes(w_dims)
+
+
+def test_plan_fit_primes_equal_the_plans_it_replaced(monkeypatch):
+    plans = []
+
+    def spy(quiver, alpha, rigid_at, base_dims, real=polynomial.plan_fit):
+        plan = real(quiver, alpha, rigid_at, base_dims)
+        plans.append((plan[0], _old_graded_primes(quiver, alpha, rigid_at, base_dims)))
+        return plan
+
+    monkeypatch.setattr(stabilization, "plan_fit", spy)
+    rng = random.Random(29)
+    # K3 (1,3) with these matrices is rigid mod 2 and 3 but not mod 5.
+    split_mod_5 = RepRecipe(kronecker_quiver(3), (1, 3), int_matrices=(
+        ((1,), (0,), (0,)), ((0,), (1,), (0,)), ((1,), (1,), (5,))))
+    skipped = 0
+    for recipe in [*_rigid_recipes(rng, 30), *_rigid_recipes(rng, 30, explicit=True),
+                   split_mod_5]:
+        primes = polynomial.counted_primes(recipe)
+        assert primes == _old_rigid_primes(recipe), recipe
+        skipped += primes != polynomial.first_primes(len(primes))
+        for delta, _ in convex_hull(polynomial.f_polynomial(recipe).support()).facets:
+            graded_semistable_f(recipe, delta)
+    assert len(plans) >= 100 and all(new == old for new, old in plans), plans
+    # Some graded plan reads more than two primes, and some recipe skips a
+    # prime where its reduction is not rigid.
+    assert max(len(new) for new, _ in plans) > 2 and skipped, (plans, skipped)
+
+
+def test_graded_plan_skips_a_prime_where_the_perp_is_not_rigid(monkeypatch):
+    # K2 (2,3) at delta = (-1, 0) has the perp of dimension (0, 3), whose
+    # rigid fit reads p = 2, 3, 5.  A perp that is not rigid at 5 alone
+    # takes the next prime, not the box primes, and gives the same data.
+    recipe, delta = RepRecipe(QUIVERS["K2"], (2, 3), seed=0), (-1, 0)
+    read = []
+
+    def spy_fit(tables, degree, palindromic, real=polynomial.fit_tables):
+        def reading():
+            for p, table in tables:
+                read.append((p, palindromic))
+                yield p, table
+        return real(reading(), degree, palindromic)
+
+    def rigid_but_at_5(w_rep, real=stabilization._is_rigid_rep):
+        return w_rep.p != 5 and real(w_rep)
+
+    monkeypatch.setattr(stabilization, "fit_tables", spy_fit)
+    expected = graded_semistable_f(recipe, delta)
+    assert read == [(2, True), (3, True), (5, True)]
+    del read[:]
+    monkeypatch.setattr(stabilization, "_is_rigid_rep", rigid_but_at_5)
+    assert graded_semistable_f(recipe, delta) == expected
+    assert read == [(2, True), (3, True), (7, True)]
 
 
 def _fit_one_gamma_at_a_time(recipe):
@@ -676,11 +778,8 @@ def _non_rigid_recipes(rng):
                 tuple(tuple(rng.randrange(-2, 4) if rng.random() < density else 0
                             for _ in range(dims[s])) for _ in range(dims[t]))
                 for s, t in quiver.arrows))
-        try:
-            if polynomial._rigid_primes(recipe) is not None:
-                continue
-        except FpolyError:
-            continue  # f_polynomial raises before it fits anything
+        if _certified_rigid(recipe):
+            continue
         per_kind[kind] = per_kind.get(kind, 0) + 1
         if per_kind[kind] <= 60:
             yield recipe
@@ -995,5 +1094,6 @@ def test_generic_sub_dims_equal_the_enumerated_sets():
     # The vertex and cones reports read only the set, so equal sets also
     # keep those reports of certified-rigid recipes unchanged.
     for recipe in _rigid_recipes(random.Random(23), 100):
-        assert generic_sub_dims(recipe.quiver, recipe.dims) == \
-            grassmannian.certified_sub_dims(recipe), recipe
+        for p in CERTIFY_PRIMES:
+            assert generic_sub_dims(recipe.quiver, recipe.dims) == \
+                subrep_dim_vectors(recipe.at_prime(p)), (recipe, p)

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from fpoly import grassmannian, polynomial
+from fpoly import grassmannian, polynomial, rep as rep_module
 from fpoly.errors import NonPolynomialCount
 from fpoly.grassmannian import subrep_counts
 from fpoly.polynomial import (MultiPoly, counted_primes, f_polynomial,
                               first_primes, restrict_to_face)
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
+from fpoly.stabilization import verify_vertex_theorems
 
 
 def rand_poly(rng, nvars, nterms, bound=3):
@@ -229,32 +230,48 @@ def test_criterion_4_counts_at_few_small_primes(monkeypatch):
 
 def test_explicit_recipe_is_fitted_as_rigid_only_where_each_reduction_is(
         monkeypatch):
-    k2 = kronecker_quiver(2)
+    k2, k3 = kronecker_quiver(2), kronecker_quiver(3)
     general = RepRecipe(k2, (1, 2), int_matrices=(((1,), (0,)), ((0,), (1,))))
-    assert f_polynomial(general) == f_polynomial(RepRecipe(k2, (1, 2), seed=0))
-    assert counted_primes(general) == [2, 3]
     # Mod 2 both arrows send the vertex-1 vector to (1, 0), so that
     # reduction splits off S2 and is not rigid: the box bound is used, and
     # Gr_(1,1), with 1, 0, 0 points at p = 2, 3, 5, stops it at p = 5.
     split_mod_2 = RepRecipe(k2, (1, 2),
                             int_matrices=(((1,), (0,)), ((1,), (2,))))
-    counted = _spy_counts(monkeypatch)
-    with pytest.raises(NonPolynomialCount, match=r"of Gr_\(1, 1\)"):
-        f_polynomial(split_mod_2)
-    assert counted == [("table", 2), ("table", 3), ("table", 5)]
-    assert counted_primes(split_mod_2) == [2, 3, 5]
     # Rigid mod 2 and 3 but not mod 5, where the third arrow's image joins
     # the span of the first two (Gr_(1,2) has a point mod 5 only): the
     # rigid fit skips that prime of bad reduction and takes the next one.
-    k3 = kronecker_quiver(3)
     split_mod_5 = RepRecipe(k3, (1, 3), int_matrices=(
         ((1,), (0,), (0,)), ((0,), (1,), (0,)), ((1,), (1,), (5,))))
-    assert counted_primes(split_mod_5) == [2, 3, 7]
+    counted = _spy_counts(monkeypatch)
+    # Explicit matrices are rigid by their own reductions alone, so neither
+    # the fit nor the vertex report draws a representation, not even to
+    # sample the generic End of the dimension vector.
+    draws = []
+
+    def spy_draw(quiver, dims, p, rng, real=rep_module.random_representation):
+        draws.append((dims, p))
+        return real(quiver, dims, p, rng)
+
+    rep_module._generic_end_dim.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(rep_module, "random_representation", spy_draw)
+        fitted = f_polynomial(general)
+        assert counted_primes(general) == [2, 3]
+        del counted[:]
+        with pytest.raises(NonPolynomialCount, match=r"of Gr_\(1, 1\)"):
+            f_polynomial(split_mod_2)
+        assert counted == [("table", 2), ("table", 3), ("table", 5)]
+        assert counted_primes(split_mod_2) == [2, 3, 5]
+        assert counted_primes(split_mod_5) == [2, 3, 7]
+        del counted[:]
+        assert f_polynomial(split_mod_5) == MultiPoly(
+            2, {(0, 0): 1, (0, 1): 3, (0, 2): 3, (0, 3): 1, (1, 3): 1})
+        assert counted == [("table", 2), ("table", 3), ("table", 7)]
+        reports = [verify_vertex_theorems(r) for r in (general, split_mod_5)]
+    assert draws == []
+    assert [(r["rigid"], r["pass"]) for r in reports] == [(True, True)] * 2
+    assert fitted == f_polynomial(RepRecipe(k2, (1, 2), seed=0))
     assert counted_primes(RepRecipe(k3, (1, 3), seed=0)) == [2, 3, 5]
-    del counted[:]
-    assert f_polynomial(split_mod_5) == MultiPoly(
-        2, {(0, 0): 1, (0, 1): 3, (0, 2): 3, (0, 3): 1, (1, 3): 1})
-    assert counted == [("table", 2), ("table", 3), ("table", 7)]
     assert f_polynomial(split_mod_5) == f_polynomial(RepRecipe(k3, (1, 3), seed=0))
 
 

@@ -9,8 +9,8 @@ from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
                           vec_add)
 from fpoly.rep import (RepRecipe, Representation, direct_sum,
-                       ext_dim_hereditary, generic_hom_ext, hom_basis,
-                       hom_dim, make_subrep, quotient, random_representation,
+                       ext_dim_hereditary, generic_hom_ext, hom_dim,
+                       make_subrep, quotient, random_representation,
                        restrict_to_sub, simple_representation)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
@@ -26,21 +26,6 @@ def test_simple_homs():
     assert ext_dim_hereditary(s[0], s[1]) == 1
     assert ext_dim_hereditary(s[1], s[0]) == 0
     assert ext_dim_hereditary(s[0], s[2]) == 0
-
-
-def test_hom_basis_consists_of_morphisms():
-    rng = random.Random(0)
-    p = 3
-    m = random_representation(A3, (2, 2, 1), p, rng)
-    n = random_representation(A3, (1, 2, 2), p, rng)
-    basis = hom_basis(m, n)
-    assert len(basis) == hom_dim(m, n)
-    from fpoly import kernels
-    for phi in basis:
-        for a, (s, t) in enumerate(A3.arrows):
-            left = kernels.matmul(phi[t], m.matrices[a], p)
-            right = kernels.matmul(n.matrices[a], phi[s], p)
-            assert left == right
 
 
 def test_restrict_quotient_dims_and_additivity():
