@@ -29,8 +29,8 @@ from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
 from .quiver import Quiver
-from .stabilization import (verify_cones, verify_facet_restriction,
-                            verify_saturation, verify_vertex_theorems)
+from .stabilization import (verify_cones, verify_facets, verify_saturation,
+                            verify_vertex_theorems)
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -166,18 +166,6 @@ def cmd_polytope(args):
     return {"command": "polytope", "source": source, **convex_hull(points).to_json()}
 
 
-def _verify_facets(recipe, fpoly):
-    if fpoly is None:
-        fpoly = f_polynomial(recipe)
-    hull = convex_hull(fpoly.support())
-    results = [verify_facet_restriction(recipe, delta, fpoly=fpoly)
-               for delta, _ in hull.facets]
-    return {"check": "facets",
-            "pass": all(r["pass"] for r in results),
-            "witnesses": [r for r in results if not r["pass"]],
-            "facets": results}
-
-
 def cmd_verify(args):
     if args.fpoly and args.what != "facets":
         raise InvalidInput(f"--fpoly is read only by --what facets, not {args.what}")
@@ -191,13 +179,13 @@ def cmd_verify(args):
     elif args.what == "saturation":
         result = verify_saturation(recipe)
     elif args.what == "facets":
-        result = _verify_facets(recipe, fpoly)
+        result = verify_facets(recipe, fpoly)
     elif args.what == "cones":
         result = verify_cones(recipe)
     return {
         "command": "verify",
         "instance": {"dims": list(recipe.dims), "seed": recipe.seed},
-        "check": result.get("check", args.what),
+        "check": result["check"],
         "pass": result["pass"],
         "report": result,
     }

@@ -195,15 +195,6 @@ class MultiPoly:
             out[key] = out.get(key, 0) + coef
         return MultiPoly(nvars_out, out)
 
-    def evaluate(self, values):
-        total = 0
-        for exp, coef in self.terms.items():
-            term = coef
-            for e, v in zip(exp, values):
-                term *= v ** e
-            total += term
-        return total
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 

@@ -6,6 +6,8 @@ projectives, stored by path coefficients.  From d we derive its
 cokernel, the invariants (hom, e) against any representation (kernel
 and cokernel dimensions of Hom(P_plus, N) -> Hom(P_minus, N)), and the
 kernel of the Nakayama translate (which computes tau of the cokernel).
+The injective side is the projective side of the opposite quiver under
+the duality D = Hom(-, F_p) of ``rep.dual``.
 """
 
 from dataclasses import dataclass
@@ -13,79 +15,46 @@ from functools import lru_cache, reduce
 
 from . import kernels
 from .quiver import pos_neg_parts, vec_dot
-from .rep import (Representation, _least_hom, direct_sum, make_subrep,
-                  quotient, restrict_to_sub, stable_rng, zero_matrix,
-                  zero_representation)
+from .rep import (Representation, _least_hom, direct_sum, dual, make_subrep,
+                  quotient, stable_rng, zero_matrix, zero_representation)
 
 GENERIC_TRIALS = 8       # draws per prime for a generic hom or cokernel
 
 
-class PathBasis:
-    """All directed paths of an acyclic quiver, as arrow-index tuples."""
-
-    def __init__(self, quiver):
-        if not quiver.acyclic:
-            raise ValueError("path enumeration requires an acyclic quiver")
-        self.quiver = quiver
-        # between[i][j]: sorted paths from i to j (trivial path = ()).
-        self.between = [[[] for _ in range(quiver.n)] for _ in range(quiver.n)]
-        for i in range(quiver.n):
-            stack = [((), i)]
-            while stack:
-                path, v = stack.pop()
-                self.between[i][v].append(path)
-                for a in quiver.arrows_from(v):
-                    stack.append((path + (a,), quiver.arrows[a][1]))
-        for row in self.between:
-            for cell in row:
-                cell.sort(key=lambda p: (len(p), p))
-
-    def paths_between(self, i, j):
-        return self.between[i][j]
-
-    def proj_dims(self, i):
-        """Dimension vector of the projective at vertex i."""
-        return tuple(len(self.between[i][w]) for w in range(self.quiver.n))
-
-    def inj_dims(self, i):
-        """Dimension vector of the injective at vertex i."""
-        return tuple(len(self.between[w][i]) for w in range(self.quiver.n))
-
-
 @lru_cache(maxsize=None)
 def path_basis(quiver):
-    return PathBasis(quiver)
+    """between[i][j]: the directed paths from i to j of an acyclic quiver,
+    as arrow-index tuples sorted by (length, path); the trivial path is ()."""
+    if not quiver.acyclic:
+        raise ValueError("path enumeration requires an acyclic quiver")
+    between = [[[] for _ in range(quiver.n)] for _ in range(quiver.n)]
+    for i in range(quiver.n):
+        stack = [((), i)]
+        while stack:
+            path, v = stack.pop()
+            between[i][v].append(path)
+            for a in quiver.arrows_from(v):
+                stack.append((path + (a,), quiver.arrows[a][1]))
+    return tuple(tuple(tuple(sorted(cell, key=lambda path: (len(path), path)))
+                       for cell in row) for row in between)
 
 
 def projective_representation(quiver, i, p):
     """P_i on the basis of paths starting at i."""
-    pb = path_basis(quiver)
-    dims = pb.proj_dims(i)
+    between = path_basis(quiver)[i]
     mats = []
     for a, (s, t) in enumerate(quiver.arrows):
-        src = pb.paths_between(i, s)
-        tgt = {path: r for r, path in enumerate(pb.paths_between(i, t))}
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for c, path in enumerate(src):
+        tgt = {path: r for r, path in enumerate(between[t])}
+        mat = [[0] * len(between[s]) for _ in range(len(tgt))]
+        for c, path in enumerate(between[s]):
             mat[tgt[path + (a,)]][c] = 1
         mats.append(tuple(tuple(r) for r in mat))
-    return Representation(quiver, p, dims, tuple(mats))
+    return Representation(quiver, p, tuple(map(len, between)), tuple(mats))
 
 
 def injective_representation(quiver, i, p):
-    """I_i on the basis of paths ending at i; arrows strip their first step."""
-    pb = path_basis(quiver)
-    dims = pb.inj_dims(i)
-    mats = []
-    for a, (s, t) in enumerate(quiver.arrows):
-        src = pb.paths_between(s, i)
-        tgt = {path: r for r, path in enumerate(pb.paths_between(t, i))}
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for c, path in enumerate(src):
-            if path and path[0] == a:
-                mat[tgt[path[1:]]][c] = 1
-        mats.append(tuple(tuple(r) for r in mat))
-    return Representation(quiver, p, dims, tuple(mats))
+    """I_i = D P_i of the opposite quiver, on the paths ending at i."""
+    return dual(projective_representation(quiver.opposite(), i, p))
 
 
 def _summands(quiver, beta):
@@ -118,13 +87,13 @@ class Presentation:
 def random_presentation(quiver, delta, p, rng):
     """Presentation of weight delta with uniform path coefficients."""
     plus, minus = pos_neg_parts(delta)
-    pb = path_basis(quiver)
+    between = path_basis(quiver)
     coeffs = []
     for i in _summands(quiver, plus):
         row = []
         for j in _summands(quiver, minus):
             row.append(tuple((path, rng.randrange(p))
-                             for path in pb.paths_between(i, j)))
+                             for path in between[i][j]))
         coeffs.append(tuple(row))
     return Presentation(quiver, p, tuple(delta), tuple(coeffs))
 
@@ -132,7 +101,7 @@ def random_presentation(quiver, delta, p, rng):
 def _realize(pres):
     """Per-vertex matrices of d: P(minus) -> P(plus), plus the target rep."""
     quiver, p = pres.quiver, pres.p
-    pb = path_basis(quiver)
+    between = path_basis(quiver)
     plus_s = pres.plus_summands
     minus_s = pres.minus_summands
     target = reduce(direct_sum,
@@ -143,17 +112,17 @@ def _realize(pres):
         idx = {}
         r = 0
         for u, i in enumerate(plus_s):
-            for path in pb.paths_between(i, w):
+            for path in between[i][w]:
                 idx[(u, path)] = r
                 r += 1
         row_index[w] = idx
     mats = []
     for w in range(quiver.n):
-        ncols = sum(len(pb.paths_between(j, w)) for j in minus_s)
+        ncols = sum(len(between[j][w]) for j in minus_s)
         mat = [[0] * ncols for _ in range(len(row_index[w]))]
         c = 0
         for v, j in enumerate(minus_s):
-            for path in pb.paths_between(j, w):
+            for path in between[j][w]:
                 for u in range(len(plus_s)):
                     for q, coef in pres.coeffs[u][v]:
                         if coef:
@@ -217,46 +186,26 @@ def hom_e(pres, n_rep):
     return src_dim - rank, tgt_dim - rank
 
 
-def nakayama_kernel(pres):
-    """Kernel of the Nakayama translate nu(d): I(minus) -> I(plus).
+def _transpose(pres):
+    """d* = Hom(d, A): P(delta_plus) -> P(delta_minus) over the opposite
+    quiver, of weight -delta, with each path read backwards."""
+    coeffs = tuple(tuple(tuple((path[::-1], coef) for path, coef in row[v])
+                         for row in pres.coeffs)
+                   for v in range(len(pres.minus_summands)))
+    return Presentation(pres.quiver.opposite(), pres.p,
+                        tuple(-x for x in pres.delta), coeffs)
 
-    For a presentation with no negative summand this is tau of the
-    cokernel of d.
+
+def nakayama_kernel(pres):
+    """Kernel of the Nakayama translate nu(d) = D Hom(d, A): I(minus) -> I(plus).
+
+    D is exact, so this is D Coker(d*).  For a presentation with no
+    negative summand it is tau of the cokernel of d.
     """
-    quiver, p = pres.quiver, pres.p
-    pb = path_basis(quiver)
-    plus_s = pres.plus_summands
-    minus_s = pres.minus_summands
-    for v in range(len(minus_s)):
-        if all(coef == 0 for u in range(len(plus_s))
-               for _, coef in pres.coeffs[u][v]):
+    for v in range(len(pres.minus_summands)):
+        if all(coef == 0 for row in pres.coeffs for _, coef in row[v]):
             raise ValueError("presentation has a negative summand P -> 0")
-    source = reduce(direct_sum,
-                    [injective_representation(quiver, j, p) for j in minus_s],
-                    zero_representation(quiver, p))
-    kernel_rows = []
-    for w in range(quiver.n):
-        row_index = {}
-        r = 0
-        for u, i in enumerate(plus_s):
-            for path in pb.paths_between(w, i):
-                row_index[(u, path)] = r
-                r += 1
-        mat = [[0] * source.dims[w] for _ in range(r)]
-        c = 0
-        for v, j in enumerate(minus_s):
-            for path in pb.paths_between(w, j):
-                for u in range(len(plus_s)):
-                    for q, coef in pres.coeffs[u][v]:
-                        # nu strips the hom-path q off the end of `path`.
-                        if coef and len(path) >= len(q) and path[len(path) - len(q):] == q:
-                            rr = row_index[(u, path[:len(path) - len(q)])]
-                            mat[rr][c] = (mat[rr][c] + coef) % p
-                c += 1
-        kernel_rows.append(kernels.nullspace(tuple(tuple(row) for row in mat),
-                                             source.dims[w], p))
-    sub = make_subrep(source, kernel_rows)
-    return restrict_to_sub(source, sub)
+    return dual(cokernel(_transpose(pres)))
 
 
 def generic_hom_e(quiver, delta, recipe, seed=0):

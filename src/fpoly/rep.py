@@ -92,12 +92,6 @@ def zero_representation(quiver, p):
     return Representation(quiver, p, dims, tuple(zero_matrix(0, 0) for _ in quiver.arrows))
 
 
-def simple_representation(quiver, i, p):
-    dims = tuple(1 if j == i else 0 for j in range(quiver.n))
-    mats = tuple(zero_matrix(dims[t], dims[s]) for s, t in quiver.arrows)
-    return Representation(quiver, p, dims, mats)
-
-
 def random_representation(quiver, dims, p, rng):
     quiver.check_dim_vector(dims)
     mats = []
@@ -105,6 +99,13 @@ def random_representation(quiver, dims, p, rng):
         mats.append(tuple(tuple(rng.randrange(p) for _ in range(dims[s]))
                           for _ in range(dims[t])))
     return Representation(quiver, p, dims, tuple(mats))
+
+
+def dual(rep):
+    """DM = Hom(M, F_p): the same dimensions on the opposite quiver, each
+    arrow matrix transposed.  D is exact and contravariant, and DDM = M."""
+    mats = tuple(rep.matrix_t(a) for a in range(len(rep.quiver.arrows)))
+    return Representation(rep.quiver.opposite(), rep.p, rep.dims, mats)
 
 
 def _check_compatible(m, n):

@@ -34,10 +34,9 @@ from .intlinalg import solver
 from .polynomial import (MultiPoly, f_polynomial, fit_tables, plan_fit,
                          restrict_to_face)
 from .polytope import convex_hull, lattice_points
-from .quiver import Quiver, vec_dot, vec_sub
-from .rep import (Subrep, _coords_in_basis, _is_rigid_rep, ext_dim_hereditary,
-                  generic_hom_ext, hom_dim, make_subrep, quotient,
-                  restrict_to_sub)
+from .quiver import vec_dot, vec_sub
+from .rep import (Subrep, _coords_in_basis, _is_rigid_rep, generic_hom_ext,
+                  hom_dim, make_subrep, quotient, restrict_to_sub)
 
 BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
@@ -279,39 +278,18 @@ def verify_facet_restriction(recipe, delta, fpoly=None):
     }
 
 
-def collapse_monomial(poly, images, nvars_out):
-    """Inverse monomial substitution: rewrite exponents in the image lattice.
-
-    Each exponent vector must be a unique nonnegative integer combination
-    of the image vectors (their linear independence is required).
-    """
-    solve = solver(_iota_rows(images, len(images[0])), len(images))
-    if solve is None:
-        raise ValueError("image vectors must be linearly independent")
-    terms = {}
-    for exp, coef in poly.terms.items():
-        sol = solve(exp)
-        if sol is None or any(x < 0 for x in sol):
-            raise ValueError(f"exponent {exp} is not in the image cone")
-        terms[sol] = coef
-    return MultiPoly(nvars_out, terms)
-
-
-def perpendicular_quiver(quiver, stables):
-    """Quiver on the stable classes with ext-many arrows, plus iota."""
-    for s in stables:
-        if hom_dim(s, s) != 1:
-            raise ValueError("stable class with endomorphisms beyond scalars")
-    names = tuple(str(i + 1) for i in range(len(stables)))
-    arrows = []
-    for i, vi in enumerate(stables):
-        for j, vj in enumerate(stables):
-            if i == j:
-                continue
-            for _ in range(ext_dim_hereditary(vi, vj)):
-                arrows.append((i, j))
-    iota = tuple(s.dims for s in stables)
-    return Quiver(names, tuple(arrows)), iota
+def verify_facets(recipe, fpoly=None):
+    """The face-restriction check at every facet normal of the Newton
+    polytope of F, which is ``f_polynomial(recipe)`` unless given."""
+    if fpoly is None:
+        fpoly = f_polynomial(recipe)
+    hull = convex_hull(fpoly.support())
+    results = [verify_facet_restriction(recipe, delta, fpoly=fpoly)
+               for delta, _ in hull.facets]
+    return {"check": "facets",
+            "pass": all(r["pass"] for r in results),
+            "witnesses": [r for r in results if not r["pass"]],
+            "facets": results}
 
 
 def verify_cones(recipe):
@@ -334,16 +312,22 @@ def verify_cones(recipe):
 
 def verify_vertex_theorems(recipe):
     """Vertex subrepresentations are unique points with Hom(L, M/L) = 0;
-    for rigid acyclic M, vertices are exactly the perpendicular splittings."""
+    for rigid acyclic M, vertices are exactly the perpendicular splittings.
+
+    The points are counted at VERTEX_PRIMES for a seeded recipe, whose
+    draw is generic at every prime, and at the CERTIFY_PRIMES of its hull
+    for explicit matrices, whose reduction at another prime may be another
+    module."""
     dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)
+    primes = VERTEX_PRIMES if recipe.int_matrices is None else CERTIFY_PRIMES
     witnesses = []
     for gamma in hull.vertices:
-        for p in VERTEX_PRIMES:
+        for p in primes:
             if subrep_counts(recipe.at_prime(p)).get(gamma) != 1:
                 witnesses.append({"gamma": list(gamma), "prime": p,
                                   "fail": "vertex count != 1"})
-        m_rep = recipe.at_prime(VERTEX_PRIMES[0])
+        m_rep = recipe.at_prime(primes[0])
         sub = unique_subrep(m_rep, gamma)
         if sub is None:
             witnesses.append({"gamma": list(gamma), "fail": "no unique subrep"})

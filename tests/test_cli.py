@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from fpoly import cli, grassmannian, polynomial, polytope, rep, stabilization
 from fpoly.cli import main
 from fpoly.errors import InvariantViolation, NonPolynomialCount
 from fpoly.polynomial import MultiPoly, f_polynomial
-from fpoly.quiver import Quiver, kronecker_quiver
+from fpoly.quiver import Quiver, kronecker_quiver, unit_vector
 from fpoly.rep import RepRecipe
 
 CYCLE4 = Quiver(("1", "2", "3", "4"),
@@ -128,15 +129,22 @@ def test_verify_vertices_rigid_verdict(capsys, k2_json, dims, rigid):
     assert code == 0 and report["rigid"] is rigid and not report["witnesses"]
 
 
-@pytest.mark.parametrize("arrow,rigid", [(0, False), (1, True)])
+@pytest.mark.parametrize("quiver,dims,matrices,rigid", [
+    pytest.param(Quiver(("1", "2"), ((0, 1),)), (1, 1), (((0,),),), False,
+                 id="0-False"),
+    pytest.param(Quiver(("1", "2"), ((0, 1),)), (1, 1), (((1,),),), True,
+                 id="1-True"),
+    pytest.param(kronecker_quiver(3), (2, 1), (((0, 0),), ((0, -2),), ((3, 1),)),
+                 False, id="k3-mod-5-False")])
 def test_explicit_vertex_report_is_rigid_only_where_the_matrices_are(
-        capsys, tmp_path, arrow, rigid):
+        capsys, tmp_path, quiver, dims, matrices, rigid):
     # A2 (1,1) with the zero arrow is S1 + S2, which is not rigid, so the
     # perpendicularity test is skipped.  Rigidity read off the dimension
     # vector alone called it rigid, and that test then failed at (1,0).
-    # The nonzero arrow gives the rigid projective P1.
-    recipe = RepRecipe(Quiver(("1", "2"), ((0, 1),)), (1, 1),
-                       int_matrices=(((arrow,),),))
+    # The nonzero arrow gives the rigid projective P1.  The K3 functionals
+    # span a line mod 2 and 3 but the plane mod 5, which is another module:
+    # its hull is certified at 2 and 3, so its vertices are counted there.
+    recipe = RepRecipe(quiver, dims, int_matrices=matrices)
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(recipe.to_json()))
     code, out = run(capsys, "verify", "--what", "vertices", "--strict",
@@ -499,7 +507,8 @@ def test_facet_perp_that_is_not_semistable_is_exit_5(capsys, monkeypatch, k2_jso
     # A simple at a vertex of nonzero weight is not delta-null.
     def simple(m_rep, delta):
         vertex = next(v for v, d in enumerate(delta) if d)
-        return rep.simple_representation(m_rep.quiver, vertex, prime)
+        return rep.random_representation(m_rep.quiver, unit_vector(2, vertex),
+                                         prime, random.Random(0))
 
     _patched_perp(monkeypatch, prime, simple)
     code = main(["verify", "--what", "facets", "--strict",

@@ -11,7 +11,7 @@ from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
                                 dual_tropical_f, unique_subrep)
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, Representation, is_arrow_stable,
-                       random_representation, simple_representation)
+                       random_representation)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 
@@ -65,7 +65,7 @@ def test_enumeration_agrees_with_count():
 
 def test_simple_sub_dims():
     for i in range(3):
-        s = simple_representation(A3, i, 3)
+        s = random_representation(A3, unit_vector(3, i), 3, random.Random(0))
         assert subrep_dim_vectors(s) == {(0, 0, 0), unit_vector(3, i)}
 
 

@@ -1,8 +1,9 @@
 import random
+from functools import reduce
 
 import pytest
 
-from fpoly import presentations
+from fpoly import kernels, presentations
 from fpoly.grassmannian import dual_tropical_f, tropical_f
 from fpoly.presentations import (cokernel, generic_cokernel, generic_hom_e,
                                  hom_e, injective_representation,
@@ -10,19 +11,21 @@ from fpoly.presentations import (cokernel, generic_cokernel, generic_hom_e,
                                  projective_representation,
                                  random_presentation)
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
-from fpoly.rep import (RepRecipe, ext_dim_hereditary, hom_dim,
-                       random_representation, stable_rng)
+from fpoly.rep import (RepRecipe, Representation, direct_sum,
+                       ext_dim_hereditary, hom_dim, make_subrep,
+                       random_representation, restrict_to_sub, stable_rng,
+                       zero_representation)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 Q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
 
 
 def test_path_counts():
-    pb = path_basis(Q231)
-    assert len(pb.paths_between(0, 1)) == 2
-    assert len(pb.paths_between(0, 2)) == 2
-    assert len(pb.paths_between(1, 1)) == 1   # trivial path
-    assert len(pb.paths_between(2, 0)) == 0
+    between = path_basis(Q231)
+    assert len(between[0][1]) == 2
+    assert len(between[0][2]) == 2
+    assert between[1][1] == ((),)   # trivial path
+    assert between[2][0] == ()
 
 
 def test_projective_injective_dims():
@@ -149,3 +152,122 @@ def test_zero_negative_summand_rejected():
     # nothing
     with pytest.raises(ValueError):
         nakayama_kernel(bad)
+
+
+def random_acyclic_quiver(rng):
+    """2-4 vertices, arrows from lower to higher index, parallel ones too."""
+    n = rng.randrange(2, 5)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    arrows = tuple(rng.choice(pairs) for _ in range(rng.randrange(1, n + 2)))
+    return Quiver(tuple(str(v + 1) for v in range(n)), arrows)
+
+
+def small_representation(quiver, p, rng):
+    return random_representation(quiver, tuple(rng.randrange(3) for _ in range(quiver.n)),
+                                 p, rng)
+
+
+def test_cokernel_is_hom_exact():
+    # Hom(-, N) is left exact, so Hom(Coker d, N) is the kernel of
+    # Hom(P_plus, N) -> Hom(P_minus, N).
+    rng = random.Random(7)
+    for trial in range(200):
+        quiver = random_acyclic_quiver(rng)
+        p = (2, 3, 5, 101)[trial % 4]
+        d = random_presentation(quiver, tuple(rng.randrange(-2, 3) for _ in range(quiver.n)),
+                                p, rng)
+        coker = cokernel(d)
+        for _ in range(2):
+            n_rep = small_representation(quiver, p, rng)
+            assert hom_e(d, n_rep)[0] == hom_dim(coker, n_rep)
+
+
+# The direct constructions that duality replaced, kept as the reference of
+# injective_representation and nakayama_kernel.
+
+def direct_injective(quiver, i, p):
+    """I_i on the paths ending at i, each arrow stripping its first step."""
+    between = path_basis(quiver)
+    mats = []
+    for a, (s, t) in enumerate(quiver.arrows):
+        tgt = {path: r for r, path in enumerate(between[t][i])}
+        mat = [[0] * len(between[s][i]) for _ in range(len(tgt))]
+        for c, path in enumerate(between[s][i]):
+            if path and path[0] == a:
+                mat[tgt[path[1:]]][c] = 1
+        mats.append(tuple(tuple(r) for r in mat))
+    dims = tuple(len(between[w][i]) for w in range(quiver.n))
+    return Representation(quiver, p, dims, tuple(mats))
+
+
+def direct_nakayama_kernel(pres):
+    """Kernel of nu(d): I(minus) -> I(plus), built vertex by vertex: nu
+    strips each hom-path q off the end of a path into a minus-summand."""
+    quiver, p = pres.quiver, pres.p
+    between = path_basis(quiver)
+    plus_s, minus_s = pres.plus_summands, pres.minus_summands
+    for v in range(len(minus_s)):
+        if all(coef == 0 for u in range(len(plus_s)) for _, coef in pres.coeffs[u][v]):
+            raise ValueError("presentation has a negative summand P -> 0")
+    source = reduce(direct_sum, [direct_injective(quiver, j, p) for j in minus_s],
+                    zero_representation(quiver, p))
+    kernel_rows = []
+    for w in range(quiver.n):
+        row_index = {(u, path): r for r, (u, path) in enumerate(
+            (u, path) for u, i in enumerate(plus_s) for path in between[w][i])}
+        mat = [[0] * source.dims[w] for _ in range(len(row_index))]
+        c = 0
+        for v, j in enumerate(minus_s):
+            for path in between[w][j]:
+                for u in range(len(plus_s)):
+                    for q, coef in pres.coeffs[u][v]:
+                        if coef and len(path) >= len(q) and path[len(path) - len(q):] == q:
+                            rr = row_index[(u, path[:len(path) - len(q)])]
+                            mat[rr][c] = (mat[rr][c] + coef) % p
+                c += 1
+        kernel_rows.append(kernels.nullspace(tuple(tuple(r) for r in mat),
+                                             source.dims[w], p))
+    return restrict_to_sub(source, make_subrep(source, kernel_rows))
+
+
+def assert_isomorphic(old, new, rng, trials=8):
+    """Same dimension vector and the same hom to and from each of old,
+    new and ``trials`` random representations (Auslander: iso classes
+    are told apart by hom from all X)."""
+    assert old.dims == new.dims
+    others = [small_representation(old.quiver, old.p, rng) for _ in range(trials)]
+    for x in others + [old, new]:
+        assert hom_dim(x, old) == hom_dim(x, new)
+        assert hom_dim(old, x) == hom_dim(new, x)
+
+
+def test_injectives_and_nakayama_kernel_equal_the_direct_constructions():
+    # 100 nonzero kernels, and the zero ones and refusals met on the way
+    rng = random.Random(11)
+    zero, refused, nonzero = 0, 0, 0
+    for trial in range(2000):
+        if nonzero == 100:
+            break
+        quiver = random_acyclic_quiver(rng)
+        p = (2, 3, 5)[trial % 3]
+        for i in range(quiver.n):
+            new = injective_representation(quiver, i, p)
+            assert new.quiver == quiver
+            assert_isomorphic(direct_injective(quiver, i, p), new, rng, trials=2)
+        delta = tuple(rng.randrange(-2, 3) for _ in range(quiver.n))
+        d = random_presentation(quiver, delta, p, rng)
+        try:
+            old = direct_nakayama_kernel(d)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="negative summand"):
+                nakayama_kernel(d)
+            continue
+        new = nakayama_kernel(d)
+        assert new.quiver == quiver
+        assert_isomorphic(old, new, rng)
+        if old.total_dim:
+            nonzero += 1
+        else:
+            zero += 1
+    assert nonzero == 100 and zero and refused

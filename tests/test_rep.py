@@ -7,18 +7,20 @@ import pytest
 from fpoly import cli, grassmannian, rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
-                          vec_add)
-from fpoly.rep import (RepRecipe, Representation, direct_sum,
+                          unit_vector, vec_add)
+from fpoly.rep import (RepRecipe, Representation, direct_sum, dual,
                        ext_dim_hereditary, generic_hom_ext, hom_dim,
                        make_subrep, quotient, random_representation,
-                       restrict_to_sub, simple_representation)
+                       restrict_to_sub)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 
 
 def test_simple_homs():
     p = 5
-    s = [simple_representation(A3, i, p) for i in range(3)]
+    # A3 has no loop, so every arrow matrix at a unit vector is empty.
+    rng = random.Random(0)
+    s = [random_representation(A3, unit_vector(3, i), p, rng) for i in range(3)]
     for i in range(3):
         for j in range(3):
             assert hom_dim(s[i], s[j]) == (1 if i == j else 0)
@@ -57,6 +59,20 @@ def test_direct_sum_hom_additive():
     assert d.dims == (1, 2, 1)
     assert hom_dim(d, d) == (hom_dim(m, m) + hom_dim(m, n)
                              + hom_dim(n, m) + hom_dim(n, n))
+
+
+def test_dual_is_a_contravariant_involution():
+    # DDM = M, and D reverses Hom: hom(M, N) = hom(DN, DM).  Zero
+    # dimensions give the empty and the column-free matrices.
+    rng = random.Random(4)
+    q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
+    for _ in range(20):
+        m, n = (random_representation(q231, tuple(rng.randrange(3) for _ in range(3)),
+                                      3, rng) for _ in range(2))
+        dm = dual(m)
+        assert dm.quiver == q231.opposite() and dm.dims == m.dims
+        assert dual(dm) == m
+        assert hom_dim(m, n) == hom_dim(dual(n), dm)
 
 
 def test_hereditary_euler_identity():

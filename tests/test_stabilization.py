@@ -7,8 +7,7 @@ from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, generic_hom_ext, generic_sub_dims, hom_dim,
                        quotient, restrict_to_sub)
-from fpoly.stabilization import (collapse_monomial, graded_semistable_f,
-                                 is_semistable, perpendicular_quiver,
+from fpoly.stabilization import (graded_semistable_f, is_semistable,
                                  stable_factors, torsion_split, verify_cones,
                                  verify_facet_restriction, verify_saturation,
                                  verify_vertex_theorems)
@@ -140,23 +139,6 @@ def test_facet_restrictions_of_a_real_schur_root():
         assert MultiPoly.from_json(out["restriction"]) == printed
 
 
-def test_perpendicular_quiver_of_the_simples():
-    stables = [RepRecipe(A3, unit_vector(3, i), seed=0).at_prime(101)
-               for i in range(3)]
-    q, iota = perpendicular_quiver(A3, stables)
-    assert sorted(q.arrows) == sorted(A3.arrows)
-    assert iota == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def test_collapse_monomial_inverts_substitution():
-    images = [(1, 1, 0), (0, 1, 1)]
-    poly = MultiPoly(2, {(0, 0): 1, (2, 1): 3, (1, 2): -2})
-    expanded = poly.substitute_monomial(images, nvars_out=3)
-    assert collapse_monomial(expanded, images, 2) == poly
-    with pytest.raises(ValueError):
-        collapse_monomial(MultiPoly(3, {(1, 0, 0): 1}), images, 2)
-
-
 def test_weight_cones_recover_the_facet_normals():
     r = RepRecipe(Q231, (2, 4, 1), seed=0)
     report = verify_cones(r)
@@ -213,6 +195,9 @@ def test_generic_sub_dims_excludes_obstructed_dimension():
 
 
 def test_collapse_recovers_reduced_polynomials_of_the_4cycle():
+    # Each set of class images is independent, so the monomial substitution
+    # is injective and a reduced polynomial is the only one it maps onto
+    # the restriction.
     from fpoly.cluster import b_matrix, find_by_delta, run_sequence
     cycle4 = Quiver(("1", "2", "3", "4"),
                     ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2)))
@@ -224,18 +209,18 @@ def test_collapse_recovers_reduced_polynomials_of_the_4cycle():
     f = find_by_delta(seed, (-1, 1, 1, 0))
     from fpoly.polynomial import restrict_to_face
     restriction = restrict_to_face(f, (0, 1, 0, -1))
-    reduced = collapse_monomial(restriction,
-                                [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)], 3)
-    assert reduced == (one + z2) * (one + 2 * z1 + z1 ** 2 + 2 * z1 * z2
-                                    + 2 * z1 ** 2 * z2 + z1 ** 2 * z2 ** 2
-                                    + z1 ** 2 * z3 * z2 ** 2)
+    reduced = (one + z2) * (one + 2 * z1 + z1 ** 2 + 2 * z1 * z2
+                            + 2 * z1 ** 2 * z2 + z1 ** 2 * z2 ** 2
+                            + z1 ** 2 * z3 * z2 ** 2)
+    images = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 1)]
+    assert reduced.substitute_monomial(images, 4) == restriction
 
     # facet (-1,0,1,0) of the (2,3,4,1,2,3) variable; classes T13, S2, S4
     seed = run_sequence(b_matrix(cycle4), (2, 3, 4, 1, 2, 3))
     f = find_by_delta(seed, (1, -1, 1, 1), dual=True)
     restriction = restrict_to_face(f, (-1, 0, 1, 0))
     y3 = MultiPoly.monomial(4, (0, 0, 1, 0))
-    reduced = collapse_monomial(restriction.exact_div(y3),
-                                [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)], 3)
-    assert reduced == ((one + z3 + z2 * z3) ** 2
-                       * (one + z1 + 2 * z1 * z2 + z1 * z2 ** 2))
+    reduced = ((one + z3 + z2 * z3) ** 2
+               * (one + z1 + 2 * z1 * z2 + z1 * z2 ** 2))
+    images = [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+    assert y3 * reduced.substitute_monomial(images, 4) == restriction
