@@ -150,7 +150,7 @@ def cmd_mutate(args):
             raise InvalidInput(exc.args[0]) from None
         report.update(delta=list(delta), fpoly=poly.to_json(), pretty=str(poly))
     else:
-        report["slots"] = [{"g": list(seed.g[i]),
+        report["slots"] = [{"g": [-x for x in seed.delta(i)],
                             "fpoly": seed.f[i].to_json(),
                             "pretty": str(seed.f[i])}
                            for i in range(seed.n)]

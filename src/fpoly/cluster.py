@@ -1,18 +1,21 @@
 """Cluster-seed mutation with principal coefficients.
 
 Tracks the exchange matrix B, the coefficient matrix C (columns are
-c-vectors), g-vectors and F-polynomials.  All arithmetic is exact; the
-exchange-relation division must be exact and every F-polynomial must
-keep constant term 1 and nonnegative coefficients, otherwise
-InvariantViolation is raised — these are strong self-checks of the
+c-vectors), dual g-vectors and F-polynomials, beside the initial matrix
+B0.  A slot's delta-vector is its dual delta-vector minus B0 d, where d
+is the top degree of its F-polynomial (the dimension vector of its
+module), so it depends on the cluster variable, not on the path.  All
+arithmetic is exact; an exchange-relation division that is not exact,
+or an F-polynomial without constant term 1 or with a negative
+coefficient, raises InvariantViolation: strong self-checks of the
 recurrences.
 """
 
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .polynomial import MultiPoly
-from .quiver import unit_vector
+from .polynomial import MultiPoly, _exchange
+from .quiver import pos_neg_parts, unit_vector, vec_dot
 
 
 def b_matrix(quiver):
@@ -33,17 +36,19 @@ def b_matrix(quiver):
 class Seed:
     b: tuple       # current exchange matrix, rows x columns
     c: tuple       # coefficient matrix, c-vector of slot k in column k
-    g: tuple       # g-vector per slot
     gc: tuple      # dual g-vector per slot (opposite tropical sign choice)
     f: tuple       # F-polynomial per slot
+    b0: tuple      # initial exchange matrix
 
     @property
     def n(self):
         return len(self.b)
 
     def delta(self, k0):
-        """delta-vector of slot k0 (0-based): the negative of its g-vector."""
-        return tuple(-x for x in self.g[k0])
+        """delta-vector of slot k0 (0-based): delta_check(k0) - B0 d, with d
+        the top degree of its F-polynomial; the negative of its g-vector."""
+        top = max(self.f[k0].terms, key=sum)
+        return tuple(-g - vec_dot(row, top) for g, row in zip(self.gc[k0], self.b0))
 
     def delta_check(self, k0):
         """Dual weight vector of slot k0: the negative of its dual g-vector."""
@@ -57,17 +62,26 @@ def initial_seed(b):
             b[i][j] != -b[j][i] for i in range(n) for j in range(n)):
         raise ValueError("B must be a square skew-symmetric matrix")
     c = tuple(unit_vector(n, i) for i in range(n))
-    g = tuple(unit_vector(n, i) for i in range(n))
-    f = tuple(MultiPoly.one(n) for _ in range(n))
-    return Seed(b, c, g, g, f)
+    return Seed(b, c, c, (MultiPoly.one(n),) * n, b)
 
 
 def seed_from_quiver(quiver):
     return initial_seed(b_matrix(quiver))
 
 
-def _pos(x):
-    return x if x > 0 else 0
+def _mutate_rows(rows, up, down, k0):
+    """Rows of [B; C] mutated at column k0, given the parts up - down of row
+    k0 of B: b'_ij = b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ and
+    b'_ik = -b_ik.  A row with b_ik = 0 is unchanged; row k0 of B is one."""
+    out = []
+    for row in rows:
+        x = row[k0]
+        if x:
+            row = [v + x * p for v, p in zip(row, up if x > 0 else down)]
+            row[k0] = -x
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
 
 def mutate(seed, k):
@@ -76,55 +90,31 @@ def mutate(seed, k):
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} out of range 1..{n}")
     k0 = k - 1
-    b, c, g, gc, f = seed.b, seed.c, seed.g, seed.gc, seed.f
+    b, c, gc, f = seed.b, seed.c, seed.gc, seed.f
 
-    # Matrix mutation of the extended matrix [B; C] at column/row k0.
-    def mutate_rows(mat, is_b):
-        out = []
-        for i, row in enumerate(mat):
-            new = []
-            for j in range(n):
-                if (is_b and i == k0) or j == k0:
-                    new.append(-row[j])
-                else:
-                    new.append(row[j] + _pos(row[k0]) * _pos(b[k0][j])
-                               - _pos(-row[k0]) * _pos(-b[k0][j]))
-            out.append(tuple(new))
-        return tuple(out)
-
-    new_b = mutate_rows(b, True)
-    new_c = mutate_rows(c, False)
-
-    # c-vector of slot k0 is sign-coherent; its sign picks the g-recurrence.
-    ck = [c[i][k0] for i in range(n)]
-    if all(x == 0 for x in ck) or (any(x > 0 for x in ck) and any(x < 0 for x in ck)):
+    # c-vector of slot k0 is sign-coherent; its sign eps picks the weights
+    # [-eps b_ik]+ = [eps b_ki]+ of the dual g-recurrence.
+    ck = [row[k0] for row in c]
+    if not any(ck) or (max(ck) > 0 and min(ck) < 0):
         raise InvariantViolation(f"c-vector {ck} is not sign-coherent")
-    eps = 1 if any(x > 0 for x in ck) else -1
-    new_gk = tuple(-g[k0][j] + sum(_pos(eps * b[i][k0]) * g[i][j] for i in range(n))
-                   for j in range(n))
-    new_gck = tuple(-gc[k0][j] + sum(_pos(-eps * b[i][k0]) * gc[i][j] for i in range(n))
-                    for j in range(n))
+    up, down = pos_neg_parts(b[k0])
+    weights = up if max(ck) > 0 else down
+    new_gck = tuple(vec_dot(weights, col) - x for x, col in zip(gc[k0], zip(*gc)))
+    column = tuple([-x for x in b[k0]])     # column k0 of B, the new row k0
 
-    # Exchange relation for the F-polynomial.
-    plus = MultiPoly.monomial(n, tuple(_pos(c[i][k0]) for i in range(n)))
-    minus = MultiPoly.monomial(n, tuple(_pos(-c[i][k0]) for i in range(n)))
-    for j in range(n):
-        if j == k0:
-            continue
-        if b[j][k0] > 0:
-            plus = plus * f[j] ** b[j][k0]
-        elif b[j][k0] < 0:
-            minus = minus * f[j] ** (-b[j][k0])
-    new_fk = (plus + minus).exact_div(f[k0])
+    try:
+        new_fk = _exchange(f, column, ck, k0)
+    except ArithmeticError as exc:
+        raise InvariantViolation(f"exchange relation at slot {k}: {exc}") from None
     if new_fk.constant_term() != 1:
         raise InvariantViolation("mutated F-polynomial lost its unit constant term")
     if any(coef < 0 for coef in new_fk.terms.values()):
         raise InvariantViolation("mutated F-polynomial has a negative coefficient")
 
-    g_out = tuple(new_gk if i == k0 else g[i] for i in range(n))
-    gc_out = tuple(new_gck if i == k0 else gc[i] for i in range(n))
-    f_out = tuple(new_fk if i == k0 else f[i] for i in range(n))
-    return Seed(new_b, new_c, g_out, gc_out, f_out)
+    new_b = _mutate_rows(b, up, down, k0)
+    return Seed(new_b[:k0] + (column,) + new_b[k0 + 1:],
+                _mutate_rows(c, up, down, k0), gc[:k0] + (new_gck,) + gc[k0 + 1:],
+                f[:k0] + (new_fk,) + f[k0 + 1:], seed.b0)
 
 
 def run_sequence(b, seq):
@@ -145,4 +135,3 @@ def find_by_delta(seed, delta, dual=False):
     if len(matches) > 1:
         raise KeyError(f"delta-vector {delta} is ambiguous (slots {matches})")
     return seed.f[matches[0]]
-

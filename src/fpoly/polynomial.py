@@ -20,24 +20,22 @@ is a fraction, rather than being averaged away.
 
 import heapq
 import itertools
+import operator
 
 from .errors import NonPolynomialCount
 from .grassmannian import CERTIFY_PRIMES, subrep_counts, subrep_dim_vectors
 from .intlinalg import solver
-from .quiver import euler_form, vec_dot, vec_sub
+from .quiver import euler_form, pos_neg_parts, vec_dot, vec_sub
 
 VERIFY_PRIMES = 1
-
-
-def _grlex_key(exp):
-    return (sum(exp), tuple(-e for e in exp))
 
 
 class MultiPoly:
     """Immutable sparse polynomial with integer coefficients.
 
     Terms are stored as {exponent tuple: coefficient}; all exponent
-    tuples share one length (the number of variables).
+    tuples share one length (the number of variables).  Products and
+    exact quotients are taken on packed monomials (see ``_packing``).
     """
 
     __slots__ = ("nvars", "terms")
@@ -55,6 +53,14 @@ class MultiPoly:
                 del clean[exp]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """The polynomial of a clean term dict, taken as it is."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -89,37 +95,27 @@ class MultiPoly:
         return MultiPoly(self.nvars, [*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()}
+                                 if other else {})
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        units, guard, width = _packing(self.nvars, _degree_bound(self) + _degree_bound(other))
+        return _unpack(_times(_pack(self.terms, units), _pack(other.terms, units)),
+                       self.nvars, width)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        """self ** k by binary powering: bit_length(k) - 1 squarings and
-        popcount(k) - 1 further products, none of them by one."""
+        """self ** k by ``_power``: k = 0 gives one without a product."""
         if k < 0:
             raise ValueError("negative power")
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return MultiPoly.one(self.nvars) if result is None else result
+        return _power(self, k, operator.mul) if k else MultiPoly.one(self.nvars)
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -127,46 +123,6 @@ class MultiPoly:
         if other.nvars != self.nvars:
             raise ValueError("variable count mismatch")
         return other
-
-    def leading(self):
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
-
-    def exact_div(self, divisor):
-        """Quotient self / divisor, requiring zero remainder.
-
-        Leading terms of the remainder come off a heap keyed by
-        (-degree, exponent), the order of ``leading()``: each key is pushed
-        when its term appears and skipped when popped after it cancelled.
-        """
-        divisor = self._coerce(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        dexp, dcoef = divisor.leading()
-        tail = [(e, c) for e, c in divisor.terms.items() if e != dexp]
-        rem = dict(self.terms)
-        heap = [(-sum(e), e) for e in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while rem:
-            exp = heapq.heappop(heap)[1]
-            if exp not in rem:
-                continue
-            coef = rem.pop(exp)
-            qexp = tuple(a - b for a, b in zip(exp, dexp))
-            if any(e < 0 for e in qexp) or coef % dcoef:
-                raise ArithmeticError("polynomial division is not exact")
-            qcoef = quot[qexp] = coef // dcoef
-            for e2, c2 in tail:
-                key = tuple(a + b for a, b in zip(qexp, e2))
-                c = rem.get(key, 0) - qcoef * c2
-                if not c:
-                    del rem[key]
-                    continue
-                if key not in rem:
-                    heapq.heappush(heap, (-sum(key), key))
-                rem[key] = c
-        return MultiPoly(self.nvars, quot)
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
@@ -196,7 +152,7 @@ class MultiPoly:
         return MultiPoly(nvars_out, out)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0])))
 
     def to_json(self):
         return [{"exp": list(exp), "coef": str(coef)}
@@ -235,6 +191,114 @@ class MultiPoly:
         return out
 
     __repr__ = __str__
+
+
+# The one arithmetic engine: a polynomial is {packed monomial: coefficient}.
+
+def _degree_bound(poly):
+    return max(map(sum, poly.terms), default=0)
+
+
+def _packing(nvars, degree):
+    """``(units, guard, width)``: y^e of total degree <= ``degree`` packs to
+    sum e_i units[i], one field of width bit_length(degree) + 1 bits per
+    variable and one on top for the total degree, so integer order is a
+    graded monomial order.  The top bit of each field, clear in every key,
+    is a guard: ``(k | guard) - d`` keeps every guard bit exactly when y^d
+    divides y^k, and is then the key of the quotient plus ``guard``."""
+    width = degree.bit_length() + 1
+    top = 1 << width * nvars
+    units = tuple(1 << width * i | top for i in range(nvars))
+    return units, ((top << width) - 1) // ((1 << width) - 1) << width - 1, width
+
+
+def _pack(terms, units):
+    if units and terms and min(map(min, terms)) < 0:
+        raise ValueError("a negative exponent has no packed monomial")
+    return {sum(map(operator.mul, exp, units)): c for exp, c in terms.items()}
+
+
+def _unpack(packed, nvars, width):
+    """The polynomial of packed terms, zero coefficients dropped."""
+    shifts, mask = range(0, width * nvars, width), (1 << width - 1) - 1
+    return MultiPoly._of(nvars, {tuple([key >> s & mask for s in shifts]): c
+                                 for key, c in packed.items() if c})
+
+
+def _times(a, b):
+    """The one product loop; a cancelled term keeps coefficient 0."""
+    out = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def _power(base, k, times):
+    """base ** k for k >= 1, left to right over the bits of k:
+    bit_length(k) - 1 squarings and popcount(k) - 1 products by base."""
+    result = base
+    for bit in bin(k)[3:]:
+        result = times(result, result)
+        if bit == "1":
+            result = times(result, base)
+    return result
+
+
+def _divide(num, den, guard):
+    """The one exact-division loop, packed ``num / den``.  Leading terms of
+    the remainder, none of higher total degree than ``num``, come off a max-heap
+    of keys, each pushed when its term appears and skipped if it cancelled."""
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    dkey = max(den)
+    dcoef = den[dkey]
+    tail = [(key, c) for key, c in den.items() if key != dkey]
+    rem = {key: c for key, c in num.items() if c}
+    heap = [-key for key in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while rem:
+        key = -heapq.heappop(heap)
+        if key not in rem:
+            continue
+        coef = rem.pop(key)
+        qkey = (key | guard) - dkey
+        if qkey & guard != guard or coef % dcoef:
+            raise ArithmeticError("polynomial division is not exact")
+        qkey ^= guard
+        qcoef = quot[qkey] = coef // dcoef
+        for k2, c2 in tail:
+            key = qkey + k2
+            c = rem.get(key, 0) - qcoef * c2
+            if not c:
+                del rem[key]
+                continue
+            if key not in rem:
+                heapq.heappush(heap, -key)
+            rem[key] = c
+    return quot
+
+
+def _exchange(f, column, cvec, k0):
+    """(y^[c]+ prod_j F_j^[b_j]+ + y^[-c]+ prod_j F_j^[-b_j]+) / F_k0 for the
+    F-polynomials ``f``, column k0 b of B and c-vector ``cvec``, each factor
+    packed once; ArithmeticError unless the division is exact."""
+    sides = [(mono, [(p, e) for p, e in zip(f, exps) if e])
+             for mono, exps in zip(pos_neg_parts(cvec), pos_neg_parts(column))]
+    degree = max(sum(mono) + sum(e * _degree_bound(p) for p, e in factors)
+                 for mono, factors in sides)
+    units, guard, width = _packing(f[k0].nvars, max(degree, _degree_bound(f[k0])))
+    num = {}
+    for mono, factors in sides:
+        side = {sum(map(operator.mul, mono, units)): 1}
+        for p, e in factors:
+            side = _times(side, _power(_pack(p.terms, units), e, _times))
+        for key, c in side.items():
+            num[key] = num.get(key, 0) + c
+    return _unpack(_divide(num, _pack(f[k0].terms, units), guard), f[k0].nvars, width)
 
 
 def _primes():
@@ -378,7 +442,7 @@ def restrict_to_face(poly, delta):
         raise ValueError(f"weight of length {len(delta)} for {poly.nvars} variables")
     if not poly:
         return poly
-    best = max(vec_dot(delta, exp) for exp in poly.terms)
-    return MultiPoly(poly.nvars,
-                     {e: c for e, c in poly.terms.items()
-                      if vec_dot(delta, e) == best})
+    weights = [vec_dot(delta, exp) for exp in poly.terms]
+    best = max(weights)
+    return MultiPoly._of(poly.nvars, {e: c for (e, c), w in zip(poly.terms.items(), weights)
+                                      if w == best})

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 from .errors import CostCapExceeded
 
@@ -10,15 +11,15 @@ MAX_TOTAL_DIM = 16
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def unit_vector(n, i):
@@ -27,9 +28,8 @@ def unit_vector(n, i):
 
 def pos_neg_parts(delta):
     """Coordinatewise positive and negative parts, delta = plus - minus."""
-    plus = tuple(max(x, 0) for x in delta)
-    minus = tuple(max(-x, 0) for x in delta)
-    return plus, minus
+    return (tuple([x if x > 0 else 0 for x in delta]),
+            tuple([-x if x < 0 else 0 for x in delta]))
 
 
 @dataclass(frozen=True)

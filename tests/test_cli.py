@@ -83,6 +83,20 @@ def test_mutate_by_delta(capsys, cycle4_json):
     assert max(poly.terms, key=sum) == (2, 1, 3, 1)
 
 
+def test_mutate_delta_does_not_depend_on_the_path(capsys, tmp_path):
+    # On A3 (1 -> 2 -> 3) the delta-vector (1, 0, -1) is the Euler row of
+    # dimension (1, 1, 0); after 1,2,3,1,2,3,1,2 no slot holds that variable.
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(Quiver(("1", "2", "3"), ((0, 1), (1, 2))).to_json()))
+    code, out = run(capsys, "mutate", "--quiver", str(path), "--seq", "1,2", "--delta=1,0,-1")
+    assert code == 0
+    assert json.loads(out)["pretty"] == "1 + y2 + y1*y2"
+    code = main(["mutate", "--quiver", str(path), "--seq", "1,2,3,1,2,3,1,2",
+                 "--delta=1,0,-1"])
+    assert code == 6
+    assert "no cluster variable with delta-vector (1, 0, -1)" in capsys.readouterr().err
+
+
 def test_mutate_all_slots(capsys, k2_json):
     code, out = run(capsys, "mutate", "--quiver", k2_json, "--seq", "2,1")
     assert code == 0

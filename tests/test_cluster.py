@@ -1,18 +1,26 @@
+import dataclasses
+import heapq
 import random
 
 import pytest
 
+from fpoly import polynomial
 from fpoly.cluster import (b_matrix, find_by_delta, initial_seed, mutate,
                            run_sequence, seed_from_quiver)
+from fpoly.errors import InvariantViolation
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.polytope import convex_hull
-from fpoly.quiver import Quiver, kronecker_quiver
+from fpoly.quiver import Quiver, euler_form, kronecker_quiver, unit_vector
 from fpoly.rep import RepRecipe
 
 # 4-vertex quiver with a 3-cycle, the running potential example:
 # arrows 1->4, 2->1, 2->3, 2->4, 3->1, 4->3
 CYCLE4 = Quiver(("1", "2", "3", "4"),
                 ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2)))
+A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
+A4 = Quiver(("1", "2", "3", "4"), ((0, 1), (1, 2), (2, 3)))
+D4 = Quiver(("1", "2", "3", "4"), ((0, 3), (1, 3), (2, 3)))
+Q123 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))   # 1 => 2 -> 3
 
 
 def test_b_matrix_convention():
@@ -118,15 +126,16 @@ def test_dual_delta_examples():
 def test_criterion_3_sequence_product_count(monkeypatch):
     # Work-count guard on the exchange relation: powering without a
     # product by one or a squaring past the top bit takes the 51
-    # polynomial products of this sequence down to 19.
+    # polynomial products of this sequence down to 19, counted in the
+    # engine's one product loop.
     products = []
-    real_mul = MultiPoly.__mul__
+    real_times = polynomial._times
 
-    def spy(self, other):
+    def spy(a, b):
         products.append(1)
-        return real_mul(self, other)
+        return real_times(a, b)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    monkeypatch.setattr(polynomial, "_times", spy)
     run_sequence(b_matrix(CYCLE4), (2, 3, 4, 1, 2, 3))
     assert len(products) == 19
 
@@ -160,3 +169,144 @@ def test_categorification_matches_counting():
         if sum(top) == 0:
             continue
         assert f == f_polynomial(RepRecipe(a3, top, seed=0))
+
+
+def _start(start):
+    return initial_seed(start) if isinstance(start, tuple) else seed_from_quiver(start)
+
+
+def _walk(start, length, rng):
+    """(k, seed) along a random walk from the initial seed of a quiver or
+    an exchange matrix that never mutates one slot twice in a row."""
+    seed, prev = _start(start), None
+    for _ in range(length):
+        prev = rng.choice([k for k in range(1, seed.n + 1) if k != prev])
+        seed = mutate(seed, prev)
+        yield prev, seed
+
+
+@pytest.mark.parametrize("quiver, variables", [(A3, 9), (A4, 14), (D4, 16)])
+def test_delta_is_a_function_of_the_cluster_variable(quiver, variables):
+    # A cluster variable is determined by its g-vector, and on an acyclic
+    # quiver delta = -g is the Euler row (<d, e_i>)_i of its dimension
+    # vector d, or -e_i for an initial variable x_i, in whichever slot.
+    n, rng = quiver.n, random.Random(6)
+    initial = {tuple(-x for x in unit_vector(n, v)) for v in range(n)}
+    f_of, delta_of = {}, {}
+    for _, seed in _walk(quiver, 400, rng):
+        for i, f in enumerate(seed.f):
+            delta, top = seed.delta(i), max(f.terms, key=sum)
+            assert f_of.setdefault(delta, f) == f
+            if any(top):
+                assert delta_of.setdefault(f, delta) == delta
+                assert delta == tuple(euler_form(quiver, top, unit_vector(n, v))
+                                      for v in range(n))
+            else:
+                assert delta in initial
+    assert len(f_of) == variables
+
+
+def test_delta_is_a_function_of_f_on_the_4_cycle():
+    # Walks longer than six steps soon reach F-polynomials of many
+    # thousands of terms.
+    rng, f_of, delta_of = random.Random(7), {}, {}
+    for _ in range(60):
+        for _, seed in _walk(CYCLE4, 6, rng):
+            for i, f in enumerate(seed.f):
+                assert f_of.setdefault(seed.delta(i), f) == f
+                if len(f) > 1:
+                    assert delta_of.setdefault(f, seed.delta(i)) == seed.delta(i)
+    assert len(delta_of) > 50
+
+
+def test_inexact_exchange_is_an_invariant_violation():
+    seed = run_sequence(b_matrix(A3), (1, 2))
+    y1 = MultiPoly.monomial(3, (1, 0, 0))
+    broken = dataclasses.replace(seed, f=(y1 + 2,) + seed.f[1:])
+    with pytest.raises(InvariantViolation, match="not exact"):
+        mutate(broken, 1)
+
+
+# A reference exchange step on exponent tuples, apart from the packed engine:
+# term dicts, products term by term, powers by repeated products and the
+# heap division keyed by (-degree, exponent).
+
+def _tuple_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _tuple_divide(num, den):
+    dexp = max(den, key=lambda e: (sum(e), tuple(-x for x in e)))
+    dcoef, tail = den[dexp], [(e, c) for e, c in den.items() if e != dexp]
+    rem, quot = dict(num), {}
+    heap = [(-sum(e), e) for e in rem]
+    heapq.heapify(heap)
+    while rem:
+        exp = heapq.heappop(heap)[1]
+        if exp not in rem:
+            continue
+        coef = rem.pop(exp)
+        qexp = tuple(a - b for a, b in zip(exp, dexp))
+        assert min(qexp) >= 0 and coef % dcoef == 0
+        qcoef = quot[qexp] = coef // dcoef
+        for e2, c2 in tail:
+            key = tuple(a + b for a, b in zip(qexp, e2))
+            c = rem.get(key, 0) - qcoef * c2
+            if not c:
+                del rem[key]
+                continue
+            if key not in rem:
+                heapq.heappush(heap, (-sum(key), key))
+            rem[key] = c
+    return quot
+
+
+def _tuple_mutate(b, c, gc, f, k0):
+    """(B, C, dual g-vectors, F term dicts) mutated at slot k0."""
+    n, pos = len(b), lambda x: max(x, 0)
+
+    def rows(mat, is_b):
+        return tuple(tuple(-row[j] if (is_b and i == k0) or j == k0 else
+                           row[j] + pos(row[k0]) * pos(b[k0][j])
+                           - pos(-row[k0]) * pos(-b[k0][j]) for j in range(n))
+                     for i, row in enumerate(mat))
+
+    eps = 1 if any(c[i][k0] > 0 for i in range(n)) else -1
+    gck = tuple(-gc[k0][j] + sum(pos(-eps * b[i][k0]) * gc[i][j] for i in range(n))
+                for j in range(n))
+    sides = []
+    for sign in (1, -1):
+        side = {tuple(pos(sign * c[i][k0]) for i in range(n)): 1}
+        for j in range(n):
+            for _ in range(pos(sign * b[j][k0])):
+                side = _tuple_product(side, f[j])
+        sides.append(side)
+    num = dict(sides[0])
+    for e, coef in sides[1].items():
+        num[e] = num.get(e, 0) + coef
+    fk = _tuple_divide(num, f[k0])
+    return (rows(b, True), rows(c, False), gc[:k0] + (gck,) + gc[k0 + 1:],
+            f[:k0] + (fk,) + f[k0 + 1:])
+
+
+@pytest.mark.parametrize("start, walks, length", [
+    (A3, 1, 60), (D4, 1, 60), (A4, 1, 60),
+    (kronecker_quiver(2), 1, 18),     # up to 172 terms
+    (Q123, 8, 7),                     # up to 3,295 terms
+    (CYCLE4, 12, 6),                  # up to 249 terms
+    (((0, -300), (300, 0)), 1, 2),    # 302 terms, exponents up to 300
+    (((0, -17), (17, 0)), 1, 3)])     # 2,602 terms, exponent 288, divided by 1 + y_i
+def test_mutate_equals_the_tuple_arithmetic(start, walks, length):
+    rng = random.Random(8)
+    for _ in range(walks):
+        seed = _start(start)
+        old = (seed.b, seed.c, seed.gc, tuple(f.terms for f in seed.f))
+        for k, seed in _walk(start, length, rng):
+            old = _tuple_mutate(*old, k - 1)
+            assert (seed.b, seed.c, seed.gc) == old[:3]
+            assert [f.terms for f in seed.f] == list(old[3])

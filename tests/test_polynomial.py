@@ -33,14 +33,19 @@ def test_ring_axioms_randomized():
         assert a * MultiPoly.one(2) == a
 
 
+def _grlex(exp):
+    return (sum(exp), tuple(-x for x in exp))
+
+
 def _max_scan_div(num, den):
     """Long division that rescans the remainder for each leading term."""
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
-    dexp, dcoef = den.leading()
+    dexp = max(den.terms, key=_grlex)
+    dcoef = den.terms[dexp]
     rem, quot = dict(num.terms), {}
     while rem:
-        exp = max(rem, key=lambda e: (sum(e), tuple(-x for x in e)))
+        exp = max(rem, key=_grlex)
         qexp = tuple(a - b for a, b in zip(exp, dexp))
         if any(e < 0 for e in qexp) or rem[exp] % dcoef:
             raise ArithmeticError("polynomial division is not exact")
@@ -54,6 +59,16 @@ def _max_scan_div(num, den):
     return MultiPoly(num.nvars, quot)
 
 
+def _tuple_product(a, b):
+    """Product on exponent tuples, term by term."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return MultiPoly(a.nvars, out)
+
+
 def _square_and_multiply(base, k):
     """Binary powering that starts from one and squares past the top bit."""
     result = MultiPoly.one(base.nvars)
@@ -63,6 +78,16 @@ def _square_and_multiply(base, k):
         base = base * base
         k >>= 1
     return result
+
+
+def _packed_div(num, den):
+    """num / den by the engine's one exact division, ``polynomial._divide``,
+    on the packing of both operands."""
+    degree = max(map(sum, [*num.terms, *den.terms]), default=0)
+    units, guard, width = polynomial._packing(num.nvars, degree)
+    quot = polynomial._divide(polynomial._pack(num.terms, units),
+                              polynomial._pack(den.terms, units), guard)
+    return polynomial._unpack(quot, num.nvars, width)
 
 
 def _quotient_or_error(num, den, divide):
@@ -77,10 +102,10 @@ def test_pow_and_exact_div():
     for _ in range(30):
         a = rand_poly(rng, 2, 3) + 1   # nonzero
         b = rand_poly(rng, 2, 3) + 1
-        assert (a * b).exact_div(b) == a
+        assert _packed_div(a * b, b) == a
         assert a ** 3 == a * a * a
     with pytest.raises(ArithmeticError):
-        (MultiPoly.monomial(1, (1,)) + 1).exact_div(MultiPoly.monomial(1, (1,), 2))
+        _packed_div(MultiPoly.monomial(1, (1,)) + 1, MultiPoly.monomial(1, (1,), 2))
     # Differential test against the max-scan division and the plain
     # square-and-multiply loop, exact and non-exact dividends alike.
     exact = inexact = 0
@@ -90,7 +115,7 @@ def test_pow_and_exact_div():
         b = rand_poly(rng, nvars, rng.randint(1, 6)) + 1
         for num in (a * b, a * b + rand_poly(rng, nvars, 2), a):
             expect = _quotient_or_error(num, b, _max_scan_div)
-            assert _quotient_or_error(num, b, MultiPoly.exact_div) == expect
+            assert _quotient_or_error(num, b, _packed_div) == expect
             if expect is ArithmeticError:
                 inexact += 1
             else:
@@ -98,10 +123,28 @@ def test_pow_and_exact_div():
         for k in range(5):
             assert b ** k == _square_and_multiply(b, k)
         with pytest.raises(ZeroDivisionError):
-            a.exact_div(MultiPoly(nvars))
+            _packed_div(a, MultiPoly(nvars))
     assert exact > 400 and inexact > 100
     with pytest.raises(ValueError):
         MultiPoly.one(1) ** -1
+
+
+def test_packed_fields_wider_than_a_byte():
+    # Exponents past 255 take fields of more than 8 bits plus the guard.
+    rng = random.Random(4)
+    outcomes = set()
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        a = rand_poly(rng, nvars, rng.randint(1, 6), bound=300)
+        b = rand_poly(rng, nvars, rng.randint(1, 4), bound=300) + 1
+        assert a * b == _tuple_product(a, b)
+        for num in (a * b, a * b + rand_poly(rng, nvars, 2, bound=300), a):
+            expect = _quotient_or_error(num, b, _max_scan_div)
+            assert _quotient_or_error(num, b, _packed_div) == expect
+            outcomes.add(expect is ArithmeticError)
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly.monomial(1, (-1,)) * MultiPoly.one(1)
 
 
 def test_pow_makes_the_minimal_number_of_products(monkeypatch):
