@@ -84,7 +84,7 @@ def _recipe_from_args(args):
     elif args.quiver and args.dims:
         quiver = _load_json(args.quiver, Quiver.from_json)
         with _reading("dimension vector"):
-            recipe = RepRecipe(quiver, _int_list(args.dims), seed=args.seed)
+            recipe = RepRecipe(quiver, _int_list(args.dims), seed=args.seed or 0)
     else:
         raise InvalidInput("either --rep or both --quiver and --dims are required")
     check_cost(recipe.dims)
@@ -159,6 +159,8 @@ def cmd_mutate(args):
 
 def cmd_polytope(args):
     if args.fpoly:
+        if args.rep or args.quiver or args.dims or args.seed is not None:
+            raise InvalidInput("--fpoly takes no --rep, --quiver, --dims or --seed")
         points = _load_json(args.fpoly, _nonzero_poly).support()
         source = "fpoly"
     else:
@@ -200,20 +202,21 @@ def build_parser():
         description="F-polynomials and Newton polytopes of quiver representations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, func, help, recipe=True):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--rep", help="representation recipe JSON file")
         p.add_argument("--quiver", help="quiver JSON file")
-        p.add_argument("--dims", help="dimension vector, e.g. 2,3")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report to this file")
+        if recipe:
+            p.add_argument("--rep", help="representation recipe JSON file")
+            p.add_argument("--dims", help="dimension vector, e.g. 2,3")
+            p.add_argument("--seed", type=int, help="recipe seed (default 0)")
         p.set_defaults(func=func)
         return p
 
     command("compute", cmd_compute, "F-polynomial by point counting")
     p = command("subdims", cmd_subdims, "sub-dimension vectors at one prime")
     p.add_argument("--prime", type=_prime, default=3)
-    p = command("mutate", cmd_mutate, "cluster mutation pipeline")
+    p = command("mutate", cmd_mutate, "cluster mutation pipeline", recipe=False)
     p.add_argument("--seq", required=True, help="mutation sequence, e.g. 3,4,1,2")
     p.add_argument("--delta", help="select the slot with this delta-vector")
     p.add_argument("--dual", action="store_true",

@@ -1,19 +1,24 @@
 """Cluster-seed mutation with principal coefficients.
 
-Tracks the exchange matrix B, the coefficient matrix C (columns are
-c-vectors), dual g-vectors and F-polynomials, beside the initial matrix
-B0.  A slot's delta-vector is its dual delta-vector minus B0 d, where d
-is the top degree of its F-polynomial (the dimension vector of its
-module), so it depends on the cluster variable, not on the path.  All
-arithmetic is exact; an exchange-relation division that is not exact,
-or an F-polynomial without constant term 1 or with a negative
-coefficient, raises InvariantViolation: strong self-checks of the
+A seed is its coefficient matrix C (columns are c-vectors) and its
+F-polynomials, beside the initial matrix B0.  Mutation checks that each
+c-vector is sign-coherent, and for a skew-symmetric B0 sign coherence
+gives tropical duality (Nakanishi-Zelevinsky): the exchange matrix is
+B = C^T B0 C and the dual g-vectors are the columns of G with
+G^T C = I.  So neither is stored; both are read off C.  A slot's
+delta-vector is its dual delta-vector minus B0 d, where d is the top
+degree of its F-polynomial (the dimension vector of its module), so it
+depends on the cluster variable, not on the path.  All arithmetic is
+exact; an exchange-relation division that is not exact, an F-polynomial
+without constant term 1 or with a negative coefficient, or a C that is
+not unimodular raises InvariantViolation: strong self-checks of the
 recurrences.
 """
 
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
+from .intlinalg import solver
 from .polynomial import MultiPoly, _exchange
 from .quiver import pos_neg_parts, unit_vector, vec_dot
 
@@ -34,25 +39,34 @@ def b_matrix(quiver):
 
 @dataclass(frozen=True)
 class Seed:
-    b: tuple       # current exchange matrix, rows x columns
     c: tuple       # coefficient matrix, c-vector of slot k in column k
-    gc: tuple      # dual g-vector per slot (opposite tropical sign choice)
     f: tuple       # F-polynomial per slot
     b0: tuple      # initial exchange matrix
 
     @property
     def n(self):
-        return len(self.b)
+        return len(self.c)
+
+    @property
+    def b(self):
+        """Current exchange matrix C^T B0 C, rows x columns."""
+        b0c = [[vec_dot(row, col) for col in zip(*self.c)] for row in self.b0]
+        return tuple(tuple(vec_dot(ci, col) for col in zip(*b0c)) for ci in zip(*self.c))
 
     def delta(self, k0):
         """delta-vector of slot k0 (0-based): delta_check(k0) - B0 d, with d
         the top degree of its F-polynomial; the negative of its g-vector."""
         top = max(self.f[k0].terms, key=sum)
-        return tuple(-g - vec_dot(row, top) for g, row in zip(self.gc[k0], self.b0))
+        return tuple(x - vec_dot(row, top) for x, row in zip(self.delta_check(k0), self.b0))
 
     def delta_check(self, k0):
-        """Dual weight vector of slot k0: the negative of its dual g-vector."""
-        return tuple(-x for x in self.gc[k0])
+        """Dual weight vector of slot k0: the negative of its dual g-vector,
+        the integer g with C^T g = e_k0."""
+        solve = solver(tuple(zip(*self.c)), self.n)
+        g = solve(unit_vector(self.n, k0)) if solve else None
+        if g is None:
+            raise InvariantViolation(f"coefficient matrix {self.c} is not unimodular")
+        return tuple(-x for x in g)
 
 
 def initial_seed(b):
@@ -62,7 +76,7 @@ def initial_seed(b):
             b[i][j] != -b[j][i] for i in range(n) for j in range(n)):
         raise ValueError("B must be a square skew-symmetric matrix")
     c = tuple(unit_vector(n, i) for i in range(n))
-    return Seed(b, c, c, (MultiPoly.one(n),) * n, b)
+    return Seed(c, (MultiPoly.one(n),) * n, b)
 
 
 def seed_from_quiver(quiver):
@@ -70,9 +84,9 @@ def seed_from_quiver(quiver):
 
 
 def _mutate_rows(rows, up, down, k0):
-    """Rows of [B; C] mutated at column k0, given the parts up - down of row
-    k0 of B: b'_ij = b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ and
-    b'_ik = -b_ik.  A row with b_ik = 0 is unchanged; row k0 of B is one."""
+    """Rows of C mutated at column k0, given the parts up - down of row k0
+    of B: c'_ij = c_ij + [c_ik]+ [b_kj]+ - [-c_ik]+ [-b_kj]+ and
+    c'_ik = -c_ik.  A row with c_ik = 0 is unchanged."""
     out = []
     for row in rows:
         x = row[k0]
@@ -90,17 +104,12 @@ def mutate(seed, k):
     if not 1 <= k <= n:
         raise IndexError(f"mutation index {k} out of range 1..{n}")
     k0 = k - 1
-    b, c, gc, f = seed.b, seed.c, seed.gc, seed.f
-
-    # c-vector of slot k0 is sign-coherent; its sign eps picks the weights
-    # [-eps b_ik]+ = [eps b_ki]+ of the dual g-recurrence.
+    c, f = seed.c, seed.f
     ck = [row[k0] for row in c]
     if not any(ck) or (max(ck) > 0 and min(ck) < 0):
         raise InvariantViolation(f"c-vector {ck} is not sign-coherent")
-    up, down = pos_neg_parts(b[k0])
-    weights = up if max(ck) > 0 else down
-    new_gck = tuple(vec_dot(weights, col) - x for x, col in zip(gc[k0], zip(*gc)))
-    column = tuple([-x for x in b[k0]])     # column k0 of B, the new row k0
+    b0ck = [vec_dot(row, ck) for row in seed.b0]
+    column = tuple([vec_dot(col, b0ck) for col in zip(*c)])     # column k0 of B
 
     try:
         new_fk = _exchange(f, column, ck, k0)
@@ -111,10 +120,8 @@ def mutate(seed, k):
     if any(coef < 0 for coef in new_fk.terms.values()):
         raise InvariantViolation("mutated F-polynomial has a negative coefficient")
 
-    new_b = _mutate_rows(b, up, down, k0)
-    return Seed(new_b[:k0] + (column,) + new_b[k0 + 1:],
-                _mutate_rows(c, up, down, k0), gc[:k0] + (new_gck,) + gc[k0 + 1:],
-                f[:k0] + (new_fk,) + f[k0 + 1:], seed.b0)
+    down, up = pos_neg_parts(column)        # row k0 of B is -column
+    return Seed(_mutate_rows(c, up, down, k0), f[:k0] + (new_fk,) + f[k0 + 1:], seed.b0)
 
 
 def run_sequence(b, seq):

@@ -32,15 +32,9 @@ from types import MappingProxyType
 from . import kernels
 from .errors import GenericityError
 from .quiver import check_cost, vec_dot
-from .rep import Subrep, generic_sub_dims
+from .rep import Subrep, _maps_into, generic_sub_dims
 
 CERTIFY_PRIMES = (2, 3)
-
-
-def _maps_into(basis, mat, target, target_pivots, p):
-    """Whether the row space of ``basis`` times ``mat`` lies in ``target``."""
-    return all(kernels.in_rowspace(row, target, target_pivots, p)
-               for row in kernels.matmul(basis, mat, p))
 
 
 def _pivots_of(rref_basis):

@@ -2,7 +2,7 @@
 
 Matrices are tuples of row tuples with entries already reduced mod p.
 Everything downstream imports the numeric primitives (rref, matmul,
-nullspace, ...) from here.
+in_rowspace, ...) from here.
 """
 
 import itertools
@@ -87,21 +87,6 @@ def residual(row, basis, pivots, p):
 
 def in_rowspace(row, basis, pivots, p):
     return not any(residual(row, basis, pivots, p))
-
-
-def nullspace(mat, ncols, p):
-    """RREF row basis of the right null space {x : mat @ x = 0}."""
-    basis, pivots = rref(mat, ncols, p)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
-    out = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for brow, c in zip(basis, pivots):
-            v[c] = (-brow[f]) % p
-        out.append(tuple(v))
-    return tuple(out)
 
 
 def transpose(mat, ncols):

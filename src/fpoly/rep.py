@@ -78,10 +78,6 @@ class Subrep:
     def dims(self):
         return tuple(len(b) for b in self.bases)
 
-    @property
-    def total_dim(self):
-        return sum(self.dims)
-
 
 def zero_matrix(nrows, ncols):
     return tuple((0,) * ncols for _ in range(nrows))
@@ -113,15 +109,15 @@ def _check_compatible(m, n):
         raise ValueError("representations live over different quivers or fields")
 
 
+def _maps_into(basis, mat, target, target_pivots, p):
+    """Whether the row space of ``basis`` times ``mat`` lies in ``target``."""
+    return all(kernels.in_rowspace(row, target, target_pivots, p)
+               for row in kernels.matmul(basis, mat, p))
+
+
 def is_arrow_stable(rep, bases, pivots):
-    for a, (s, t) in enumerate(rep.quiver.arrows):
-        if not bases[s]:
-            continue
-        images = kernels.matmul(bases[s], rep.matrix_t(a), rep.p)
-        for row in images:
-            if not kernels.in_rowspace(row, bases[t], pivots[t], rep.p):
-                return False
-    return True
+    return all(_maps_into(bases[s], rep.matrix_t(a), bases[t], pivots[t], rep.p)
+               for a, (s, t) in enumerate(rep.quiver.arrows) if bases[s])
 
 
 def make_subrep(rep, raw_bases):

@@ -281,6 +281,10 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     ["verify", "--what", "vertices", "--fpoly", "{f2}", "--quiver", "{k2}", "--dims", "1,1"],
     ["polytope", "--fpoly", "{f0}"],
     ["verify", "--what", "facets", "--fpoly", "{f0}", "--quiver", "{k2}", "--dims", "1,1"],
+    ["mutate", "--quiver", "{k2}", "--seq", "1,2", "--dims", "9,9", "--seed", "5",
+     "--rep", "{missing}"],
+    ["polytope", "--fpoly", "{f2}", "--dims", "9,9,9", "--rep", "{missing}"],
+    ["polytope", "--fpoly", "{f2}", "--seed", "0"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import math
 import random
 
 import pytest
@@ -294,19 +295,49 @@ def _tuple_mutate(b, c, gc, f, k0):
             f[:k0] + (fk,) + f[k0 + 1:])
 
 
+K3 = kronecker_quiver(3)
+MARKOV = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)))
+# These walks reach thousands of terms within a few steps, so each stops
+# after the first step whose largest F passes its bound.
+WALK_TERMS = {K3: 300, MARKOV: 300}
+
+
+def _times(a, b):
+    """The product of integer matrices given as row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
 @pytest.mark.parametrize("start, walks, length", [
     (A3, 1, 60), (D4, 1, 60), (A4, 1, 60),
     (kronecker_quiver(2), 1, 18),     # up to 172 terms
     (Q123, 8, 7),                     # up to 3,295 terms
     (CYCLE4, 12, 6),                  # up to 249 terms
     (((0, -300), (300, 0)), 1, 2),    # 302 terms, exponents up to 300
-    (((0, -17), (17, 0)), 1, 3)])     # 2,602 terms, exponent 288, divided by 1 + y_i
+    (((0, -17), (17, 0)), 1, 3),      # 2,602 terms, exponent 288, divided by 1 + y_i
+    (K3, 4, 20),                      # up to 617 terms
+    (MARKOV, 12, 20)])                # up to 892 terms
 def test_mutate_equals_the_tuple_arithmetic(start, walks, length):
+    # The reference keeps the B, C and dual-g recurrences, so each step
+    # also checks tropical duality: B = C^T B0 C and G^T C = I.
     rng = random.Random(8)
     for _ in range(walks):
         seed = _start(start)
-        old = (seed.b, seed.c, seed.gc, tuple(f.terms for f in seed.f))
+        old = (seed.b, seed.c, seed.c, tuple(f.terms for f in seed.f))   # G = C = I
         for k, seed in _walk(start, length, rng):
             old = _tuple_mutate(*old, k - 1)
-            assert (seed.b, seed.c, seed.gc) == old[:3]
+            b, c, gc = old[:3]
+            assert (seed.b, seed.c) == (b, c)
+            assert tuple(tuple(-x for x in seed.delta_check(i)) for i in range(seed.n)) == gc
+            assert b == _times(tuple(zip(*c)), _times(seed.b0, c))
+            assert _times(gc, c) == _start(start).c     # gc holds the rows of G^T
             assert [f.terms for f in seed.f] == list(old[3])
+            if max(map(len, seed.f)) > WALK_TERMS.get(start, math.inf):
+                break
+
+
+@pytest.mark.parametrize("c", [((1, 0), (1, 0)), ((2, 0), (0, 1))])
+def test_a_c_matrix_that_is_not_unimodular_is_an_invariant_violation(c):
+    seed = dataclasses.replace(run_sequence(b_matrix(kronecker_quiver(2)), (1,)), c=c)
+    with pytest.raises(InvariantViolation, match="not unimodular"):
+        seed.delta(0)

@@ -2,7 +2,9 @@
 
 Every name a module other than ``__init__`` imports is used in that
 module, and every top-level name is read in ``src/fpoly`` outside its own
-definition and ``__init__``, which re-exports the public ones.
+definition and ``__init__``, which re-exports the public ones.  A read
+counts for the module it names (a bare name, ``from .m import x`` or
+``m.x``), so a name is not read because another module has one like it.
 ``kernels.BACKEND`` is read by the benchmark harness and ``__version__``
 by package tools, so both are allowed by name.  The public names with no
 reader in the package are pinned in ``ENTRY_POINTS``, each with the
@@ -40,15 +42,25 @@ def _imported(tree):
                 yield (alias.asname or alias.name).split(".")[0]
 
 
-def _referenced(node):
-    """Names a node reads: loaded names, attributes and imported names."""
+def _siblings(tree):
+    """{bound name: module} of the module's ``from . import m`` imports."""
+    return {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+            for alias in node.names}
+
+
+def _referenced(module, node, siblings):
+    """(module, name) of each name a node reads, tied to the module that
+    defines it: a loaded name of ``module``, ``m.x`` for a sibling module
+    m, and each x of ``from .m import x``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.ImportFrom):
-            yield from (alias.name for alias in sub.names)
+            yield module, sub.id
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in siblings):
+            yield siblings[sub.value.id], sub.attr
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+            yield from ((sub.module, alias.name) for alias in sub.names)
 
 
 def _defined(stmt):
@@ -74,14 +86,15 @@ def test_every_import_is_used():
 def _unread():
     """(module, name) of each top-level definition that no statement reads
     outside its own definition and ``__init__``."""
-    references, defined = set(), []
+    references, defined = set(), set()
     for module, tree in SOURCES.items():
+        siblings = _siblings(tree)
         for stmt in tree.body:
-            names = _defined(stmt)
+            names = {(module, name) for name in _defined(stmt)}
             if module != "__init__":
-                references |= set(_referenced(stmt)) - names
-            defined += [(module, name) for name in names]
-    return {(module, name) for module, name in defined if name not in references}
+                references |= set(_referenced(module, stmt, siblings)) - names
+            defined |= names
+    return defined - references
 
 
 def _is_private_or_constant(name):

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from fpoly import kernels, presentations
+from fpoly import presentations
 from fpoly.grassmannian import dual_tropical_f, tropical_f
 from fpoly.presentations import (cokernel, generic_cokernel, generic_hom_e,
                                  hom_e, injective_representation,
@@ -15,6 +15,7 @@ from fpoly.rep import (RepRecipe, Representation, direct_sum,
                        ext_dim_hereditary, hom_dim, make_subrep,
                        random_representation, restrict_to_sub, stable_rng,
                        zero_representation)
+from test_kernels import nullspace
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 Q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
@@ -225,8 +226,7 @@ def direct_nakayama_kernel(pres):
                             rr = row_index[(u, path[:len(path) - len(q)])]
                             mat[rr][c] = (mat[rr][c] + coef) % p
                 c += 1
-        kernel_rows.append(kernels.nullspace(tuple(tuple(r) for r in mat),
-                                             source.dims[w], p))
+        kernel_rows.append(nullspace(tuple(tuple(r) for r in mat), source.dims[w], p))
     return restrict_to_sub(source, make_subrep(source, kernel_rows))
 
 
