@@ -10,7 +10,7 @@ from .rep import (Representation, RepRecipe, Subrep, direct_sum, dual,
                   hom_dim, make_subrep, quotient, restrict_to_sub)
 from .grassmannian import (enumerate_subreps, maximizer_dims, sub_dim_vectors,
                            subrep_counts, subrep_dim_vectors, tropical_f,
-                           dual_tropical_f, unique_subrep)
+                           unique_subrep)
 from .polynomial import MultiPoly, f_polynomial, restrict_to_face
 from .polytope import Polytope, convex_hull, lattice_points
 from .presentations import (Presentation, cokernel, generic_cokernel,

@@ -80,6 +80,8 @@ def _recipe_from_args(args):
     """The recipe that the arguments name, its cost cap checked before
     any representation is drawn."""
     if args.rep:
+        if args.quiver or args.dims or args.seed is not None:
+            raise InvalidInput("--rep takes no --quiver, --dims or --seed")
         recipe = _load_json(args.rep, RepRecipe.from_json)
     elif args.quiver and args.dims:
         quiver = _load_json(args.quiver, Quiver.from_json)
@@ -150,10 +152,8 @@ def cmd_mutate(args):
             raise InvalidInput(exc.args[0]) from None
         report.update(delta=list(delta), fpoly=poly.to_json(), pretty=str(poly))
     else:
-        report["slots"] = [{"g": [-x for x in seed.delta(i)],
-                            "fpoly": seed.f[i].to_json(),
-                            "pretty": str(seed.f[i])}
-                           for i in range(seed.n)]
+        report["slots"] = [{"g": [-x for x in delta], "fpoly": f.to_json(), "pretty": str(f)}
+                           for delta, f in zip(seed.deltas(), seed.f)]
     return report
 
 

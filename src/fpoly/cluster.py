@@ -5,10 +5,11 @@ F-polynomials, beside the initial matrix B0.  Mutation checks that each
 c-vector is sign-coherent, and for a skew-symmetric B0 sign coherence
 gives tropical duality (Nakanishi-Zelevinsky): the exchange matrix is
 B = C^T B0 C and the dual g-vectors are the columns of G with
-G^T C = I.  So neither is stored; both are read off C.  A slot's
-delta-vector is its dual delta-vector minus B0 d, where d is the top
-degree of its F-polynomial (the dimension vector of its module), so it
-depends on the cluster variable, not on the path.  All arithmetic is
+G^T C = I.  So neither is stored; both are read off C, G by one
+elimination of C^T per query.  A slot's delta-vector is its dual
+delta-vector minus B0 d, where d is the top degree of its F-polynomial
+(the dimension vector of its module), so it depends on the cluster
+variable, not on the path.  All arithmetic is
 exact; an exchange-relation division that is not exact, an F-polynomial
 without constant term 1 or with a negative coefficient, or a C that is
 not unimodular raises InvariantViolation: strong self-checks of the
@@ -53,20 +54,22 @@ class Seed:
         b0c = [[vec_dot(row, col) for col in zip(*self.c)] for row in self.b0]
         return tuple(tuple(vec_dot(ci, col) for col in zip(*b0c)) for ci in zip(*self.c))
 
-    def delta(self, k0):
-        """delta-vector of slot k0 (0-based): delta_check(k0) - B0 d, with d
-        the top degree of its F-polynomial; the negative of its g-vector."""
-        top = max(self.f[k0].terms, key=sum)
-        return tuple(x - vec_dot(row, top) for x, row in zip(self.delta_check(k0), self.b0))
-
-    def delta_check(self, k0):
-        """Dual weight vector of slot k0: the negative of its dual g-vector,
-        the integer g with C^T g = e_k0."""
-        solve = solver(tuple(zip(*self.c)), self.n)
-        g = solve(unit_vector(self.n, k0)) if solve else None
-        if g is None:
+    def deltas(self, dual=False):
+        """Every slot's delta-vector, or with ``dual`` its dual one: -g for
+        the integer g with C^T g = e_k, all from one elimination of C^T.
+        The delta-vector is the dual one minus B0 d, with d the top degree
+        of the slot's F-polynomial; it is the negative of the g-vector."""
+        n = self.n
+        solve = solver(tuple(zip(*self.c)), n)
+        gs = [solve(unit_vector(n, k)) for k in range(n)] if solve else [None]
+        if None in gs:
             raise InvariantViolation(f"coefficient matrix {self.c} is not unimodular")
-        return tuple(-x for x in g)
+        checks = tuple(tuple(-x for x in g) for g in gs)
+        if dual:
+            return checks
+        tops = (max(f.terms, key=sum) for f in self.f)
+        return tuple(tuple(x - vec_dot(row, top) for x, row in zip(check, self.b0))
+                     for check, top in zip(checks, tops))
 
 
 def initial_seed(b):
@@ -135,8 +138,7 @@ def run_sequence(b, seq):
 def find_by_delta(seed, delta, dual=False):
     """F-polynomial of the unique slot whose (dual) delta-vector matches."""
     delta = tuple(delta)
-    key = seed.delta_check if dual else seed.delta
-    matches = [i for i in range(seed.n) if key(i) == delta]
+    matches = [i for i, d in enumerate(seed.deltas(dual)) if d == delta]
     if not matches:
         raise KeyError(f"no cluster variable with delta-vector {delta}")
     if len(matches) > 1:

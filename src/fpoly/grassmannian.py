@@ -219,12 +219,6 @@ def tropical_f(rep, delta):
     return max(vec_dot(delta, g) for g in subrep_dim_vectors(rep))
 
 
-def dual_tropical_f(rep, delta):
-    """Dual tropical value, via f^(delta) = f(-delta) + <delta, dim M>."""
-    neg = tuple(-x for x in delta)
-    return tropical_f(rep, neg) + vec_dot(delta, rep.dims)
-
-
 def maximizer_dims(rep, delta):
     """Dimension vectors of subrepresentations attaining the tropical max."""
     rep.quiver.check_dim_vector(delta)

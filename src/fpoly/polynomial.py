@@ -25,7 +25,7 @@ import operator
 from .errors import NonPolynomialCount
 from .grassmannian import CERTIFY_PRIMES, subrep_counts, subrep_dim_vectors
 from .intlinalg import solver
-from .quiver import euler_form, pos_neg_parts, vec_dot, vec_sub
+from .quiver import check_cost, euler_form, pos_neg_parts, vec_dot, vec_sub
 
 VERIFY_PRIMES = 1
 
@@ -159,12 +159,10 @@ class MultiPoly:
                 for exp, coef in self.sorted_terms()]
 
     @classmethod
-    def from_json(cls, data, nvars=None):
-        if nvars is None:
-            if not data:
-                raise ValueError("cannot infer variable count from empty polynomial")
-            nvars = len(data[0]["exp"])
-        return cls(nvars, {tuple(t["exp"]): int(t["coef"]) for t in data})
+    def from_json(cls, data):
+        if not data:
+            raise ValueError("cannot infer variable count from empty polynomial")
+        return cls(len(data[0]["exp"]), {tuple(t["exp"]): int(t["coef"]) for t in data})
 
     def __str__(self):
         if not self.terms:
@@ -408,7 +406,9 @@ def plan_fit(quiver, alpha, rigid_at, base_dims):
 
 
 def _recipe_plan(recipe):
-    """``plan_fit`` of a recipe, sized by its sub-dimension vectors mod 2."""
+    """``plan_fit`` of a recipe, sized by its sub-dimension vectors mod 2;
+    the cost cap is checked first, before any End sample is drawn."""
+    check_cost(recipe.dims)
     return plan_fit(recipe.quiver, recipe.dims, recipe.is_rigid_at,
                     lambda: subrep_dim_vectors(recipe.at_prime(CERTIFY_PRIMES[0])))
 

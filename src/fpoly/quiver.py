@@ -1,6 +1,5 @@
 """Quivers, dimension vectors, the enumeration cost cap and the Euler form."""
 
-import json
 from dataclasses import dataclass, field
 from operator import add, mul, sub
 
@@ -100,8 +99,6 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls.from_ids([str(v) for v in data["vertices"]],
                             [(str(s), str(t)) for s, t in data["arrows"]])
 
@@ -130,8 +127,8 @@ def euler_form(quiver, a, b):
     return total
 
 
-def kronecker_quiver(num_arrows, names=("1", "2")):
-    return Quiver(tuple(names), tuple((0, 1) for _ in range(num_arrows)))
+def kronecker_quiver(num_arrows):
+    return Quiver(("1", "2"), tuple((0, 1) for _ in range(num_arrows)))
 
 
 def cycle_quiver(n):

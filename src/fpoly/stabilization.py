@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation, NonPolynomialCount
 from .grassmannian import (CERTIFY_PRIMES, enumerate_subreps, maximizer_dims,
                            subrep_counts, subrep_dim_vectors, sub_dim_vectors,
-                           unique_subrep)
+                           tropical_f, unique_subrep)
 from .intlinalg import solver
 from .polynomial import (MultiPoly, f_polynomial, fit_tables, plan_fit,
                          restrict_to_face)
@@ -85,11 +85,9 @@ def torsion_split(m_rep, delta):
 
 
 def is_semistable(m_rep, delta):
-    m_rep.quiver.check_dim_vector(delta)
-    if vec_dot(delta, m_rep.dims) != 0:
-        return False
-    return all(vec_dot(delta, g) <= 0
-               for g in subrep_dim_vectors(m_rep))
+    """Whether f_M(delta) = 0 = delta(dim M): 0 is a subrepresentation,
+    so f_M(delta) = 0 says that none has positive weight."""
+    return tropical_f(m_rep, delta) == 0 == vec_dot(delta, m_rep.dims)
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,10 @@ def _minimal_stable_sub(w_rep, delta):
 
 
 def stable_factors(w_rep, delta):
-    """Stable Jordan-Holder classes and multiplicities of a semistable W."""
+    """Stable Jordan-Holder classes and multiplicities of a semistable W,
+    by (dimension vector, multiplicity): the filtration's order varies
+    with p, so classes sharing a dimension vector are ordered by
+    multiplicity, and only classes tied on both keep it."""
     if not is_semistable(w_rep, delta):
         raise ValueError("representation is not semistable for this weight")
     classes = []
@@ -132,7 +133,7 @@ def stable_factors(w_rep, delta):
             classes.append(factor)
             counts.append(1)
         current = quotient(current, sub)
-    order = sorted(range(len(classes)), key=lambda i: classes[i].dims)
+    order = sorted(range(len(classes)), key=lambda i: (classes[i].dims, counts[i]))
     return StableFactorData(tuple(classes[i] for i in order),
                             tuple(counts[i] for i in order))
 

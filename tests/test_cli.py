@@ -285,16 +285,28 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
      "--rep", "{missing}"],
     ["polytope", "--fpoly", "{f2}", "--dims", "9,9,9", "--rep", "{missing}"],
     ["polytope", "--fpoly", "{f2}", "--seed", "0"],
+    ["compute", "--rep", "{rep}", "--seed", "5", "--dims", "9,9", "--quiver", "{missing}"],
+    ["compute", "--rep", "{rep}", "--quiver", "{k2}"],
+    ["subdims", "--rep", "{rep}", "--dims", "1,2"],
+    ["polytope", "--rep", "{rep}", "--seed", "3"],
+    ["verify", "--what", "cones", "--rep", "{rep}", "--seed", "0"],
+    ["compute", "--quiver", "{double}", "--dims", "1,1"],
 ])
 def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     bad_arrow = tmp_path / "bad_arrow.json"
     bad_arrow.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [["1", "3"]]}))
     not_json = tmp_path / "not.json"
     not_json.write_text("{")
+    # A quiver encoded twice: a JSON string that holds the quiver's JSON.
+    double = tmp_path / "double.json"
+    double.write_text(json.dumps(json.dumps(kronecker_quiver(2).to_json())))
     # K2 with dims (1,2) needs 2x1 matrices; these are 1x2.
     bad_shape = tmp_path / "bad_shape.json"
     bad_shape.write_text(json.dumps({**kronecker_quiver(2).to_json(), "dims": [1, 2],
                                      "matrices": {"0": [[1, 0]], "1": [[0, 1]]}}))
+    # A well-formed seeded recipe, which takes no recipe option beside it.
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({**kronecker_quiver(2).to_json(), "dims": [1, 2], "seed": 3}))
     # A 3-variable polynomial for the 2-vertex Kronecker quiver.
     f3 = tmp_path / "f3.json"
     f3.write_text(json.dumps(MultiPoly(3, {(0, 0, 0): 1, (1, 1, 1): 1}).to_json()))
@@ -312,7 +324,7 @@ def test_exit_code_invalid_input(capsys, tmp_path, k2_json, argv):
     loop.write_text(json.dumps(Quiver(("1", "2"), ((0, 0), (0, 1))).to_json()))
     paths = {"k2": k2_json, "bad_arrow": bad_arrow, "not_json": not_json,
              "bad_shape": bad_shape, "f0": f0, "f2": f2, "f3": f3, "missing": tmp_path / "missing.json",
-             "two_cycle": two_cycle, "loop": loop}
+             "two_cycle": two_cycle, "loop": loop, "rep": rep_file, "double": double}
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""

@@ -1,11 +1,13 @@
 import dataclasses
 import heapq
+import json
 import math
 import random
 
 import pytest
 
-from fpoly import polynomial
+from fpoly import cluster, polynomial
+from fpoly.cli import main
 from fpoly.cluster import (b_matrix, find_by_delta, initial_seed, mutate,
                            run_sequence, seed_from_quiver)
 from fpoly.errors import InvariantViolation
@@ -111,6 +113,26 @@ def test_potential_example_17_terms():
     assert f == printed
 
 
+def test_one_elimination_per_seed_query(monkeypatch, tmp_path, capsys):
+    # G = (C^T)^-1 holds the dual g-vector of every slot, so a query
+    # eliminates C^T once, not once per slot.
+    calls = []
+
+    def spy(*args, real=cluster.solver):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cluster, "solver", spy)
+    seed = run_sequence(b_matrix(CYCLE4), (3, 4, 1, 2))
+    assert len(find_by_delta(seed, (-1, 1, 1, 0))) == 17
+    assert len(calls) == 1
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps(CYCLE4.to_json()))
+    assert main(["mutate", "--quiver", str(path), "--seq", "3,4,1,2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["slots"]) == 4
+    assert len(calls) == 2
+
+
 def test_dual_delta_examples():
     # sequence (2,3,4,1,2,3): dual delta (1,-1,1,1), dims (2,5,2,2)
     seed = run_sequence(b_matrix(CYCLE4), (2, 3, 4, 1, 2, 3))
@@ -195,8 +217,8 @@ def test_delta_is_a_function_of_the_cluster_variable(quiver, variables):
     initial = {tuple(-x for x in unit_vector(n, v)) for v in range(n)}
     f_of, delta_of = {}, {}
     for _, seed in _walk(quiver, 400, rng):
-        for i, f in enumerate(seed.f):
-            delta, top = seed.delta(i), max(f.terms, key=sum)
+        for f, delta in zip(seed.f, seed.deltas()):
+            top = max(f.terms, key=sum)
             assert f_of.setdefault(delta, f) == f
             if any(top):
                 assert delta_of.setdefault(f, delta) == delta
@@ -213,10 +235,10 @@ def test_delta_is_a_function_of_f_on_the_4_cycle():
     rng, f_of, delta_of = random.Random(7), {}, {}
     for _ in range(60):
         for _, seed in _walk(CYCLE4, 6, rng):
-            for i, f in enumerate(seed.f):
-                assert f_of.setdefault(seed.delta(i), f) == f
+            for f, delta in zip(seed.f, seed.deltas()):
+                assert f_of.setdefault(delta, f) == f
                 if len(f) > 1:
-                    assert delta_of.setdefault(f, seed.delta(i)) == seed.delta(i)
+                    assert delta_of.setdefault(f, delta) == delta
     assert len(delta_of) > 50
 
 
@@ -328,7 +350,7 @@ def test_mutate_equals_the_tuple_arithmetic(start, walks, length):
             old = _tuple_mutate(*old, k - 1)
             b, c, gc = old[:3]
             assert (seed.b, seed.c) == (b, c)
-            assert tuple(tuple(-x for x in seed.delta_check(i)) for i in range(seed.n)) == gc
+            assert tuple(tuple(-x for x in d) for d in seed.deltas(dual=True)) == gc
             assert b == _times(tuple(zip(*c)), _times(seed.b0, c))
             assert _times(gc, c) == _start(start).c     # gc holds the rows of G^T
             assert [f.terms for f in seed.f] == list(old[3])
@@ -339,5 +361,6 @@ def test_mutate_equals_the_tuple_arithmetic(start, walks, length):
 @pytest.mark.parametrize("c", [((1, 0), (1, 0)), ((2, 0), (0, 1))])
 def test_a_c_matrix_that_is_not_unimodular_is_an_invariant_violation(c):
     seed = dataclasses.replace(run_sequence(b_matrix(kronecker_quiver(2)), (1,)), c=c)
-    with pytest.raises(InvariantViolation, match="not unimodular"):
-        seed.delta(0)
+    for dual in (False, True):
+        with pytest.raises(InvariantViolation, match="not unimodular"):
+            seed.deltas(dual)

@@ -8,9 +8,10 @@ from fpoly.errors import CostCapExceeded
 from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
                                 sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, tropical_f,
-                                dual_tropical_f, unique_subrep)
+                                unique_subrep)
+from fpoly.polynomial import counted_primes, f_polynomial
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
-from fpoly.rep import (RepRecipe, Representation, is_arrow_stable,
+from fpoly.rep import (RepRecipe, Representation, dual, is_arrow_stable,
                        random_representation)
 
 A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
@@ -128,6 +129,18 @@ def test_cost_cap(monkeypatch):
     assert not draws
 
 
+@pytest.mark.parametrize("plan", [f_polynomial, counted_primes])
+def test_cost_cap_comes_before_the_end_sample(monkeypatch, plan):
+    # The rigidity test of a seeded recipe samples its generic End; an
+    # over-cap recipe is refused before that sample draws anything.
+    draws = []
+    monkeypatch.setattr(rep_module, "random_representation",
+                        lambda *args: draws.append(args))
+    with pytest.raises(CostCapExceeded):
+        plan(RepRecipe(kronecker_quiver(2), (9, 9), seed=0))
+    assert not draws
+
+
 def test_sub_dim_vectors_certified():
     r = RepRecipe(kronecker_quiver(2), (2, 3), seed=0)
     dims = sub_dim_vectors(r)
@@ -135,12 +148,13 @@ def test_sub_dim_vectors_certified():
 
 
 def test_tropical_duality_identity():
+    # f-check_M, the maximum over quotients of M, is f of DM
     rng = random.Random(5)
     r = RepRecipe(kronecker_quiver(2), (2, 3), seed=0)
     m = r.at_prime(3)
     for _ in range(20):
         delta = tuple(rng.randrange(-3, 4) for _ in range(2))
-        assert (tropical_f(m, delta) - dual_tropical_f(m, tuple(-x for x in delta))
+        assert (tropical_f(m, delta) - tropical_f(dual(m), tuple(-x for x in delta))
                 == vec_dot(delta, m.dims))
 
 

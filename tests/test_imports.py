@@ -24,7 +24,6 @@ SOURCES = {path.stem: ast.parse(path.read_text(), filename=str(path))
 ALLOWED = {("kernels", "BACKEND"), ("__init__", "__version__")}
 ENTRY_POINTS = {
     ("cluster", "seed_from_quiver"): "the benchmark's mutation walk starts from it",
-    ("grassmannian", "dual_tropical_f"): "criterion 6's tropical-duality suite",
     ("presentations", "generic_cokernel"): "general cokernels of a weight",
     ("presentations", "generic_hom_e"): "hom and e of a general presentation",
     ("presentations", "injective_representation"): "the injectives I_i = D P_i",

@@ -9,14 +9,13 @@ import itertools
 import random
 
 from fpoly.cluster import b_matrix, mutate, seed_from_quiver
-from fpoly.grassmannian import (dual_tropical_f, enumerate_subreps,
-                                subrep_counts, subrep_dim_vectors,
-                                tropical_f, unique_subrep)
+from fpoly.grassmannian import (enumerate_subreps, subrep_counts,
+                                subrep_dim_vectors, tropical_f, unique_subrep)
 from fpoly.polynomial import f_polynomial
 from fpoly.polytope import convex_hull
 from fpoly.presentations import hom_e, random_presentation
 from fpoly.quiver import Quiver, vec_add, vec_dot
-from fpoly.rep import (RepRecipe, ext_dim_hereditary, generic_hom_ext,
+from fpoly.rep import (RepRecipe, dual, ext_dim_hereditary, generic_hom_ext,
                        hom_dim, quotient, random_representation,
                        restrict_to_sub)
 from fpoly.stabilization import is_semistable, torsion_split
@@ -69,7 +68,9 @@ def test_f_polynomial_multiplicative_on_generic_direct_sums():
 
 
 def test_tropical_duality_identity():
-    # f_M(delta) - f-check_M(-delta) = delta(dim M) for every M and delta
+    # f_M(delta) - f-check_M(-delta) = delta(dim M) for every M and delta,
+    # with f-check_M, the maximum over quotients of M, counted as f of DM:
+    # the subrepresentations of DM are the duals of the quotients of M
     rng = random.Random(11)
     done = 0
     while done < TRIALS:
@@ -81,7 +82,7 @@ def test_tropical_duality_identity():
         for _ in range(10):
             delta = tuple(rng.randrange(-3, 4) for _ in range(q.n))
             lhs = tropical_f(m, delta)
-            rhs = dual_tropical_f(m, tuple(-x for x in delta))
+            rhs = tropical_f(dual(m), tuple(-x for x in delta))
             assert lhs - rhs == vec_dot(delta, dims)
             done += 1
 

@@ -9,8 +9,8 @@ from fpoly.rep import (RepRecipe, generic_hom_ext, generic_sub_dims, hom_dim,
                        quotient, restrict_to_sub)
 from fpoly.stabilization import (graded_semistable_f, is_semistable,
                                  stable_factors, torsion_split, verify_cones,
-                                 verify_facet_restriction, verify_saturation,
-                                 verify_vertex_theorems)
+                                 verify_facet_restriction, verify_facets,
+                                 verify_saturation, verify_vertex_theorems)
 
 
 def is_stable(m_rep, delta):
@@ -106,6 +106,23 @@ def test_graded_semistable_brick_sum():
 def test_facet_restriction_brick_sum():
     out = verify_facet_restriction(K22_BRICKS, (1, -1))
     assert out["pass"]
+
+
+# R0^2 + R1 for two non-isomorphic (1,1) bricks R0 and R1: the stable
+# filtration at (1,-1) meets R0 first at p = 2 and R1 first at p = 3 and 5.
+K33_TWO_BRICKS = RepRecipe(kronecker_quiver(2), (3, 3),
+                           int_matrices=(((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                         ((2, 0, -1), (0, 0, 0), (2, 0, -1))))
+
+
+def test_stable_classes_of_one_dimension_vector_keep_their_grade_across_primes():
+    for p in (2, 3, 5):
+        data = stable_factors(K33_TWO_BRICKS.at_prime(p), (1, -1))
+        assert data.multiplicities == (1, 2), p
+    z1, z2 = MultiPoly.monomial(2, (1, 0)), MultiPoly.monomial(2, (0, 1))
+    assert graded_semistable_f(K33_TWO_BRICKS, (1, -1)).poly == (z1 + 1) * (z2 + 1) ** 2
+    out = verify_facets(K33_TWO_BRICKS)
+    assert out["pass"] and len(out["facets"]) == 3
 
 
 @pytest.mark.parametrize("delta", [(0, 1, 5), (0,)])
