@@ -99,7 +99,7 @@ def _stepper(rep, plan, keep, settle):
     the dimension of its forced span."""
     pushes, checks = plan[3:5]
     p, dims = rep.p, rep.dims
-    mats = tuple(map(rep.matrix_t, range(len(rep.quiver.arrows))))
+    mats = rep.matrices_t
 
     def step(state, v, basis):
         pivots = tuple(_pivots_of(basis)) if v in keep else ()

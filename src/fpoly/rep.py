@@ -10,7 +10,7 @@ hom/ext and sub-dimension vectors are exact; only the End is sampled.
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import kernels
 from .errors import (GenericityError, InvalidSubrepresentation,
@@ -61,10 +61,12 @@ class Representation:
     def total_dim(self):
         return sum(self.dims)
 
-    def matrix_t(self, arrow_index):
-        """Transpose of the arrow matrix, for acting on row vectors."""
-        s, _ = self.quiver.arrows[arrow_index]
-        return kernels.transpose(self.matrices[arrow_index], self.dims[s])
+    @cached_property
+    def matrices_t(self):
+        """The transposed arrow matrices, for acting on row vectors: each
+        is transposed once per representation, on first use."""
+        return tuple(kernels.transpose(mat, self.dims[s])
+                     for (s, _), mat in zip(self.quiver.arrows, self.matrices))
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def random_representation(quiver, dims, p, rng):
 def dual(rep):
     """DM = Hom(M, F_p): the same dimensions on the opposite quiver, each
     arrow matrix transposed.  D is exact and contravariant, and DDM = M."""
-    mats = tuple(rep.matrix_t(a) for a in range(len(rep.quiver.arrows)))
+    mats = rep.matrices_t
     return Representation(rep.quiver.opposite(), rep.p, rep.dims, mats)
 
 
@@ -116,7 +118,7 @@ def _maps_into(basis, mat, target, target_pivots, p):
 
 
 def is_arrow_stable(rep, bases, pivots):
-    return all(_maps_into(bases[s], rep.matrix_t(a), bases[t], pivots[t], rep.p)
+    return all(_maps_into(bases[s], rep.matrices_t[a], bases[t], pivots[t], rep.p)
                for a, (s, t) in enumerate(rep.quiver.arrows) if bases[s])
 
 
@@ -145,7 +147,7 @@ def restrict_to_sub(rep, sub):
     dims = sub.dims
     mats = []
     for a, (s, t) in enumerate(rep.quiver.arrows):
-        images = kernels.matmul(sub.bases[s], rep.matrix_t(a), rep.p)
+        images = kernels.matmul(sub.bases[s], rep.matrices_t[a], rep.p)
         cols = [_coords_in_basis(row, sub.bases[t], sub.pivots[t], rep.p)
                 for row in images]
         mats.append(tuple(tuple(col[i] for col in cols) for i in range(dims[t])))
@@ -165,7 +167,7 @@ def quotient(rep, sub):
 
     mats = []
     for a, (s, t) in enumerate(rep.quiver.arrows):
-        at = rep.matrix_t(a)  # row j is the image of basis vector e_j
+        at = rep.matrices_t[a]  # row j is the image of basis vector e_j
         cols = [project(t, at[j]) for j in comp[s]]
         mats.append(tuple(tuple(col[i] for col in cols) for i in range(dims[t])))
     return Representation(rep.quiver, p, dims, tuple(mats))

@@ -19,6 +19,16 @@ least such dimension vector and passes to the quotient.  Independent
 stable dimension vectors grade by dimension vector alone, so then only
 the base prime runs it and the later primes reuse its classes.
 
+The saturation check counts the support of F only for one module:
+explicit matrices, or a seeded recipe that is rigid, whose certified
+draws are all the one rigid module.  A seeded recipe that is not rigid
+is a different module at each prime, so its support half is skipped
+with no draw or count of its own, and the sub-lattice half alone runs,
+on S(alpha) for an acyclic quiver.  A rigid
+acyclic M has support S(alpha) (Caldero-Reineke 2008), so the support
+half reuses the hull and lattice points of the sub-dimension set
+whenever the two sets are equal.
+
 The weight cones need no dual cone: the hom- and e-vanishing cones are
 the normal cones of the Newton polytope at its vertices 0 and dim M, so
 they describe it when every facet passes through one of the two.
@@ -355,23 +365,31 @@ def verify_saturation(recipe):
     """Every lattice point of the Newton polytope should carry both a
     nonzero coefficient and a subrepresentation; witnesses otherwise.
 
-    The sub-lattice is the recipe's ``sub_dim_vectors``; the support check
-    is skipped when the point counts fail to be polynomial (only away from
-    the rigid case).
+    The sub-lattice half reads the recipe's ``sub_dim_vectors``.  The
+    support half counts F only for one module: explicit matrices, or a
+    seeded recipe that ``is_rigid_at`` the CERTIFY_PRIMES, whose every
+    certified draw is the one rigid module.  A seeded recipe that is not
+    rigid draws a different module at each prime, so its support half is
+    skipped before it draws or counts, as it is when the point counts
+    fail to be polynomial.  A support equal to the sub-dimension set, as
+    for rigid acyclic M, reuses their hull and lattice points.
     """
     dims = sub_dim_vectors(recipe)
-    hull = convex_hull(dims)
-    missing_sub = [list(point) for point in lattice_points(hull)
-                   if point not in dims]
+    points = lattice_points(convex_hull(dims))
+    missing_sub = [list(point) for point in points if point not in dims]
+    skipped = {"check": "saturation", "pass": not missing_sub,
+               "support_witnesses": None, "sublattice_witnesses": missing_sub}
+    if recipe.int_matrices is None and not all(map(recipe.is_rigid_at, CERTIFY_PRIMES)):
+        return dict(skipped, support_skipped=(
+            "the seeded recipe is not rigid, so its draws at different primes "
+            "are different modules; pass explicit int_matrices to count one module"))
     try:
         support = f_polynomial(recipe).support()
     except NonPolynomialCount as exc:
-        return {"check": "saturation", "pass": not missing_sub,
-                "support_witnesses": None,
-                "support_skipped": str(exc),
-                "sublattice_witnesses": missing_sub}
-    missing_support = [list(point) for point in lattice_points(convex_hull(support))
-                       if point not in support]
+        return dict(skipped, support_skipped=str(exc))
+    if support != dims:
+        points = lattice_points(convex_hull(support))
+    missing_support = [list(point) for point in points if point not in support]
     return {"check": "saturation",
             "pass": not missing_support and not missing_sub,
             "support_witnesses": missing_support,

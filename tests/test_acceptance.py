@@ -291,11 +291,13 @@ def test_criterion_8_saturation():
         out = verify_saturation(RepRecipe(quiver, alpha, seed=0))
         if not out["pass"]:
             failures.append(f"{quiver.arrows} {alpha}: {out}")
+    # The control is not rigid, so its support is not counted.
     bad = verify_saturation(RepRecipe(K3, (3, 4), seed=0))
-    if bad["pass"] or bad["sublattice_witnesses"] != [[2, 3]]:
+    if (bad["pass"] or bad["sublattice_witnesses"] != [[2, 3]]
+            or bad["support_witnesses"] is not None):
         failures.append(f"control: {bad}")
     _report(8, "saturation on rigid instances; (3,4) over 3-Kronecker "
-               "fails with witness (2,3)", failures)
+               "fails with witness (2,3), its support not counted", failures)
 
 
 def test_criterion_9_unique_subrep_without_vertex():

@@ -355,6 +355,19 @@ def test_exit_code_not_generic(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_saturation_of_a_seeded_rigid_recipe_whose_draws_fail_exits_4(
+        capsys, monkeypatch, k2_json):
+    # K2 (2,3) is rigid, so its support is counted, and the count needs a
+    # draw; none is found, and the error is not read as a skipped check.
+    monkeypatch.setattr(rep, "DRAW_ATTEMPTS", 0)
+    rep._generic_draw.cache_clear()
+    code = main(["verify", "--what", "saturation", "--quiver", k2_json,
+                 "--dims", "2,3", "--seed", "41"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_seeded_non_rigid_hull_is_the_generic_one(capsys, k3_json):
     """A seeded recipe on an acyclic quiver takes the hull of S(alpha), so
     non-rigid K3 inputs whose seed-0 draws differ mod 2 and 3 pass."""

@@ -76,6 +76,15 @@ the same graded data, and at every prime read the same perp dimension
 vector and stable dimension vectors.  A sum of two (1,1) bricks over
 K2, whose stable classes are dependent, still filters at every prime.
 
+``verify_saturation`` skips the support half of a seeded recipe that is
+not rigid, and reuses the hull and lattice points of the sub-dimension
+set when the support equals it.  A test-local copy of the check it
+replaced, which counted every support and built its hull apart, is its
+reference on the rigid instances of acceptance criterion 8 and on
+explicit matrices, some random and one sum of two bricks that is not
+rigid and is still counted: the same report or error type, from one
+hull whenever the support equals the sub-dimension set.
+
 ``presentations.generic_hom_e`` and the generic End take the least hom
 over seeded draws through one sampler, which stops at the first draw
 that reaches the Euler-form floor.  The loops it replaced left only the
@@ -110,7 +119,7 @@ from fpoly.grassmannian import (CERTIFY_PRIMES, enumerate_subreps,
                                 subrep_dim_vectors, unique_subrep)
 from fpoly.intlinalg import echelon, nullspace, solver
 from fpoly.polynomial import MultiPoly
-from fpoly.polytope import convex_hull
+from fpoly.polytope import convex_hull, lattice_points
 from fpoly.presentations import generic_hom_e, hom_e, random_presentation
 from fpoly.quiver import (MAX_VERTEX_DIM, Quiver, euler_form, kronecker_quiver,
                           vec_dot, vec_sub)
@@ -123,7 +132,7 @@ from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
 from test_polynomial import chi_from_counts
 from test_kernels import subspace_intersection, subspace_sum
-from test_stabilization import is_stable
+from test_stabilization import K22_BRICKS, K33_EXTENSION, is_stable
 
 QUIVERS = {
     "K2": kronecker_quiver(2),
@@ -1097,3 +1106,67 @@ def test_generic_sub_dims_equal_the_enumerated_sets():
         for p in CERTIFY_PRIMES:
             assert generic_sub_dims(recipe.quiver, recipe.dims) == \
                 subrep_dim_vectors(recipe.at_prime(p)), (recipe, p)
+
+
+def _two_hull_saturation(recipe):
+    """The saturation check before it skipped seeded recipes that are not
+    rigid: it counted every recipe's support and built its hull apart."""
+    dims = sub_dim_vectors(recipe)
+    hull = convex_hull(dims)
+    missing_sub = [list(point) for point in lattice_points(hull) if point not in dims]
+    try:
+        support = polynomial.f_polynomial(recipe).support()
+    except NonPolynomialCount as exc:
+        return {"check": "saturation", "pass": not missing_sub,
+                "support_witnesses": None, "support_skipped": str(exc),
+                "sublattice_witnesses": missing_sub}
+    missing_support = [list(point) for point in lattice_points(convex_hull(support))
+                       if point not in support]
+    return {"check": "saturation",
+            "pass": not missing_support and not missing_sub,
+            "support_witnesses": missing_support,
+            "sublattice_witnesses": missing_sub}
+
+
+def _report_or_error(check, recipe):
+    try:
+        return check(recipe)
+    except FpolyError as exc:
+        return type(exc)
+
+
+def test_saturation_equals_the_two_hull_check(monkeypatch):
+    hulls = []
+
+    def spy(points, real=stabilization.convex_hull):
+        hulls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(stabilization, "convex_hull", spy)
+    k2, rng = kronecker_quiver(2), random.Random(37)
+    # K22_BRICKS is not rigid, and explicit matrices still count it; the
+    # K2 (2,2) module with invariant lines x^2 = 3 has counts 1, 1, 0 at
+    # 2, 3, 5, so its support half is skipped on both sides.
+    explicit = [K22_BRICKS, K33_EXTENSION,
+                RepRecipe(k2, (1, 2), int_matrices=(((1,), (0,)), ((0,), (1,)))),
+                RepRecipe(k2, (2, 2), int_matrices=(((1, 0), (0, 1)), ((0, 1), (3, 0))))]
+    for _ in range(16):
+        quiver = rng.choice([k2, QUIVERS["A3"], QUIVERS["1=>2->3"]])
+        dims = tuple(rng.randrange(3) for _ in range(quiver.n))
+        explicit.append(RepRecipe(quiver, dims, int_matrices=tuple(
+            tuple(tuple(rng.randrange(-2, 3) for _ in range(dims[s]))
+                  for _ in range(dims[t])) for s, t in quiver.arrows)))
+    assert not K22_BRICKS.is_rigid_at(2)
+    counted = Counter()
+    for recipe in [RepRecipe(q, a, seed=0) for q, a in RIGID_INSTANCES] + explicit:
+        hulls.clear()
+        report = _report_or_error(stabilization.verify_saturation, recipe)
+        assert report == _report_or_error(_two_hull_saturation, recipe), recipe
+        if isinstance(report, dict) and report["support_witnesses"] is not None:
+            same = polynomial.f_polynomial(recipe).support() == sub_dim_vectors(recipe)
+            assert len(hulls) == (1 if same else 2), recipe
+            counted[recipe.int_matrices is None, same] += 1
+    # Every rigid instance has support S(alpha) (Caldero-Reineke 2008).
+    assert counted[True, True] == len(RIGID_INSTANCES)
+    assert counted[False, True] > 1, counted
+    assert stabilization.verify_saturation(K22_BRICKS)["support_witnesses"] == []

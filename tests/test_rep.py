@@ -1,10 +1,12 @@
 import json
 import random
+import sys
 import traceback
+from collections import Counter
 
 import pytest
 
-from fpoly import cli, grassmannian, rep as rep_module
+from fpoly import cli, grassmannian, kernels, rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
 from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
                           unit_vector, vec_add)
@@ -73,6 +75,33 @@ def test_dual_is_a_contravariant_involution():
         assert dm.quiver == q231.opposite() and dm.dims == m.dims
         assert dual(dm) == m
         assert hom_dim(m, n) == hom_dim(dual(n), dm)
+
+
+def test_each_arrow_is_transposed_once_per_representation(monkeypatch, tmp_path,
+                                                         capsys):
+    # The walks, restrictions, quotients, stability tests and duals of one
+    # representation all read the transposes it made on first use.
+    transposed = []
+
+    def spy(mat, ncols, real=kernels.transpose):
+        frame = sys._getframe(1)
+        while frame is not None and not isinstance(frame.f_locals.get("self"),
+                                                   Representation):
+            frame = frame.f_back
+        transposed.append(frame and frame.f_locals["self"])
+        return real(mat, ncols)
+
+    monkeypatch.setattr(kernels, "transpose", spy)
+    rep_module._generic_draw.cache_clear()
+    grassmannian.subrep_counts.cache_clear()
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(kronecker_quiver(2).to_json()))
+    assert cli.main(["verify", "--what", "facets", "--strict", "--quiver",
+                     str(path), "--dims", "2,3", "--seed", "5"]) == 0
+    capsys.readouterr()
+    per_rep = Counter(map(id, transposed))
+    assert None not in transposed and len(per_rep) > 1
+    assert set(per_rep.values()) == {2}   # the two arrows of K2
 
 
 def test_hereditary_euler_identity():

@@ -1,5 +1,6 @@
 import pytest
 
+from fpoly import grassmannian, polynomial, rep as rep_module, stabilization
 from fpoly.grassmannian import (maximizer_dims, subrep_counts,
                                 subrep_dim_vectors, tropical_f)
 from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
@@ -202,6 +203,56 @@ def test_saturation_rigid_passes_nonrigid_fails():
     bad = verify_saturation(RepRecipe(kronecker_quiver(3), (3, 4), seed=0))
     assert not bad["pass"]
     assert bad["sublattice_witnesses"] == [[2, 3]]
+
+
+@pytest.mark.parametrize("quiver, alpha, witnesses", [
+    (kronecker_quiver(2), (2, 2), []),
+    (kronecker_quiver(3), (2, 2), [[1, 1]]),
+    (kronecker_quiver(2), (3, 3), []),
+    (kronecker_quiver(3), (3, 4), [[2, 3]]),
+])
+def test_seeded_non_rigid_saturation_draws_and_counts_nothing(monkeypatch, quiver,
+                                                              alpha, witnesses):
+    # A seeded recipe that is not rigid is a different module at each
+    # prime, so its support half is skipped before any draw or count: the
+    # End samples at the large primes are its only draws, and its report
+    # is the same at every seed.
+    draws, counted = [], []
+
+    def spy_draw(quiver, dims, p, rng, real=rep_module.random_representation):
+        draws.append(p)
+        return real(quiver, dims, p, rng)
+
+    monkeypatch.setattr(rep_module, "random_representation", spy_draw)
+    monkeypatch.setattr(rep_module, "_generic_draw", lambda *args: counted.append(args))
+    for module in (grassmannian, polynomial, stabilization):
+        monkeypatch.setattr(module, "subrep_counts", lambda *args: counted.append(args))
+    rep_module._generic_end_dim.cache_clear()
+    reports = [verify_saturation(RepRecipe(quiver, alpha, seed=s)) for s in range(20)]
+    assert all(report == reports[0] for report in reports)
+    assert reports[0]["support_witnesses"] is None
+    assert "int_matrices" in reports[0]["support_skipped"]
+    assert reports[0]["sublattice_witnesses"] == witnesses
+    assert reports[0]["pass"] == (not witnesses)
+    assert not counted
+    assert draws and min(draws) >= min(rep_module.DEFAULT_GENERIC_PRIMES)
+
+
+def test_saturation_of_a_support_apart_from_the_sub_dimensions(monkeypatch):
+    # A support that is not the sub-dimension set gets its own hull: here
+    # the segment from 0 to (2,2), whose midpoint carries no coefficient.
+    hulls = []
+
+    def spy(points, real=stabilization.convex_hull):
+        hulls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(stabilization, "convex_hull", spy)
+    monkeypatch.setattr(stabilization, "f_polynomial",
+                        lambda recipe: MultiPoly(2, {(0, 0): 1, (2, 2): 1}))
+    out = verify_saturation(RepRecipe(kronecker_quiver(2), (2, 3), seed=0))
+    assert out["support_witnesses"] == [[1, 1]] and not out["sublattice_witnesses"]
+    assert out["pass"] is False and len(hulls) == 2
 
 
 def test_generic_sub_dims_excludes_obstructed_dimension():
