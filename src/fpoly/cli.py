@@ -5,11 +5,12 @@ deterministic JSON (sorted keys) for a fixed seed; exit codes are a
 stable contract: 0 success, 1 failed verification under --strict,
 2 a dimension vector over the fixed enumeration cost cap (checked before
 any draw), 3 non-polynomial point counts, 4 no generic certificate (the
-sub-dimension sets of explicit matrices or a cyclic quiver differ across
-primes, or no generic draw), 5 a broken internal invariant (a bug, not a
-failed theorem check; the command line takes no subspaces, so an invalid
-subrepresentation is one too), 6 invalid input, an unwritable ``--out``
-file or a closed standard output.  Each error prints one ``error:`` line.
+sub-dimension sets of explicit matrices differ across primes, a seeded
+recipe on a quiver with a cycle has none, or no generic draw), 5 a
+broken internal invariant (a bug, not a failed theorem check; the
+command line takes no subspaces, so an invalid subrepresentation is one
+too), 6 invalid input, an unwritable ``--out`` file or a closed standard
+output.  Each error prints one ``error:`` line.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .cluster import b_matrix, find_by_delta, run_sequence
 from .errors import (CostCapExceeded, GenericityError, InvalidInput,
                      InvalidSubrepresentation, InvariantViolation,
                      NonPolynomialCount)
-from .grassmannian import check_cost, subrep_dim_vectors, sub_dim_vectors
+from .grassmannian import subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
@@ -77,8 +78,8 @@ def _nonzero_poly(data):
 
 
 def _recipe_from_args(args):
-    """The recipe that the arguments name, its cost cap checked before
-    any representation is drawn."""
+    """The recipe that the arguments name; one over the cost cap cannot
+    be built, so nothing is drawn for it."""
     if args.rep:
         if args.quiver or args.dims or args.seed is not None:
             raise InvalidInput("--rep takes no --quiver, --dims or --seed")
@@ -89,7 +90,6 @@ def _recipe_from_args(args):
             recipe = RepRecipe(quiver, _int_list(args.dims), seed=args.seed or 0)
     else:
         raise InvalidInput("either --rep or both --quiver and --dims are required")
-    check_cost(recipe.dims)
     return recipe
 
 

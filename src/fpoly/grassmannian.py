@@ -200,10 +200,14 @@ def subrep_dim_vectors(rep):
 
 def sub_dim_vectors(recipe):
     """A recipe's sub-dimension set, chosen here alone: S(alpha), exact with
-    no draw, for a seeded recipe on an acyclic quiver; else the gammas with
-    an F_p-point, which must agree at the CERTIFY_PRIMES."""
-    check_cost(recipe.dims)
-    if recipe.int_matrices is None and recipe.quiver.acyclic:
+    no draw, for a seeded recipe on an acyclic quiver; for explicit matrices
+    the gammas with an F_p-point, which must agree at the CERTIFY_PRIMES.
+    Seeded draws on a quiver with a cycle may agree on a module that is not
+    general, so they are refused."""
+    if recipe.int_matrices is None and not recipe.quiver.acyclic:
+        raise GenericityError("a seeded recipe on a quiver with a cycle has no certified "
+                              "sub-dimension set; pass explicit int_matrices")
+    if recipe.int_matrices is None:
         return generic_sub_dims(recipe.quiver, recipe.dims)
     results = [subrep_dim_vectors(recipe.at_prime(p)) for p in CERTIFY_PRIMES]
     if any(r != results[0] for r in results[1:]):

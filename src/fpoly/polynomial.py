@@ -25,7 +25,7 @@ import operator
 from .errors import NonPolynomialCount
 from .grassmannian import CERTIFY_PRIMES, subrep_counts, subrep_dim_vectors
 from .intlinalg import solver
-from .quiver import check_cost, euler_form, pos_neg_parts, vec_dot, vec_sub
+from .quiver import euler_form, pos_neg_parts, vec_dot, vec_sub
 
 VERIFY_PRIMES = 1
 
@@ -406,9 +406,7 @@ def plan_fit(quiver, alpha, rigid_at, base_dims):
 
 
 def _recipe_plan(recipe):
-    """``plan_fit`` of a recipe, sized by its sub-dimension vectors mod 2;
-    the cost cap is checked first, before any End sample is drawn."""
-    check_cost(recipe.dims)
+    """``plan_fit`` of a recipe, sized by its sub-dimension vectors mod 2."""
     return plan_fit(recipe.quiver, recipe.dims, recipe.is_rigid_at,
                     lambda: subrep_dim_vectors(recipe.at_prime(CERTIFY_PRIMES[0])))
 

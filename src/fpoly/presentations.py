@@ -6,6 +6,8 @@ projectives, stored by path coefficients.  From d we derive its
 cokernel, the invariants (hom, e) against any representation (kernel
 and cokernel dimensions of Hom(P_plus, N) -> Hom(P_minus, N)), and the
 kernel of the Nakayama translate (which computes tau of the cokernel).
+The cokernel is generated by the vectors d(e_j) through the projectives'
+own arrows, so paths are composed only in ``path_basis`` and the projectives.
 The injective side is the projective side of the opposite quiver under
 the duality D = Hom(-, F_p) of ``rep.dual``.
 """
@@ -98,48 +100,29 @@ def random_presentation(quiver, delta, p, rng):
     return Presentation(quiver, p, tuple(delta), tuple(coeffs))
 
 
-def _realize(pres):
-    """Per-vertex matrices of d: P(minus) -> P(plus), plus the target rep."""
+def cokernel(pres):
+    """P(delta_plus) modulo the image of d: the span of the vectors d(e_j), one
+    per minus-summand, pushed along the arrows in topological order."""
     quiver, p = pres.quiver, pres.p
     between = path_basis(quiver)
     plus_s = pres.plus_summands
-    minus_s = pres.minus_summands
     target = reduce(direct_sum,
                     [projective_representation(quiver, i, p) for i in plus_s],
                     zero_representation(quiver, p))
-    row_index = {}
-    for w in range(quiver.n):
-        idx = {}
-        r = 0
-        for u, i in enumerate(plus_s):
-            for path in between[i][w]:
-                idx[(u, path)] = r
-                r += 1
-        row_index[w] = idx
-    mats = []
-    for w in range(quiver.n):
-        ncols = sum(len(between[j][w]) for j in minus_s)
-        mat = [[0] * ncols for _ in range(len(row_index[w]))]
-        c = 0
-        for v, j in enumerate(minus_s):
-            for path in between[j][w]:
-                for u in range(len(plus_s)):
-                    for q, coef in pres.coeffs[u][v]:
-                        if coef:
-                            r = row_index[w][(u, q + path)]
-                            mat[r][c] = (mat[r][c] + coef) % p
-                c += 1
-        mats.append(tuple(tuple(row) for row in mat))
-    return target, mats
-
-
-def cokernel(pres):
-    """Cokernel representation of the presentation."""
-    target, mats = _realize(pres)
-    image_rows = [kernels.transpose(mats[w], target.dims[w])
-                  for w in range(pres.quiver.n)]
-    image = make_subrep(target, image_rows)
-    return quotient(target, image)
+    spans = [[] for _ in range(quiver.n)]
+    for v, j in enumerate(pres.minus_summands):
+        image = {(u, q): 0 for u, i in enumerate(plus_s) for q in between[i][j]}
+        for u, row in enumerate(pres.coeffs):
+            for q, coef in row[v]:
+                image[u, q] += coef
+        spans[j].append(tuple(x % p for x in image.values()))
+    for v in quiver.topo_order:
+        spans[v] = kernels.rref(spans[v], target.dims[v], p)[0]
+        if spans[v]:
+            for a in quiver.arrows_from(v):
+                spans[quiver.arrows[a][1]] += kernels.matmul(
+                    spans[v], target.matrices_t[a], p)
+    return quotient(target, make_subrep(target, spans))
 
 
 def _path_action(rep, path, start):

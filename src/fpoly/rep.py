@@ -238,7 +238,8 @@ class RepRecipe:
     same object.  In seeded mode the representation mod p is a random
     draw fixed by (seed, p), certified generic by matching the generic
     endomorphism dimension sampled at large primes; it is drawn once
-    and reused within a process.
+    and reused within a process.  A recipe over the cost cap of
+    ``quiver.check_cost`` cannot be built, so nothing is ever drawn for it.
     """
 
     quiver: Quiver
@@ -250,9 +251,9 @@ class RepRecipe:
         _check_dims(self.quiver, self.dims)
         if self.int_matrices is not None:
             _check_shapes(self.quiver, self.dims, self.int_matrices)
+        check_cost(self.dims)
 
     def at_prime(self, p):
-        check_cost(self.dims)  # before anything is drawn
         if self.int_matrices is not None:
             mats = tuple(tuple(tuple(x % p for x in row) for row in mat)
                          for mat in self.int_matrices)

@@ -13,7 +13,7 @@ from fpoly import cli, grassmannian, polynomial, polytope, rep, stabilization
 from fpoly.cli import main
 from fpoly.errors import InvariantViolation, NonPolynomialCount
 from fpoly.polynomial import MultiPoly, f_polynomial
-from fpoly.quiver import Quiver, kronecker_quiver, unit_vector
+from fpoly.quiver import Quiver, cycle_quiver, kronecker_quiver, unit_vector
 from fpoly.rep import RepRecipe
 
 CYCLE4 = Quiver(("1", "2", "3", "4"),
@@ -253,6 +253,51 @@ def test_exit_code_cost_cap(capsys, monkeypatch, k2_json):
     assert code == 2 and not draws
     assert err.startswith("error: dimension vector (9, 9) exceeds the fixed "
                           "enumeration cap") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["compute"], ["subdims"], ["polytope"],
+                                     ["verify", "--what", "facets"],
+                                     ["verify", "--what", "saturation"]])
+@pytest.mark.parametrize("matrices", [None, {"0": [[0] * 9] * 9, "1": [[0] * 9] * 9}])
+def test_over_cap_rep_file_is_exit_2(capsys, monkeypatch, tmp_path, k2_json,
+                                     command, matrices):
+    # A --rep file over the cap fails as --dims does: the recipe cannot be
+    # built, so nothing is drawn and one error line is printed.
+    draws = []
+    monkeypatch.setattr(rep, "random_representation",
+                        lambda *args: draws.append(args))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**kronecker_quiver(2).to_json(), "dims": [9, 9],
+                                **({"matrices": matrices} if matrices else {})}))
+    errors = []
+    for source in (["--rep", str(path)], ["--quiver", k2_json, "--dims", "9,9"]):
+        code = main(command + source)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not draws
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        "error: dimension vector (9, 9) exceeds the fixed enumeration cap "
+        "(8 per vertex, 16 total)\n")
+
+
+@pytest.mark.parametrize("command", [["polytope"], ["verify", "--what", "cones"],
+                                     ["verify", "--what", "vertices"],
+                                     ["verify", "--what", "saturation"]])
+def test_seeded_sub_dims_on_a_quiver_with_a_cycle_are_exit_4(capsys, tmp_path, command):
+    # Draws mod 2 and 3 can agree on the set of a module that is not
+    # general, as they do at 7 of these 40 seeds, so no seeded set is
+    # certified.  Explicit matrices are still counted and certified.
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(cycle_quiver(3).to_json()))
+    for seed in range(40):
+        code = main(command + ["--quiver", str(path), "--dims", "1,1,1", "--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == ("error: a seeded recipe on a quiver with a cycle has no "
+                                "certified sub-dimension set; pass explicit int_matrices\n")
+    uniserial = RepRecipe(cycle_quiver(3), (1, 1, 1), int_matrices=(((1,),), ((1,),), ((0,),)))
+    path.write_text(json.dumps(uniserial.to_json()))
+    assert run(capsys, *command, "--rep", str(path))[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from fpoly import grassmannian, kernels, rep as rep_module
-from fpoly.errors import CostCapExceeded
+from fpoly.errors import CostCapExceeded, GenericityError
 from fpoly.grassmannian import (enumerate_subreps, maximizer_dims,
                                 sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, tropical_f,
                                 unique_subrep)
 from fpoly.polynomial import counted_primes, f_polynomial
-from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
+from fpoly.quiver import Quiver, cycle_quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, Representation, dual, is_arrow_stable,
                        random_representation)
 
@@ -122,11 +122,13 @@ def test_cost_cap(monkeypatch):
     draws = []
     monkeypatch.setattr(rep_module, "random_representation",
                         lambda *args: draws.append(args))
-    big = RepRecipe(kronecker_quiver(2), (9, 9), seed=0)
     with pytest.raises(CostCapExceeded):
-        subrep_dim_vectors(big.at_prime(2))
-    # at_prime checks the cap before it draws anything.
+        subrep_dim_vectors(RepRecipe(kronecker_quiver(2), (9, 9), seed=0).at_prime(2))
+    # An over-cap recipe cannot be built, so nothing is drawn for it.
     assert not draws
+    zeros = tuple(tuple((0,) * 9 for _ in range(9)) for _ in range(2))
+    with pytest.raises(CostCapExceeded):
+        RepRecipe(kronecker_quiver(2), (9, 9), int_matrices=zeros)
 
 
 @pytest.mark.parametrize("plan", [f_polynomial, counted_primes])
@@ -145,6 +147,30 @@ def test_sub_dim_vectors_certified():
     r = RepRecipe(kronecker_quiver(2), (2, 3), seed=0)
     dims = sub_dim_vectors(r)
     assert dims == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
+
+def test_seeded_sub_dims_on_a_quiver_with_a_cycle_are_refused(monkeypatch):
+    # Draws of the 3-cycle (1,1,1) mod 2 and 3 can agree on the set of a
+    # module that is not general (seed 2 gives the vertex (1,0,1)), so no
+    # seeded set is certified, and nothing is drawn or counted for it.
+    calls = []
+    monkeypatch.setattr(grassmannian, "subrep_dim_vectors", calls.append)
+    for seed in range(40):
+        with pytest.raises(GenericityError, match="explicit int_matrices"):
+            sub_dim_vectors(RepRecipe(cycle_quiver(3), (1, 1, 1), seed=seed))
+    assert not calls
+
+
+def test_explicit_sub_dims_on_a_quiver_with_a_cycle_are_certified(monkeypatch):
+    # 1 -> 2 -> 3 -> 1 with the last map zero: a uniserial module, whose
+    # sets mod 2 and 3 agree.
+    primes, real = [], grassmannian.subrep_dim_vectors
+    monkeypatch.setattr(grassmannian, "subrep_dim_vectors",
+                        lambda rep: primes.append(rep.p) or real(rep))
+    recipe = RepRecipe(cycle_quiver(3), (1, 1, 1),
+                       int_matrices=(((1,),), ((1,),), ((0,),)))
+    assert sub_dim_vectors(recipe) == {(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)}
+    assert primes == [2, 3]
 
 
 def test_tropical_duality_identity():

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from fpoly import grassmannian, polynomial, rep as rep_module, stabilization
+from fpoly.cli import main
 from fpoly.grassmannian import (maximizer_dims, subrep_counts,
                                 subrep_dim_vectors, tropical_f)
 from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
@@ -175,6 +178,53 @@ def test_vertex_theorems_rigid_kronecker():
     out = verify_vertex_theorems(r)
     assert out["pass"] and out["rigid"]
     assert out["vertices"] == [[0, 0], [0, 3], [2, 3]]
+
+
+def _bump_count(module, prime, gamma):
+    """``module.subrep_counts`` with a second point of dimension gamma mod prime."""
+    real = module.subrep_counts
+    return lambda rep: {**real(rep), gamma: 2} if rep.p == prime else real(rep)
+
+
+def _hom_at(gamma):
+    real = stabilization.hom_dim
+    return lambda l_rep, q_rep: 1 if l_rep.dims == gamma else real(l_rep, q_rep)
+
+
+def _perp_at(gamma):
+    real = stabilization.generic_hom_ext
+    return lambda quiver, a, b: (0, 0) if a == gamma else real(quiver, a, b)
+
+
+# One broken input per witness kind of the vertex check on K2 (2,3), whose
+# vertices are (0,0), (0,3) and (2,3): the patched name, its stand-in and
+# the one witness that it leaves.
+VERTEX_WITNESSES = [
+    (stabilization, "subrep_counts", lambda: _bump_count(stabilization, 3, (0, 3)),
+     {"gamma": [0, 3], "prime": 3, "fail": "vertex count != 1"}),
+    (grassmannian, "subrep_counts", lambda: _bump_count(grassmannian, 2, (2, 3)),
+     {"gamma": [2, 3], "fail": "no unique subrep"}),
+    (stabilization, "hom_dim", lambda: _hom_at((0, 3)),
+     {"gamma": [0, 3], "fail": "Hom(L, M/L) != 0"}),
+    (stabilization, "generic_hom_ext", lambda: _perp_at((0, 1)),
+     {"gamma": [0, 1], "hom": 0, "ext": 0, "fail": "perpendicularity != vertex"}),
+]
+
+
+@pytest.mark.parametrize("module, name, make, witness", VERTEX_WITNESSES)
+def test_vertex_check_reports_each_witness(capsys, monkeypatch, tmp_path,
+                                           module, name, make, witness):
+    monkeypatch.setattr(module, name, make())
+    out = verify_vertex_theorems(RepRecipe(kronecker_quiver(2), (2, 3), seed=0))
+    assert out["pass"] is False and out["witnesses"] == [witness]
+    assert out["rigid"] and out["vertices"] == [[0, 0], [0, 3], [2, 3]]
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps(kronecker_quiver(2).to_json()))
+    code = main(["verify", "--what", "vertices", "--strict",
+                 "--quiver", str(path), "--dims", "2,3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["pass"] is False
+    assert report["report"]["witnesses"] == [witness]
 
 
 def test_vertex_count_one_needs_genericity():
