@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .grassmannian import subrep_dim_vectors, sub_dim_vectors
 from .polynomial import MultiPoly, counted_primes, f_polynomial
 from .polytope import convex_hull
 from .rep import RepRecipe
-from .quiver import Quiver
+from .quiver import Quiver, is_prime
 from .stabilization import (verify_cones, verify_facets, verify_saturation,
                             verify_vertex_theorems)
 
@@ -46,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _prime(text):
     p = int(text) if text.isdigit() else 0
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime")
     return p
 

@@ -4,9 +4,10 @@ Every count and every point comes from one frontier walk over the
 vertices, with one plan per quiver and one step.  A vertex's subspace
 must contain the span that the arrows from chosen vertices force on it;
 on a quiver with cycles the other, deferred, arrows are checked as soon
-as their source is chosen.  The step chooses a subspace at one vertex:
-it pushes the subspace's images into the forced spans of later vertices
-and checks the deferred arrows out of that vertex.
+as their source is chosen.  The step chooses a subspace at one vertex,
+an (rref rows, pivots) pair from ``kernels.subspaces_containing``: it
+pushes the rows' images into the forced spans of later vertices and
+checks the deferred arrows out of that vertex.
 
 The counting walk's state is the forced span of each later vertex (its
 dimension alone at a free vertex, which constrains nothing downstream,
@@ -35,20 +36,6 @@ from .quiver import check_cost, vec_dot
 from .rep import Subrep, _maps_into, generic_sub_dims
 
 CERTIFY_PRIMES = (2, 3)
-
-
-def _pivots_of(rref_basis):
-    for row in rref_basis:
-        for j, x in enumerate(row):
-            if x:
-                yield j
-                break
-
-
-def _subspaces(n, k, p, forced, forced_pivots):
-    """The k-dimensional subspaces of F_p^n containing the rref ``forced``."""
-    return (kernels.subspaces_containing(n, k, p, forced, forced_pivots)
-            if forced else kernels.subspaces(n, k, p))
 
 
 @lru_cache(maxsize=32)
@@ -91,24 +78,24 @@ def _frontier_plan(quiver):
 
 
 def _stepper(rep, plan, keep, settle):
-    """The one step of every walk on ``rep``: ``step(state, v, basis)`` is
-    the state after choosing ``basis`` at v, or None if a deferred arrow
-    out of v leaves the subspace kept at its target.  The basis joins the
-    spans it forces on later vertices; v then holds ``(basis, pivots)`` if
-    it is in ``keep``, else None, and each vertex in ``settle[v]`` holds
-    the dimension of its forced span."""
+    """The one step of every walk on ``rep``: ``step(state, v, sub)`` is
+    the state after choosing the subspace ``sub`` at v, an ``(rows,
+    pivots)`` pair as ``kernels.subspaces_containing`` yields it, or None
+    if a deferred arrow out of v leaves the subspace kept at its target.
+    The rows join the spans they force on later vertices; v then holds
+    ``sub`` if it is in ``keep``, else None, and each vertex in
+    ``settle[v]`` holds the dimension of its forced span."""
     pushes, checks = plan[3:5]
     p, dims = rep.p, rep.dims
     mats = rep.matrices_t
 
-    def step(state, v, basis):
-        pivots = tuple(_pivots_of(basis)) if v in keep else ()
+    def step(state, v, sub):
+        basis = sub[0]
         for a, t in checks[v]:
-            if not _maps_into(basis, mats[a],
-                              *(state[t] if t != v else (basis, pivots)), p):
+            if not _maps_into(basis, mats[a], *(state[t] if t != v else sub), p):
                 return None
         nxt = list(state)
-        nxt[v] = (basis, pivots) if v in keep else None
+        nxt[v] = sub if v in keep else None
         if basis:
             for w, into in pushes[v]:
                 rows = nxt[w][0]
@@ -139,8 +126,8 @@ def enumerate_subreps(rep, gamma):
             yield Subrep(tuple(b for b, _ in state), tuple(q for _, q in state))
             return
         v = order[i]
-        for basis in _subspaces(dims[v], gamma[v], p, *state[v]):
-            nxt = step(state, v, basis)
+        for sub in kernels.subspaces_containing(dims[v], gamma[v], p, *state[v]):
+            nxt = step(state, v, sub)
             if nxt is not None:
                 yield from points(i + 1, nxt)
 
@@ -171,14 +158,13 @@ def subrep_counts(rep):
         n = dims[v]
         if v in free:
             f, rest = state[v], suffixes(i + 1, state[:v] + (None,) + state[v + 1:])
-            table = {(k,) + suffix: c * kernels.count_subspaces_containing(n, k, p, f)
+            table = {(k,) + suffix: c * kernels.gauss_binom(n - f, k - f, p)
                      for k in range(f, n + 1) for suffix, c in rest.items()}
         else:
-            forced, forced_piv = state[v]
             groups = {}
-            for k in range(len(forced), n + 1):
-                for basis in _subspaces(n, k, p, forced, forced_piv):
-                    key = k, step(state, v, basis)
+            for k in range(len(state[v][0]), n + 1):
+                for sub in kernels.subspaces_containing(n, k, p, *state[v]):
+                    key = k, step(state, v, sub)
                     groups[key] = groups.get(key, 0) + 1
             for (k, nxt), mult in groups.items():
                 if nxt is not None:

@@ -2,7 +2,8 @@
 
 Matrices are tuples of row tuples with entries already reduced mod p.
 Everything downstream imports the numeric primitives (rref, matmul,
-in_rowspace, ...) from here.
+in_rowspace, ...) from here.  A subspace is the ``(rows, pivots)`` pair
+that ``rref`` returns, and the subspace enumerators yield such pairs.
 """
 
 import itertools
@@ -107,15 +108,14 @@ def gauss_binom(n, k, q):
 
 
 def subspaces(n, k, p):
-    """Iterate over all k-dim subspaces of F_p^n as rref row bases.
+    """Iterate over all k-dim subspaces of F_p^n as ``(rows, pivots)``
+    pairs, the same pair ``rref`` returns.
 
     Enumeration is by pivot pattern, then by the free entries; each
     subspace appears exactly once.
     """
     if k == 0:
-        yield ()
-        return
-    if k > n:
+        yield (), ()
         return
     for pivots in itertools.combinations(range(n), k):
         pivset = set(pivots)
@@ -132,34 +132,32 @@ def subspaces(n, k, p):
                 rows[i][pivots[i]] = 1
             for (i, j), v in zip(slots, vals):
                 rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+            yield tuple(tuple(r) for r in rows), pivots
 
 
 def subspaces_containing(n, k, p, sub_basis, sub_pivots):
-    """All k-dim subspaces of F_p^n containing the given rref subspace.
+    """All k-dim subspaces of F_p^n containing the given rref subspace, as
+    ``(rows, pivots)`` pairs; for the zero subspace, exactly ``subspaces``.
 
     Works in the quotient by the subspace: non-pivot coordinates index
     the quotient, complements are lifted and re-reduced.
     """
     w = len(sub_basis)
+    if not w:
+        yield from subspaces(n, k, p)
+        return
     if k < w:
         return
     if k == w:
-        yield sub_basis
+        yield sub_basis, sub_pivots
         return
     pivset = set(sub_pivots)
     coords = [j for j in range(n) if j not in pivset]
-    m = len(coords)
-    for qbasis in subspaces(m, k - w, p):
+    for qbasis, _ in subspaces(len(coords), k - w, p):
         rows = list(sub_basis)
         for qrow in qbasis:
             lift = [0] * n
             for c, v in zip(coords, qrow):
                 lift[c] = v
             rows.append(tuple(lift))
-        basis, _ = rref(rows, n, p)
-        yield basis
-
-
-def count_subspaces_containing(n, k, p, sub_dim):
-    return gauss_binom(n - sub_dim, k - sub_dim, p)
+        yield rref(rows, n, p)

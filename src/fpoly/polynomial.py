@@ -25,7 +25,7 @@ import operator
 from .errors import NonPolynomialCount
 from .grassmannian import CERTIFY_PRIMES, subrep_counts, subrep_dim_vectors
 from .intlinalg import solver
-from .quiver import euler_form, pos_neg_parts, vec_dot, vec_sub
+from .quiver import euler_form, is_prime, pos_neg_parts, vec_dot, vec_sub
 
 VERIFY_PRIMES = 1
 
@@ -300,8 +300,8 @@ def _exchange(f, column, cvec, k0):
 
 
 def _primes():
-    """2, 3, 5, 7, ... in order, by trial division."""
-    return (n for n in itertools.count(2) if all(n % d for d in range(2, n)))
+    """2, 3, 5, 7, ... in order."""
+    return filter(is_prime, itertools.count(2))
 
 
 def first_primes(n):

@@ -1,6 +1,7 @@
-"""Quivers, dimension vectors, the enumeration cost cap and the Euler form."""
+"""Quivers, dimension vectors, the enumeration cost cap, the Euler form, primality."""
 
 from dataclasses import dataclass, field
+from math import isqrt
 from operator import add, mul, sub
 
 from .errors import CostCapExceeded
@@ -19,6 +20,11 @@ def vec_sub(a, b):
 
 def vec_dot(a, b):
     return sum(map(mul, a, b))
+
+
+def is_prime(n):
+    """Whether the integer n is prime, by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def unit_vector(n, i):

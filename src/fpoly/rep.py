@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from . import kernels
 from .errors import (GenericityError, InvalidSubrepresentation,
                      InvariantViolation)
-from .quiver import (Quiver, check_cost, euler_form, unit_vector, vec_add,
-                     vec_dot, vec_sub)
+from .quiver import (Quiver, check_cost, euler_form, is_prime, unit_vector,
+                     vec_add, vec_dot, vec_sub)
 
 DEFAULT_GENERIC_PRIMES = (101, 103, 107)
 END_DIM_TRIALS = 6       # seed-0 draws per large prime for the generic End
@@ -51,7 +51,9 @@ class Representation:
     matrices: tuple
 
     def __post_init__(self):
-        self.quiver.check_dim_vector(self.dims)
+        _check_dims(self.quiver, self.dims)
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not a prime")
         _check_shapes(self.quiver, self.dims, self.matrices)
         if any(not (0 <= x < self.p) for mat in self.matrices
                for r in mat for x in r):

@@ -328,26 +328,22 @@ def verify_vertex_theorems(recipe):
     The points are counted at VERTEX_PRIMES for a seeded recipe, whose
     draw is generic at every prime, and at the CERTIFY_PRIMES of its hull
     for explicit matrices, whose reduction at another prime may be another
-    module."""
+    module.  A count other than 1 is a "vertex count != 1" witness; at the
+    first prime it skips the Hom check, whose L is the one point there."""
     dims = sub_dim_vectors(recipe)
     hull = convex_hull(dims)
     primes = VERTEX_PRIMES if recipe.int_matrices is None else CERTIFY_PRIMES
     witnesses = []
     for gamma in hull.vertices:
-        for p in primes:
-            if subrep_counts(recipe.at_prime(p)).get(gamma) != 1:
-                witnesses.append({"gamma": list(gamma), "prime": p,
-                                  "fail": "vertex count != 1"})
-        m_rep = recipe.at_prime(primes[0])
-        sub = unique_subrep(m_rep, gamma)
-        if sub is None:
-            witnesses.append({"gamma": list(gamma), "fail": "no unique subrep"})
+        unique = [subrep_counts(recipe.at_prime(p)).get(gamma) == 1 for p in primes]
+        witnesses += [{"gamma": list(gamma), "prime": p, "fail": "vertex count != 1"}
+                      for p, one in zip(primes, unique) if not one]
+        if not unique[0]:
             continue
-        l_rep = restrict_to_sub(m_rep, sub)
-        q_rep = quotient(m_rep, sub)
-        if hom_dim(l_rep, q_rep) != 0:
-            witnesses.append({"gamma": list(gamma),
-                              "fail": "Hom(L, M/L) != 0"})
+        m_rep = recipe.at_prime(primes[0])
+        sub = next(enumerate_subreps(m_rep, gamma))
+        if hom_dim(restrict_to_sub(m_rep, sub), quotient(m_rep, sub)) != 0:
+            witnesses.append({"gamma": list(gamma), "fail": "Hom(L, M/L) != 0"})
     rigid = all(map(recipe.is_rigid_at, CERTIFY_PRIMES))
     if rigid:
         vertex_set = set(hull.vertices)

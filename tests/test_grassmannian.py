@@ -19,7 +19,7 @@ A3 = Quiver(("1", "2", "3"), ((0, 1), (1, 2)))
 
 def brute_force_count(rep, gamma):
     """Enumerate all tuples of subspaces directly and filter for stability."""
-    per_vertex = [list(kernels.subspaces(rep.dims[v], gamma[v], rep.p))
+    per_vertex = [[rows for rows, _ in kernels.subspaces(rep.dims[v], gamma[v], rep.p)]
                   for v in range(rep.quiver.n)]
     total = 0
     for choice in itertools.product(*per_vertex):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from fpoly import kernels
@@ -155,7 +156,7 @@ def test_subspace_enumeration_count():
                 subs = list(kernels.subspaces(n, k, p))
                 assert len(subs) == kernels.gauss_binom(n, k, p)
                 assert len(set(subs)) == len(subs)
-                for basis in subs:
+                for basis, _ in subs:
                     assert len(basis) == k
 
 
@@ -164,10 +165,36 @@ def test_subspaces_containing():
     n, k = 4, 2
     fixed, piv = kernels.rref(((1, 0, 1, 0),), n, p)
     subs = list(kernels.subspaces_containing(n, k, p, fixed, piv))
-    assert len(subs) == kernels.count_subspaces_containing(n, k, p, 1)
-    for basis in subs:
+    assert len(subs) == kernels.gauss_binom(n - 1, k - 1, p)
+    for basis, _ in subs:
         bpiv = tuple(next(j for j, x in enumerate(row) if x) for row in basis)
         assert kernels.in_rowspace(fixed[0], basis, bpiv, p)
+
+
+def test_subspaces_containing_is_subspaces_filtered_by_containment():
+    """Differential: for each rref F, the quotient enumerator yields, as a
+    multiset, the pairs of ``subspaces`` whose span contains F, and each
+    pair is the rref of its rows.  F runs over 0, F_p^n and random spans,
+    and k over every dimension, those below dim F included."""
+    rng = random.Random(40)
+    for p in (2, 3, 5):
+        for n in range(6):
+            by_k = [list(kernels.subspaces(n, k, p)) for k in range(n + 1)]
+            for rows, pivots in (pair for subs in by_k for pair in subs):
+                assert (rows, pivots) == kernels.rref(rows, n, p)
+            spans = [((), ()), kernels.rref([[int(i == j) for j in range(n)]
+                                              for i in range(n)], n, p)]
+            spans += [kernels.rref(random_matrix(rng, rng.randrange(1, n + 1), n, p), n, p)
+                      for _ in range(3) if n]
+            for forced, forced_pivots in spans:
+                for k, subs in enumerate(by_k):
+                    got = list(kernels.subspaces_containing(n, k, p, forced, forced_pivots))
+                    want = [(rows, pivots) for rows, pivots in subs
+                            if all(kernels.in_rowspace(row, rows, pivots, p)
+                                   for row in forced)]
+                    assert Counter(got) == Counter(want), (n, k, p, forced)
+                    assert all(pair == kernels.rref(pair[0], n, p) for pair in got)
+                    assert got or k < len(forced)
 
 
 def test_subspace_sum_and_intersection():

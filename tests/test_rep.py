@@ -8,8 +8,8 @@ import pytest
 
 from fpoly import cli, grassmannian, kernels, rep as rep_module
 from fpoly.errors import GenericityError, InvalidSubrepresentation
-from fpoly.quiver import (Quiver, cycle_quiver, euler_form, kronecker_quiver,
-                          unit_vector, vec_add)
+from fpoly.quiver import (Quiver, cycle_quiver, euler_form, is_prime,
+                          kronecker_quiver, unit_vector, vec_add)
 from fpoly.rep import (RepRecipe, Representation, direct_sum, dual,
                        ext_dim_hereditary, generic_hom_ext, hom_dim,
                        make_subrep, quotient, random_representation,
@@ -218,6 +218,32 @@ def test_generic_dimensions_draw_nothing(monkeypatch, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
     large = [by_end for p, by_end in made if p in rep_module.DEFAULT_GENERIC_PRIMES]
     assert large and all(large)
+
+
+@pytest.mark.parametrize("p, dims", [(2, (-1,)), (4, (1,)), (1, (1,)), (0, (0,))])
+def test_representation_refuses_negative_dims_and_non_prime_fields(p, dims):
+    with pytest.raises(ValueError):
+        Representation(Quiver(("1",), ()), p, dims, ())
+
+
+def test_recipe_refuses_a_non_prime_before_counting():
+    # Z/4 is no field: its rref would find no kernel line, where every
+    # prime finds exactly one.  at_prime(4) raises, so no table is counted.
+    recipe = RepRecipe(Quiver(("1", "2"), ((0, 1),)), (2, 1), (((1, 2),),))
+    for p in (2, 3, 5):
+        assert grassmannian.subrep_counts(recipe.at_prime(p))[(1, 0)] == 1
+    for r in (recipe, RepRecipe(kronecker_quiver(2), (1, 1), seed=0)):
+        with pytest.raises(ValueError, match="4 is not a prime"):
+            r.at_prime(4)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    sieve = [False, False] + [True] * 198
+    for n in range(2, 200):
+        if sieve[n]:
+            sieve[2 * n::n] = [False] * len(sieve[2 * n::n])
+    assert [n for n in range(-5, 200) if is_prime(n)] == [
+        n for n in range(200) if sieve[n]]
 
 
 def test_generic_dimensions_reject_bad_input():

@@ -202,8 +202,8 @@ def _perp_at(gamma):
 VERTEX_WITNESSES = [
     (stabilization, "subrep_counts", lambda: _bump_count(stabilization, 3, (0, 3)),
      {"gamma": [0, 3], "prime": 3, "fail": "vertex count != 1"}),
-    (grassmannian, "subrep_counts", lambda: _bump_count(grassmannian, 2, (2, 3)),
-     {"gamma": [2, 3], "fail": "no unique subrep"}),
+    (stabilization, "subrep_counts", lambda: _bump_count(stabilization, 2, (2, 3)),
+     {"gamma": [2, 3], "prime": 2, "fail": "vertex count != 1"}),
     (stabilization, "hom_dim", lambda: _hom_at((0, 3)),
      {"gamma": [0, 3], "fail": "Hom(L, M/L) != 0"}),
     (stabilization, "generic_hom_ext", lambda: _perp_at((0, 1)),
@@ -225,6 +225,20 @@ def test_vertex_check_reports_each_witness(capsys, monkeypatch, tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["pass"] is False
     assert report["report"]["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize("prime, hom_checked", [(2, False), (3, True)])
+def test_vertex_count_at_the_first_prime_gates_the_hom_check(monkeypatch, prime,
+                                                             hom_checked):
+    # A count other than 1 at the first prime leaves no point L to check;
+    # at a later prime the first prime's L is still checked.
+    monkeypatch.setattr(stabilization, "subrep_counts",
+                        _bump_count(stabilization, prime, (2, 3)))
+    monkeypatch.setattr(stabilization, "hom_dim", _hom_at((2, 3)))
+    out = verify_vertex_theorems(RepRecipe(kronecker_quiver(2), (2, 3), seed=0))
+    hom = [{"gamma": [2, 3], "fail": "Hom(L, M/L) != 0"}] if hom_checked else []
+    assert out["witnesses"] == [{"gamma": [2, 3], "prime": prime,
+                                 "fail": "vertex count != 1"}] + hom
 
 
 def test_vertex_count_one_needs_genericity():
