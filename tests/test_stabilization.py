@@ -198,11 +198,13 @@ def _perp_at(gamma):
 
 # One broken input per witness kind of the vertex check on K2 (2,3), whose
 # vertices are (0,0), (0,3) and (2,3): the patched name, its stand-in and
-# the one witness that it leaves.
+# the one witness that it leaves.  A count table broken at its source,
+# grassmannian.subrep_counts, reaches the check through stabilization's
+# binding of it.
 VERTEX_WITNESSES = [
     (stabilization, "subrep_counts", lambda: _bump_count(stabilization, 3, (0, 3)),
      {"gamma": [0, 3], "prime": 3, "fail": "vertex count != 1"}),
-    (stabilization, "subrep_counts", lambda: _bump_count(stabilization, 2, (2, 3)),
+    (grassmannian, "subrep_counts", lambda: _bump_count(grassmannian, 2, (2, 3)),
      {"gamma": [2, 3], "prime": 2, "fail": "vertex count != 1"}),
     (stabilization, "hom_dim", lambda: _hom_at((0, 3)),
      {"gamma": [0, 3], "fail": "Hom(L, M/L) != 0"}),
@@ -214,7 +216,10 @@ VERTEX_WITNESSES = [
 @pytest.mark.parametrize("module, name, make, witness", VERTEX_WITNESSES)
 def test_vertex_check_reports_each_witness(capsys, monkeypatch, tmp_path,
                                            module, name, make, witness):
-    monkeypatch.setattr(module, name, make())
+    real, stand_in = getattr(module, name), make()
+    monkeypatch.setattr(module, name, stand_in)
+    if getattr(stabilization, name) is real:
+        monkeypatch.setattr(stabilization, name, stand_in)
     out = verify_vertex_theorems(RepRecipe(kronecker_quiver(2), (2, 3), seed=0))
     assert out["pass"] is False and out["witnesses"] == [witness]
     assert out["rigid"] and out["vertices"] == [[0, 0], [0, 3], [2, 3]]
