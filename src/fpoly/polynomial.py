@@ -300,34 +300,14 @@ def _exchange(f, column, cvec, k0):
 
 
 def _primes():
-    """2, 3, 5, 7, ... in order."""
+    """2, 3, 5, 7, ... in order: the one sequence of a fit's nodes."""
     return filter(is_prime, itertools.count(2))
 
 
-def first_primes(n):
-    return list(itertools.islice(_primes(), max(n, 0)))
-
-
-def _fit_primes(degree, palindromic):
-    """Primes to fit a counting polynomial of ``degree`` (from degree // 2 + 1
-    counts if palindromic, else degree + 1) and check it at VERIFY_PRIMES more."""
-    fitted = max(degree, 0) // 2 if palindromic else degree
-    return first_primes(fitted + 1 + VERIFY_PRIMES)
-
-
-def _degree(quiver, alpha, palindromic):
-    """gamma -> the degree of the counting polynomial of Gr_gamma(M), dim M =
-    alpha: <gamma, alpha - gamma> for rigid M (palindromic), else the box
-    bound sum gamma_v (alpha_v - gamma_v)."""
-    if palindromic:
-        return lambda gamma: euler_form(quiver, gamma, vec_sub(alpha, gamma))
-    return lambda gamma: sum(g * (a - g) for g, a in zip(gamma, alpha))
-
-
-def _box_primes(alpha):
-    """Primes of a box-bound fit of every gamma <= alpha: the bound
-    sum gamma_v (alpha_v - gamma_v) peaks at gamma = alpha // 2."""
-    return _fit_primes(sum((a // 2) * (a - a // 2) for a in alpha), palindromic=False)
+def _fit_size(degree, palindromic):
+    """Points that fit a counting polynomial of ``degree``: degree // 2 + 1
+    unknowns if palindromic, else degree + 1, and VERIFY_PRIMES checks."""
+    return (max(degree, 0) // 2 if palindromic else degree) + 1 + VERIFY_PRIMES
 
 
 def _chi_fit(primes, degree, palindromic):
@@ -337,13 +317,13 @@ def _chi_fit(primes, degree, palindromic):
     The unknowns are the coefficients of q^k for k <= D, or of
     q^k + q^(D - k) (q^k once if k = D - k) for k <= D // 2 when P is
     palindromic, with one row per prime; the primes past the unknowns, at
-    least one, check P.  The rows at distinct primes are independent, so
-    a solve fails exactly when no integer P of that shape gives every
-    count.  Counts that are all zero give 0.
+    least VERIFY_PRIMES of ``_fit_size``, check P.  The rows at distinct
+    primes are independent, so a solve fails exactly when no integer P of
+    that shape gives every count.  Counts that are all zero give 0.
     """
-    basis = [{k, degree - k} if palindromic else {k}
-             for k in range((degree // 2 if palindromic else degree) + 1)]
-    enough = degree >= 0 and len(primes) >= len(basis) + VERIFY_PRIMES
+    size = _fit_size(degree, palindromic)
+    basis = [{k, degree - k} if palindromic else {k} for k in range(size - VERIFY_PRIMES)]
+    enough = degree >= 0 and len(primes) >= size
     solve = enough and solver([[sum(p ** e for e in exps) for exps in basis]
                                for p in primes], len(basis))
 
@@ -392,17 +372,24 @@ def fit_tables(tables, degree, palindromic):
 
 def plan_fit(quiver, alpha, rigid_at, base_dims):
     """``(primes, degree, palindromic)``: the one plan of a fit of the
-    count tables of an alpha-dimensional M, keyed by gamma <= alpha.
+    count tables of an alpha-dimensional M, keyed by gamma <= alpha; its
+    size, nodes and degree rule are decided here alone.
 
     If M mod p is rigid (``rigid_at(p)``) at every CERTIFY_PRIMES, the fit
-    is palindromic at degree <gamma, alpha - gamma>, from the first primes
-    where M is rigid, as many as the largest degree over ``base_dims()``
-    needs.  Otherwise it reads the box primes at the box bound."""
-    if all(map(rigid_at, CERTIFY_PRIMES)):
-        degree = _degree(quiver, alpha, True)
-        need = len(_fit_primes(max(map(degree, base_dims())), palindromic=True))
-        return list(itertools.islice(filter(rigid_at, _primes()), need)), degree, True
-    return _box_primes(alpha), _degree(quiver, alpha, False), False
+    is palindromic at degree <gamma, alpha - gamma>, sized by the largest
+    degree over ``base_dims()``, at the primes where M is rigid.  Otherwise
+    it is at the box bound sum gamma_v (alpha_v - gamma_v), sized by its
+    peak at gamma = alpha // 2, at every prime of ``_primes()``."""
+    palindromic = all(map(rigid_at, CERTIFY_PRIMES))
+    if palindromic:
+        def degree(gamma):
+            return euler_form(quiver, gamma, vec_sub(alpha, gamma))
+        nodes, top = filter(rigid_at, _primes()), max(map(degree, base_dims()))
+    else:
+        def degree(gamma):
+            return sum(g * (a - g) for g, a in zip(gamma, alpha))
+        nodes, top = _primes(), degree([a // 2 for a in alpha])
+    return list(itertools.islice(nodes, _fit_size(top, palindromic))), degree, palindromic
 
 
 def _recipe_plan(recipe):

@@ -48,7 +48,7 @@ from .quiver import vec_dot, vec_sub
 from .rep import (Subrep, _coords_in_basis, _is_rigid_rep, generic_hom_ext,
                   hom_dim, make_subrep, quotient, restrict_to_sub)
 
-BASE_PRIME = 2  # the prime whose stable classes the others reuse or match
+BASE_PRIME = CERTIFY_PRIMES[0]  # the prime whose stable classes the others reuse or match
 VERTEX_PRIMES = (2, 3, 5)
 
 
@@ -107,7 +107,9 @@ class StableFactorData:
 
 
 def _same_brick(a, b):
-    return (a.dims == b.dims and hom_dim(a, b) == 1 and hom_dim(b, a) == 1)
+    """Whether two delta-stable representations are isomorphic: by Schur's
+    lemma (King 1994), when Hom(a, b) != 0, even if End(a) is larger than F_p."""
+    return a.dims == b.dims and hom_dim(a, b) != 0
 
 
 def _minimal_stable_sub(w_rep, delta):
@@ -175,8 +177,10 @@ def _iota_rows(iota, n):
 def graded_counts(w_rep, delta, stables, solve):
     """Count semistable subreps of W per multiplicity vector, one prime.
 
-    ``solve`` maps a dimension vector to its stable multiplicities; when
-    it is None (dependent stable dims) each subrepresentation is inspected.
+    ``solve`` maps a dimension vector to its multiplicities in the base
+    prime's stable classes, and a delta-null one outside their cone is a
+    bug at the base prime and a mismatch at a later one; when it is None
+    (dependent stable dims) each subrepresentation is inspected.
     """
     counts = {}
     for gamma, count in subrep_counts(w_rep).items():
@@ -185,8 +189,8 @@ def graded_counts(w_rep, delta, stables, solve):
         if solve is not None:
             m = solve(gamma)
             if m is None or any(x < 0 for x in m):
-                raise InvariantViolation(
-                    "semistable dimension vector not in the stable lattice")
+                raise (_mismatch(w_rep.p) if w_rep.p != BASE_PRIME else InvariantViolation(
+                    "semistable dimension vector not in the stable lattice"))
             counts[m] = counts.get(m, 0) + count
         else:
             for sub in enumerate_subreps(w_rep, gamma):
@@ -194,6 +198,10 @@ def graded_counts(w_rep, delta, stables, solve):
                 m = multiplicity_vector(l_rep, delta, stables)
                 counts[m] = counts.get(m, 0) + 1
     return counts
+
+
+def _mismatch(p):
+    return NonPolynomialCount(f"perp or stable classes at p={p} do not match the base prime")
 
 
 def _split_at_prime(recipe, delta, p, stables=None):
@@ -217,17 +225,17 @@ def graded_semistable_f(recipe, delta):
     """Euler-characteristic generating polynomial of semistable subreps
     of perp(M, delta), graded by stable JH multiplicity.
 
-    The stable classes are those of W at the base prime.  If their
-    dimension vectors are independent, the grade m counts Gr_gamma(W) for
-    gamma = iota m, solved by one elimination of iota that rejects a
-    delta-null gamma outside its cone, and a later prime checks only that
-    its W is semistable of dimension vector w; else each prime filters its
-    own W, which must have the base prime's stable dims.  The primes come
-    from ``plan_fit``, as a recipe's do: if the stable dims are independent
-    and W is rigid mod 2 and 3, the graded tables are fitted at degree
-    <gamma, w - gamma> from the primes where W is rigid, as many as the
-    base prime's grades need; otherwise at the box bound of w.  Either fit
-    stops at the first prime whose counts no integer polynomial gives.
+    The stable classes are those of W at the base prime (CERTIFY_PRIMES[0]).
+    If their dimension vectors are independent, the grade m counts
+    Gr_gamma(W) for gamma = iota m, solved by one elimination of iota, and
+    a later prime checks only that its W is semistable of dimension vector
+    w; a delta-null gamma outside the cone of iota is a bug at the base
+    prime and a mismatch (NonPolynomialCount) at a later one.  Else each
+    prime filters its own W, which must have the base prime's stable dims.
+    The primes, their number and the degree rule come from ``plan_fit``
+    alone, as a recipe's do: rigid primes at <gamma, w - gamma> if the
+    stable dims are independent and W is rigid mod 2 and 3, else the box
+    bound of w.  Either fit stops at the first count no integer polynomial gives.
     """
     base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
     stable_dims = tuple(s.dims for s in base_stables)
@@ -242,8 +250,7 @@ def graded_semistable_f(recipe, delta):
                               else _split_at_prime(recipe, delta, p,
                                                    base_stables if solve else None))
             if (split.perp.dims, tuple(s.dims for s in stables)) != (w_dims, stable_dims):
-                raise NonPolynomialCount(
-                    f"perp or stable classes at p={p} do not match the base prime")
+                raise _mismatch(p)
             per_prime[p] = (graded_counts(split.perp, delta, stables, solve),
                             _is_rigid_rep(split.perp))
         return per_prime[p]

@@ -15,6 +15,7 @@ from fpoly.errors import InvariantViolation, NonPolynomialCount
 from fpoly.polynomial import MultiPoly, f_polynomial
 from fpoly.quiver import Quiver, cycle_quiver, kronecker_quiver, unit_vector
 from fpoly.rep import RepRecipe
+from test_stabilization import B_F4, BB_F4
 
 CYCLE4 = Quiver(("1", "2", "3", "4"),
                 ((0, 3), (1, 0), (1, 2), (1, 3), (2, 0), (3, 2)))
@@ -587,6 +588,39 @@ def test_facet_perp_of_other_dims_at_a_later_prime_is_exit_3(capsys, monkeypatch
     assert code == 3 and captured.out == ""
     assert captured.err == ("error: perp or stable classes at p=3 do not match "
                             "the base prime\n")
+
+
+@pytest.mark.parametrize("recipe", [B_F4, BB_F4], ids=["b", "bb"])
+def test_a_later_perp_outside_the_base_cone_is_exit_3(capsys, tmp_path, recipe):
+    # The perp at (1,-1) is B or B + B, of the one stable class B mod 2.
+    # B mod 5 has a (1,1) subrepresentation: delta-null, and outside the
+    # cone of (2,2), so the reductions differ and the count is not one
+    # polynomial.  (1 + y2 + y1 y2)^2 has the facet (1,-1).
+    rep_path, f_path = tmp_path / "rep.json", tmp_path / "f.json"
+    rep_path.write_text(json.dumps(recipe.to_json()))
+    f = MultiPoly(2, {(0, 0): 1, (0, 1): 1, (1, 1): 1})
+    f_path.write_text(json.dumps((f * f).to_json()))
+    code = main(["verify", "--what", "facets", "--rep", str(rep_path),
+                 "--fpoly", str(f_path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: perp or stable classes at p=5 do not match "
+                            "the base prime\n")
+
+
+def test_a_base_perp_outside_the_stable_cone_is_exit_5(capsys, monkeypatch, k2_json):
+    # At the base prime a delta-null dimension vector outside the cone of
+    # its own stable classes is a bug, not a mismatch.
+    def missing(rows, ncols, real=stabilization.solver):
+        solve = real(rows, ncols)
+        return solve and (lambda gamma: None)
+
+    monkeypatch.setattr(stabilization, "solver", missing)
+    code = main(["verify", "--what", "facets", "--strict",
+                 "--quiver", k2_json, "--dims", "2,3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: semistable dimension vector not in the stable lattice\n"
 
 
 @pytest.mark.parametrize("prime", [2, 3])

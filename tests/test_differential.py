@@ -49,7 +49,10 @@ certified-rigid seeded recipes and on explicit recipes rigid mod 2 and
 3: the recipe's plan (the generic End sampled at large primes, each
 explicit reduction, and the sub-dimension sets at p = 2 and 3) and the
 graded plan (W rigid at every prime of the plan, else the box primes)
-read the same primes.
+read the same primes.  The references, and the fits of single keys
+below, size and degree their fits by test-local formulas over the
+test-local ``first_primes``, so a fault in ``plan_fit`` or
+``polynomial._fit_size`` cannot reach both sides.
 
 Any other recipe is fitted at the box bound from one count table per
 prime.  ``fit_tables`` reads the tables in prime order and stops at the
@@ -130,7 +133,7 @@ from fpoly.stabilization import (BASE_PRIME, graded_semistable_f,
                                  stable_factors, torsion_split)
 from test_acceptance import RIGID_INSTANCES
 from test_grassmannian import brute_force_count
-from test_polynomial import chi_from_counts
+from test_polynomial import chi_from_counts, first_primes
 from test_kernels import subspace_intersection, subspace_sum
 from test_stabilization import K22_BRICKS, K33_EXTENSION, is_stable
 
@@ -270,6 +273,28 @@ def test_stable_factors_equal_the_stability_search(monkeypatch):
         n for length, n in lengths.items() if length > 1) >= 20, lengths
 
 
+def _degree(quiver, alpha, palindromic):
+    """gamma -> the degree of a fit of Gr_gamma of an alpha-dimensional M:
+    <gamma, alpha - gamma> if ``palindromic``, else the box bound
+    sum gamma_v (alpha_v - gamma_v)."""
+    if palindromic:
+        return lambda gamma: euler_form(quiver, gamma, vec_sub(alpha, gamma))
+    return lambda gamma: sum(g * (a - g) for g, a in zip(gamma, alpha))
+
+
+def _fit_primes(degree, palindromic):
+    """The first primes of a fit at ``degree``: D // 2 + 1 unknowns if
+    palindromic, else D + 1, and VERIFY_PRIMES more that check it."""
+    return first_primes((max(degree, 0) // 2 if palindromic else degree) + 1
+                        + polynomial.VERIFY_PRIMES)
+
+
+def _box_primes(alpha):
+    """The primes of a box-bound fit of every gamma <= alpha: the bound
+    sum gamma_v (alpha_v - gamma_v) peaks at gamma = alpha // 2."""
+    return _fit_primes(sum((a // 2) * (a - a // 2) for a in alpha), palindromic=False)
+
+
 def _old_split_at_prime(recipe, delta, p):
     """The torsion split of M mod p and the stable classes of its perp's
     own filtration, as every prime found them before the later primes
@@ -299,18 +324,17 @@ def _old_graded_semistable_f(recipe, delta):
         return per_prime[p]
 
     def grade_degree(palindromic):
-        degree = polynomial._degree(recipe.quiver, w_dims, palindromic)
+        degree = _degree(recipe.quiver, w_dims, palindromic)
         return lambda m: degree(tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
                                       for v in range(len(w_dims))))
 
     base_counts, palindromic = counts_at(BASE_PRIME)
     palindromic = palindromic and _independent(stable_dims)
     if palindromic:
-        primes = polynomial._fit_primes(max(map(grade_degree(True), base_counts)),
-                                        palindromic=True)
+        primes = _fit_primes(max(map(grade_degree(True), base_counts)), palindromic=True)
         palindromic = all(counts_at(p)[1] for p in primes)
     if not palindromic:
-        primes = polynomial._box_primes(w_dims)
+        primes = _box_primes(w_dims)
     terms = polynomial.fit_tables(((p, counts_at(p)[0]) for p in primes),
                                   grade_degree(palindromic), palindromic)
     return stabilization.GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
@@ -675,9 +699,10 @@ def _old_rigid_primes(recipe):
         return None
     sets = {subrep_dim_vectors(recipe.at_prime(p)) for p in (2, 3)}
     assert len(sets) == 1, recipe
-    degree = polynomial._degree(quiver, alpha, True)
-    need = len(polynomial._fit_primes(max(map(degree, sets.pop())), palindromic=True))
-    return list(itertools.islice(filter(rigid_at, polynomial._primes()), need))
+    degree = _degree(quiver, alpha, True)
+    need = len(_fit_primes(max(map(degree, sets.pop())), palindromic=True))
+    # The first 60 primes run to 281, past any plan of these small recipes.
+    return list(itertools.islice(filter(rigid_at, first_primes(60)), need))
 
 
 def _old_graded_primes(quiver, w_dims, rigid_at, base_dims):
@@ -685,11 +710,11 @@ def _old_graded_primes(quiver, w_dims, rigid_at, base_dims):
     primes that the base grades need if W is rigid at each of them, else
     every box prime."""
     if rigid_at(BASE_PRIME):
-        degree = polynomial._degree(quiver, w_dims, True)
-        primes = polynomial._fit_primes(max(map(degree, base_dims())), palindromic=True)
+        degree = _degree(quiver, w_dims, True)
+        primes = _fit_primes(max(map(degree, base_dims())), palindromic=True)
         if all(map(rigid_at, primes)):
             return primes
-    return polynomial._box_primes(w_dims)
+    return _box_primes(w_dims)
 
 
 def test_plan_fit_primes_equal_the_plans_it_replaced(monkeypatch):
@@ -710,7 +735,7 @@ def test_plan_fit_primes_equal_the_plans_it_replaced(monkeypatch):
                    split_mod_5]:
         primes = polynomial.counted_primes(recipe)
         assert primes == _old_rigid_primes(recipe), recipe
-        skipped += primes != polynomial.first_primes(len(primes))
+        skipped += primes != first_primes(len(primes))
         for delta, _ in convex_hull(polynomial.f_polynomial(recipe).support()).facets:
             graded_semistable_f(recipe, delta)
     assert len(plans) >= 100 and all(new == old for new, old in plans), plans
@@ -753,7 +778,7 @@ def _fit_one_gamma_at_a_time(recipe):
     for gamma in itertools.product(*(range(d + 1) for d in recipe.dims)):
         degree = sum(g * (a - g) for g, a in zip(gamma, recipe.dims))
         points = [(p, subrep_counts(recipe.at_prime(p)).get(gamma, 0))
-                  for p in polynomial._box_primes(recipe.dims)]
+                  for p in _box_primes(recipe.dims)]
         terms[gamma] = chi_from_counts(points, degree, palindromic=False)
     poly = MultiPoly(len(recipe.dims), terms)
     if poly.constant_term() != 1 or poly.coefficient(recipe.dims) != 1:
@@ -824,7 +849,7 @@ def _stop_or_fit(monkeypatch, degree, counts, palindromic):
     """``fit_tables`` of one key of ``degree`` with ``counts[p]`` points at
     the primes of its fit: its chi, ``"stopped"`` if it raised before the
     full fit started, or ``"failed"`` if the full fit raised."""
-    tables = ((p, {(1,): counts[p]}) for p in polynomial._fit_primes(degree, palindromic))
+    tables = ((p, {(1,): counts[p]}) for p in _fit_primes(degree, palindromic))
     with monkeypatch.context() as patched:
         fits = _spy_full_fits(patched)
         try:
@@ -843,13 +868,13 @@ def test_fit_tables_stops_before_reading_the_next_table(monkeypatch):
     read = []
 
     def tables():
-        for p in polynomial._box_primes((3,)):
+        for p in _box_primes((3,)):
             read.append(p)
             yield p, counts[p]
 
     with pytest.raises(NonPolynomialCount,
                        match=r"\[\(2, 1\), \(3, 1\), \(5, 2\)\] of Gr_\(0,\) fit no"):
-        polynomial.fit_tables(tables(), polynomial._degree(None, (3,), False), False)
+        polynomial.fit_tables(tables(), _degree(None, (3,), False), False)
     assert read == [2, 3, 5] and fits == []
 
 
@@ -871,7 +896,7 @@ def test_fit_tables_stops_early_only_where_the_full_fit_fails(monkeypatch):
 
 def _check_early_stop(monkeypatch, palindromic):
     rng = random.Random(11)
-    primes = polynomial.first_primes(10)
+    primes = first_primes(10)
 
     def coefficients(length):
         """Random integer coefficients, a palindrome if the fit is one."""
@@ -885,7 +910,7 @@ def _check_early_stop(monkeypatch, palindromic):
 
     def spare(degree):
         """The index of the first prime past those that fit ``degree``."""
-        return len(polynomial._fit_primes(degree, palindromic)) - 1
+        return len(_fit_primes(degree, palindromic)) - 1
 
     # Counts of an integer polynomial never stop the fit early; at a degree
     # bound at least theirs (exactly theirs if palindromic) they are fitted.
@@ -998,8 +1023,8 @@ def test_integer_solve_equals_the_fraction_fit():
         unknowns = (degree // 2 if palindromic else degree) + 1
         # 0, 1 or 2 spare points past the one that checks the fit, or one too few.
         n = max(unknowns + polynomial.VERIFY_PRIMES + rng.choice((-1, 0, 1, 2)), 0)
-        primes = (sorted(rng.sample(polynomial.first_primes(20), n)) if rng.random() < 0.3
-                  else polynomial.first_primes(n))
+        primes = (sorted(rng.sample(first_primes(20), n)) if rng.random() < 0.3
+                  else first_primes(n))
         points = list(zip(primes, _random_counts(rng, kind, degree, palindromic, primes)))
         got = _outcome(lambda pts: chi_from_counts(pts, degree, palindromic),
                        points)

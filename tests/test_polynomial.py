@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -5,8 +7,7 @@ import pytest
 from fpoly import grassmannian, polynomial, rep as rep_module
 from fpoly.errors import NonPolynomialCount
 from fpoly.grassmannian import subrep_counts
-from fpoly.polynomial import (MultiPoly, counted_primes, f_polynomial,
-                              first_primes, restrict_to_face)
+from fpoly.polynomial import MultiPoly, counted_primes, f_polynomial, restrict_to_face
 from fpoly.quiver import Quiver, kronecker_quiver
 from fpoly.rep import RepRecipe
 from fpoly.stabilization import verify_vertex_theorems
@@ -192,8 +193,17 @@ def test_json_roundtrip():
     assert MultiPoly.from_json(p.to_json()) == p
 
 
+def first_primes(n):
+    """The first n primes, by trial division of each integer from 2 on."""
+    return list(itertools.islice((k for k in itertools.count(2)
+                                  if all(k % d for d in range(2, math.isqrt(k) + 1))),
+                                 max(n, 0)))
+
+
 def test_first_primes():
-    assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+    # ``polynomial._primes()`` is the one sequence every fit draws its nodes from.
+    assert first_primes(6) == [2, 3, 5, 7, 11, 13] and first_primes(-1) == []
+    assert list(itertools.islice(polynomial._primes(), 100)) == first_primes(100)
 
 
 def chi_from_counts(points, degree, palindromic):

@@ -129,6 +129,29 @@ def test_stable_classes_of_one_dimension_vector_keep_their_grade_across_primes()
     assert out["pass"] and len(out["facets"]) == 3
 
 
+# A K2 (2,2) brick B whose second arrow has the characteristic polynomial
+# x^2 - x - 1: irreducible mod 2 and 3, so End(B) is F_4 mod 2 and
+# hom(B, B) = 2, and with the double root 3 mod 5, so B mod 5 has a (1,1)
+# subrepresentation.  BB_F4 is B + B.
+B_F4 = RepRecipe(kronecker_quiver(2), (2, 2), int_matrices=(((1, 0), (0, 1)),
+                                                             ((0, 1), (1, 1))))
+BB_F4 = RepRecipe(kronecker_quiver(2), (4, 4), int_matrices=(
+    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1))))
+
+
+def test_a_stable_whose_endomorphisms_are_a_larger_field_is_one_class():
+    # Two stables of one weight are isomorphic exactly when Hom != 0, so
+    # B + B mod 2 has the one class B with multiplicity 2, though
+    # hom(B, B) = 2.
+    b = B_F4.at_prime(2)
+    assert is_stable(b, (1, -1)) and hom_dim(b, b) == 2
+    data = stable_factors(BB_F4.at_prime(2), (1, -1))
+    assert tuple(s.dims for s in data.stables) == ((2, 2),)
+    assert data.multiplicities == (2,)
+    assert hom_dim(data.stables[0], b) != 0
+
+
 @pytest.mark.parametrize("delta", [(0, 1, 5), (0,)])
 def test_a_weight_of_the_wrong_length_is_a_value_error(delta):
     recipe = RepRecipe(kronecker_quiver(2), (2, 3), seed=0)
