@@ -236,11 +236,11 @@ def ext_dim_hereditary(m, n):
 class RepRecipe:
     """One integral or seeded model of a representation across primes.
 
-    With explicit integer matrices, reduction mod p always returns the
-    same object.  In seeded mode the representation mod p is a random
-    draw fixed by (seed, p), certified generic by matching the generic
-    endomorphism dimension sampled at large primes; it is drawn once
-    and reused within a process.  A recipe over the cost cap of
+    With explicit integer matrices, each reduction mod p builds a new,
+    equal Representation.  In seeded mode the representation mod p is a
+    random draw fixed by (seed, p), certified generic by matching the
+    generic endomorphism dimension sampled at large primes; it is drawn
+    once and reused within a process.  A recipe over the cost cap of
     ``quiver.check_cost`` cannot be built, so nothing is ever drawn for it.
     """
 

@@ -35,6 +35,7 @@ they describe it when every facet passes through one of the two.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InvariantViolation, NonPolynomialCount
 from .grassmannian import (CERTIFY_PRIMES, enumerate_subreps, maximizer_dims,
@@ -115,11 +116,13 @@ def _same_brick(a, b):
 def _minimal_stable_sub(w_rep, delta):
     """A delta-stable subrepresentation of a semistable W, and it as a
     representation: the first point of the least delta-null nonzero
-    sub-dimension vector, by (total dimension, gamma).  A proper nonzero
-    delta-null subrepresentation of it would be a smaller one of W."""
+    sub-dimension vector, by (total dimension, gamma), or (None, W) if it is
+    dim W.  Any proper nonzero delta-null subrep of it would be a smaller one of W."""
     gamma = min((g for g in subrep_dim_vectors(w_rep)
                  if sum(g) and vec_dot(delta, g) == 0),
                 key=lambda g: (sum(g), g))
+    if gamma == w_rep.dims:
+        return None, w_rep
     sub = next(enumerate_subreps(w_rep, gamma))
     return sub, restrict_to_sub(w_rep, sub)
 
@@ -144,6 +147,8 @@ def stable_factors(w_rep, delta):
         else:
             classes.append(factor)
             counts.append(1)
+        if sub is None:
+            break
         current = quotient(current, sub)
     order = sorted(range(len(classes)), key=lambda i: (classes[i].dims, counts[i]))
     return StableFactorData(tuple(classes[i] for i in order),
@@ -168,10 +173,6 @@ def multiplicity_vector(l_rep, delta, stables):
         else:
             raise InvariantViolation("stable factor not among the expected classes")
     return tuple(m)
-
-
-def _iota_rows(iota, n):
-    return [[iota[j][v] for j in range(len(iota))] for v in range(n)]
 
 
 def graded_counts(w_rep, delta, stables, solve):
@@ -204,15 +205,6 @@ def _mismatch(p):
     return NonPolynomialCount(f"perp or stable classes at p={p} do not match the base prime")
 
 
-def _split_at_prime(recipe, delta, p, stables=None):
-    """The torsion split of M mod p, whose perp must be semistable, and
-    ``stables`` or else the stable classes of the perp's filtration."""
-    split = torsion_split(recipe.at_prime(p), delta)
-    if not is_semistable(split.perp, delta):
-        raise InvariantViolation(f"perp at p={p} is not semistable for this weight")
-    return split, stable_factors(split.perp, delta).stables if stables is None else stables
-
-
 @dataclass(frozen=True)
 class GradedData:
     poly: MultiPoly       # variables indexed by the stable classes
@@ -231,42 +223,47 @@ def graded_semistable_f(recipe, delta):
     a later prime checks only that its W is semistable of dimension vector
     w; a delta-null gamma outside the cone of iota is a bug at the base
     prime and a mismatch (NonPolynomialCount) at a later one.  Else each
-    prime filters its own W, which must have the base prime's stable dims.
+    later prime filters its own W, which must have the base prime's stable dims.
     The primes, their number and the degree rule come from ``plan_fit``
     alone, as a recipe's do: rigid primes at <gamma, w - gamma> if the
     stable dims are independent and W is rigid mod 2 and 3, else the box
     bound of w.  Either fit stops at the first count no integer polynomial gives.
     """
-    base_split, base_stables = _split_at_prime(recipe, delta, BASE_PRIME)
-    stable_dims = tuple(s.dims for s in base_stables)
-    w_dims = base_split.perp.dims
-    solve = solver(_iota_rows(stable_dims, len(w_dims)), len(stable_dims))
-    per_prime = {}
+    @cache
+    def split_at(p):
+        """The torsion split of M mod p, whose perp must be semistable."""
+        split = torsion_split(recipe.at_prime(p), delta)
+        if not is_semistable(split.perp, delta):
+            raise InvariantViolation(f"perp at p={p} is not semistable for this weight")
+        return split
 
+    base = split_at(BASE_PRIME)
+    base_stables = stable_factors(base.perp, delta).stables
+    stable_dims = tuple(s.dims for s in base_stables)
+    iota_rows = [[d[v] for d in stable_dims] for v in range(recipe.quiver.n)]
+    solve = solver(iota_rows, len(stable_dims))
+
+    @cache
     def counts_at(p):
         """Graded counts of W mod p, and whether that W is rigid."""
-        if p not in per_prime:
-            split, stables = ((base_split, base_stables) if p == BASE_PRIME
-                              else _split_at_prime(recipe, delta, p,
-                                                   base_stables if solve else None))
-            if (split.perp.dims, tuple(s.dims for s in stables)) != (w_dims, stable_dims):
-                raise _mismatch(p)
-            per_prime[p] = (graded_counts(split.perp, delta, stables, solve),
-                            _is_rigid_rep(split.perp))
-        return per_prime[p]
+        perp = split_at(p).perp
+        stables = (base_stables if solve is not None or p == BASE_PRIME
+                   else stable_factors(perp, delta).stables)
+        if (perp.dims, tuple(s.dims for s in stables)) != (base.perp.dims, stable_dims):
+            raise _mismatch(p)
+        return graded_counts(perp, delta, stables, solve), _is_rigid_rep(perp)
 
     def iota(m):
         """The dimension vector sum m_i dim V_i of grade m."""
-        return tuple(sum(mi * d[v] for mi, d in zip(m, stable_dims))
-                     for v in range(len(w_dims)))
+        return tuple(vec_dot(row, m) for row in iota_rows)
 
     primes, degree, palindromic = plan_fit(
-        recipe.quiver, w_dims, lambda p: solve is not None and counts_at(p)[1],
+        recipe.quiver, base.perp.dims, lambda p: solve is not None and counts_at(p)[1],
         lambda: map(iota, counts_at(BASE_PRIME)[0]))
     terms = fit_tables(((p, counts_at(p)[0]) for p in primes),
                        lambda m: degree(iota(m)), palindromic)
     return GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
-                      base_split.l_min.dims, base_split.l_max.dims)
+                      base.l_min.dims, base.l_max.dims)
 
 
 def verify_facet_restriction(recipe, delta, fpoly=None):

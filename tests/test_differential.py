@@ -76,8 +76,11 @@ classes at the later primes.  A test-local copy of the loop that
 filtered the perp at every counted prime is its reference on every
 facet of random certified-rigid recipes of K2, K3, A3, 1=>2->3 and D4:
 the same graded data, and at every prime read the same perp dimension
-vector and stable dimension vectors.  A sum of two (1,1) bricks over
-K2, whose stable classes are dependent, still filters at every prime.
+vector and stable dimension vectors.  The copy grades its counts itself,
+by its own solve of each delta-null gamma or its own matching of stable
+factors, so a fault in ``graded_counts`` cannot reach both sides.  A sum
+of two (1,1) bricks over K2, whose stable classes are dependent, still
+filters at every prime.
 
 ``verify_saturation`` skips the support half of a seeded recipe that is
 not rigid, and reuses the hull and lattice points of the sub-dimension
@@ -116,7 +119,8 @@ import pytest
 
 import exhaustive_polytope
 from fpoly import grassmannian, polynomial, stabilization, rep as rep_module
-from fpoly.errors import CostCapExceeded, FpolyError, NonPolynomialCount
+from fpoly.errors import (CostCapExceeded, FpolyError, InvariantViolation,
+                          NonPolynomialCount)
 from fpoly.grassmannian import (CERTIFY_PRIMES, enumerate_subreps,
                                 maximizer_dims, sub_dim_vectors, subrep_counts,
                                 subrep_dim_vectors, unique_subrep)
@@ -303,6 +307,40 @@ def _old_split_at_prime(recipe, delta, p):
     return split, stable_factors(split.perp, delta).stables
 
 
+def _old_graded_counts(perp, delta, stables):
+    """Semistable subrepresentations of ``perp`` per multiplicity vector in
+    ``stables``, graded here and not by ``stabilization.graded_counts``:
+    with independent stable dimension vectors each delta-null gamma of
+    ``subrep_counts`` is solved on their own rows, and a gamma outside
+    their cone is a bug at the base prime and a mismatch at a later one;
+    else the stable factors of each point are matched to ``stables`` by
+    dimension vector and a nonzero Hom."""
+    rows = [[s.dims[v] for s in stables] for v in range(len(perp.dims))]
+    solve = solver(rows, len(stables))
+    counts = {}
+    for gamma, count in subrep_counts(perp).items():
+        if vec_dot(delta, gamma) != 0:
+            continue
+        if solve is not None:
+            m = solve(gamma)
+            if m is None or any(x < 0 for x in m):
+                error = InvariantViolation if perp.p == BASE_PRIME else NonPolynomialCount
+                raise error(f"gamma={gamma} is outside the stable cone at p={perp.p}")
+            counts[m] = counts.get(m, 0) + count
+            continue
+        for sub in enumerate_subreps(perp, gamma):
+            data = stable_factors(restrict_to_sub(perp, sub), delta)
+            m = [0] * len(stables)
+            for rep, cnt in zip(data.stables, data.multiplicities):
+                match = [i for i, s in enumerate(stables)
+                         if s.dims == rep.dims and hom_dim(rep, s) != 0]
+                if not match:
+                    raise InvariantViolation("stable factor not among the expected classes")
+                m[match[0]] += cnt
+            counts[tuple(m)] = counts.get(tuple(m), 0) + 1
+    return counts
+
+
 def _old_graded_semistable_f(recipe, delta):
     """``graded_semistable_f`` as it was when every counted prime ran the
     stable filtration of its own perp."""
@@ -317,9 +355,7 @@ def _old_graded_semistable_f(recipe, delta):
                               else _old_split_at_prime(recipe, delta, p))
             if tuple(s.dims for s in stables) != stable_dims:
                 raise NonPolynomialCount(f"stable classes at p={p} do not match")
-            iota = [s.dims for s in stables]
-            solve = solver(stabilization._iota_rows(iota, len(w_dims)), len(iota))
-            per_prime[p] = (stabilization.graded_counts(split.perp, delta, stables, solve),
+            per_prime[p] = (_old_graded_counts(split.perp, delta, stables),
                             rep_module._is_rigid_rep(split.perp))
         return per_prime[p]
 

@@ -97,6 +97,29 @@ def test_stable_filtration_builds_one_count_table_per_step():
     assert subrep_counts.cache_info().misses == 2
 
 
+
+def test_a_stable_remainder_is_the_last_class_as_it_stands(monkeypatch):
+    """A remainder whose least delta-null nonzero sub-dimension vector is
+    its whole dimension vector is stable (King 1994), so the filtration
+    ends with it: none of its points is enumerated and nothing is divided
+    out."""
+    w = RepRecipe(kronecker_quiver(2), (1, 1),
+                  int_matrices=(((1,),), ((0,),))).at_prime(3)
+    calls = []
+
+    def spy(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("enumerate_subreps", "quotient"):
+        monkeypatch.setattr(stabilization, name, spy(name, getattr(stabilization, name)))
+    data = stable_factors(w, (1, -1))
+    assert calls == []
+    assert len(data.stables) == 1 and data.stables[0] is w
+    assert data.multiplicities == (1,)
+
 def test_graded_semistable_brick_sum():
     data = graded_semistable_f(K22_BRICKS, (1, -1))
     z1 = MultiPoly.monomial(2, (1, 0))
