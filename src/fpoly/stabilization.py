@@ -15,9 +15,10 @@ restriction of the F-polynomial to the corresponding face.
 The stable filtration of a semistable W needs no stability search: a
 nonzero delta-null subrepresentation of least total dimension is
 already stable (King, 1994), so each step takes the first point of the
-least such dimension vector and passes to the quotient.  Independent
-stable dimension vectors grade by dimension vector alone, so then only
-the base prime runs it and the later primes reuse its classes.
+least such dimension vector and passes to the quotient.  This one walk
+gives W's classes and, for dependent stable dimension vectors, the grade
+of each point; independent ones grade by dimension vector alone, so only
+the base prime walks W and the later primes reuse its classes.
 
 The saturation check counts the support of F only for one module:
 explicit matrices, or a seeded recipe that is rigid, whose certified
@@ -107,12 +108,6 @@ class StableFactorData:
     multiplicities: tuple
 
 
-def _same_brick(a, b):
-    """Whether two delta-stable representations are isomorphic: by Schur's
-    lemma (King 1994), when Hom(a, b) != 0, even if End(a) is larger than F_p."""
-    return a.dims == b.dims and hom_dim(a, b) != 0
-
-
 def _minimal_stable_sub(w_rep, delta):
     """A delta-stable subrepresentation of a semistable W, and it as a
     representation: the first point of the least delta-null nonzero
@@ -127,52 +122,44 @@ def _minimal_stable_sub(w_rep, delta):
     return sub, restrict_to_sub(w_rep, sub)
 
 
+def _stable_filtration(w_rep, delta):
+    """The stable factors of a semistable W, lowest first, each a least delta-null subrep."""
+    if not is_semistable(w_rep, delta):
+        raise ValueError("representation is not semistable for this weight")
+    current = w_rep
+    while current.total_dim > 0:
+        # current is delta-null and nonzero, so it is a candidate itself.
+        sub, factor = _minimal_stable_sub(current, delta)
+        yield factor
+        if sub is None:
+            return
+        current = quotient(current, sub)
+
+
+def _class_of(factor, classes):
+    """The index of the class isomorphic to a delta-stable factor, or None:
+    by Schur's lemma (King 1994), a stable of the same dimension vector
+    with Hom(class, factor) != 0, even if End(factor) is larger than F_p."""
+    return next((i for i, rep in enumerate(classes)
+                 if rep.dims == factor.dims and hom_dim(rep, factor) != 0), None)
+
+
 def stable_factors(w_rep, delta):
     """Stable Jordan-Holder classes and multiplicities of a semistable W,
     by (dimension vector, multiplicity): the filtration's order varies
     with p, so classes sharing a dimension vector are ordered by
     multiplicity, and only classes tied on both keep it."""
-    if not is_semistable(w_rep, delta):
-        raise ValueError("representation is not semistable for this weight")
-    classes = []
-    counts = []
-    current = w_rep
-    while current.total_dim > 0:
-        # current is delta-null and nonzero, so it is a candidate itself.
-        sub, factor = _minimal_stable_sub(current, delta)
-        for i, rep in enumerate(classes):
-            if _same_brick(rep, factor):
-                counts[i] += 1
-                break
-        else:
+    classes, counts = [], []
+    for factor in _stable_filtration(w_rep, delta):
+        i = _class_of(factor, classes)
+        if i is None:
             classes.append(factor)
             counts.append(1)
-        if sub is None:
-            break
-        current = quotient(current, sub)
+        else:
+            counts[i] += 1
     order = sorted(range(len(classes)), key=lambda i: (classes[i].dims, counts[i]))
     return StableFactorData(tuple(classes[i] for i in order),
                             tuple(counts[i] for i in order))
-
-
-def multiplicity_vector(l_rep, delta, stables):
-    """Stable JH multiplicities of a semistable subquotient L.
-
-    Read off L's own stable filtration, matching each factor to one of
-    ``stables``.  ``graded_counts`` calls this only when the stable
-    dimension vectors are linearly dependent, so the dimension vector of
-    L alone cannot determine them.
-    """
-    data = stable_factors(l_rep, delta)
-    m = [0] * len(stables)
-    for rep, cnt in zip(data.stables, data.multiplicities):
-        for i, s in enumerate(stables):
-            if _same_brick(rep, s):
-                m[i] += cnt
-                break
-        else:
-            raise InvariantViolation("stable factor not among the expected classes")
-    return tuple(m)
 
 
 def graded_counts(w_rep, delta, stables, solve):
@@ -181,7 +168,7 @@ def graded_counts(w_rep, delta, stables, solve):
     ``solve`` maps a dimension vector to its multiplicities in the base
     prime's stable classes, and a delta-null one outside their cone is a
     bug at the base prime and a mismatch at a later one; when it is None
-    (dependent stable dims) each subrepresentation is inspected.
+    (dependent stable dims) each point's own stable factors are matched.
     """
     counts = {}
     for gamma, count in subrep_counts(w_rep).items():
@@ -193,11 +180,15 @@ def graded_counts(w_rep, delta, stables, solve):
                 raise (_mismatch(w_rep.p) if w_rep.p != BASE_PRIME else InvariantViolation(
                     "semistable dimension vector not in the stable lattice"))
             counts[m] = counts.get(m, 0) + count
-        else:
-            for sub in enumerate_subreps(w_rep, gamma):
-                l_rep = restrict_to_sub(w_rep, sub)
-                m = multiplicity_vector(l_rep, delta, stables)
-                counts[m] = counts.get(m, 0) + 1
+            continue
+        for sub in enumerate_subreps(w_rep, gamma):
+            m = [0] * len(stables)
+            for factor in _stable_filtration(restrict_to_sub(w_rep, sub), delta):
+                i = _class_of(factor, stables)
+                if i is None:
+                    raise InvariantViolation("stable factor not among the expected classes")
+                m[i] += 1
+            counts[tuple(m)] = counts.get(tuple(m), 0) + 1
     return counts
 
 
@@ -245,22 +236,25 @@ def graded_semistable_f(recipe, delta):
 
     @cache
     def counts_at(p):
-        """Graded counts of W mod p, and whether that W is rigid."""
+        """Graded counts of W mod p."""
         perp = split_at(p).perp
         stables = (base_stables if solve is not None or p == BASE_PRIME
                    else stable_factors(perp, delta).stables)
         if (perp.dims, tuple(s.dims for s in stables)) != (base.perp.dims, stable_dims):
             raise _mismatch(p)
-        return graded_counts(perp, delta, stables, solve), _is_rigid_rep(perp)
+        return graded_counts(perp, delta, stables, solve)
+
+    @cache
+    def rigid_at(p):
+        return solve is not None and _is_rigid_rep(split_at(p).perp)
 
     def iota(m):
         """The dimension vector sum m_i dim V_i of grade m."""
         return tuple(vec_dot(row, m) for row in iota_rows)
 
     primes, degree, palindromic = plan_fit(
-        recipe.quiver, base.perp.dims, lambda p: solve is not None and counts_at(p)[1],
-        lambda: map(iota, counts_at(BASE_PRIME)[0]))
-    terms = fit_tables(((p, counts_at(p)[0]) for p in primes),
+        recipe.quiver, base.perp.dims, rigid_at, lambda: map(iota, counts_at(BASE_PRIME)))
+    terms = fit_tables(((p, counts_at(p)) for p in primes),
                        lambda m: degree(iota(m)), palindromic)
     return GradedData(MultiPoly(len(stable_dims), terms), stable_dims,
                       base.l_min.dims, base.l_max.dims)

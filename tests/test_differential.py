@@ -80,7 +80,8 @@ vector and stable dimension vectors.  The copy grades its counts itself,
 by its own solve of each delta-null gamma or its own matching of stable
 factors, so a fault in ``graded_counts`` cannot reach both sides.  A sum
 of two (1,1) bricks over K2, whose stable classes are dependent, still
-filters at every prime.
+filters at every prime, once per prime: each point is graded by its own
+factors, not by a filtration into classes of its own.
 
 ``verify_saturation`` skips the support half of a seeded recipe that is
 not rigid, and reuses the hull and lattice points of the sub-dimension
@@ -465,7 +466,9 @@ def test_base_prime_stables_equal_the_per_prime_filtration(monkeypatch):
     graded, split_at, filtered_at = _check_against_the_per_prime_filtration(
         monkeypatch, bricks, (1, -1))
     assert graded.stable_dims == ((1, 1), (1, 1)) and len(split_at) > 1
-    assert set(split_at) <= set(filtered_at), (split_at, filtered_at)
+    # One filtration per split prime: each point is graded by its own
+    # factors, not by a filtration of its own classes.
+    assert filtered_at == split_at, (split_at, filtered_at)
 
 
 def test_per_prime_caches_return_the_uncached_values():
@@ -783,9 +786,10 @@ def test_plan_fit_primes_equal_the_plans_it_replaced(monkeypatch):
 def test_graded_plan_skips_a_prime_where_the_perp_is_not_rigid(monkeypatch):
     # K2 (2,3) at delta = (-1, 0) has the perp of dimension (0, 3), whose
     # rigid fit reads p = 2, 3, 5.  A perp that is not rigid at 5 alone
-    # takes the next prime, not the box primes, and gives the same data.
+    # takes the next prime, not the box primes, and gives the same data,
+    # with no graded counts at 5.
     recipe, delta = RepRecipe(QUIVERS["K2"], (2, 3), seed=0), (-1, 0)
-    read = []
+    read, graded_at, rigid_read = [], [], []
 
     def spy_fit(tables, degree, palindromic, real=polynomial.fit_tables):
         def reading():
@@ -794,16 +798,27 @@ def test_graded_plan_skips_a_prime_where_the_perp_is_not_rigid(monkeypatch):
                 yield p, table
         return real(reading(), degree, palindromic)
 
+    def spy_graded(w_rep, *args, real=stabilization.graded_counts):
+        graded_at.append(w_rep.p)
+        return real(w_rep, *args)
+
     def rigid_but_at_5(w_rep, real=stabilization._is_rigid_rep):
+        rigid_read.append(w_rep.p)
         return w_rep.p != 5 and real(w_rep)
 
     monkeypatch.setattr(stabilization, "fit_tables", spy_fit)
+    monkeypatch.setattr(stabilization, "graded_counts", spy_graded)
     expected = graded_semistable_f(recipe, delta)
     assert read == [(2, True), (3, True), (5, True)]
-    del read[:]
+    del read[:], graded_at[:]
     monkeypatch.setattr(stabilization, "_is_rigid_rep", rigid_but_at_5)
     assert graded_semistable_f(recipe, delta) == expected
     assert read == [(2, True), (3, True), (7, True)]
+    assert graded_at == [2, 3, 7] and rigid_read == [2, 3, 5, 7], (graded_at, rigid_read)
+    # Dependent stable classes take the box fit, which reads no rigidity.
+    del rigid_read[:]
+    graded_semistable_f(K22_BRICKS, (1, -1))
+    assert rigid_read == [], rigid_read
 
 
 def _fit_one_gamma_at_a_time(recipe):

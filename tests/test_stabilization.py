@@ -4,6 +4,7 @@ import pytest
 
 from fpoly import grassmannian, polynomial, rep as rep_module, stabilization
 from fpoly.cli import main
+from fpoly.errors import InvariantViolation
 from fpoly.grassmannian import (maximizer_dims, subrep_counts,
                                 subrep_dim_vectors, tropical_f)
 from fpoly.polynomial import MultiPoly, f_polynomial, restrict_to_face
@@ -11,7 +12,7 @@ from fpoly.polytope import convex_hull
 from fpoly.quiver import Quiver, kronecker_quiver, unit_vector, vec_dot
 from fpoly.rep import (RepRecipe, generic_hom_ext, generic_sub_dims, hom_dim,
                        quotient, restrict_to_sub)
-from fpoly.stabilization import (graded_semistable_f, is_semistable,
+from fpoly.stabilization import (graded_counts, graded_semistable_f, is_semistable,
                                  stable_factors, torsion_split, verify_cones,
                                  verify_facet_restriction, verify_facets,
                                  verify_saturation, verify_vertex_theorems)
@@ -84,6 +85,18 @@ def test_stable_factors_two_bricks():
 def test_stable_factors_of_a_rep_that_is_not_semistable_is_a_value_error():
     with pytest.raises(ValueError, match="not semistable"):
         stable_factors(K22_BRICKS.at_prime(3), (1, 0))
+
+
+def test_a_factor_outside_the_given_classes_is_an_invariant_violation():
+    # The two (1,1) bricks have dependent dimension vectors, so each point
+    # is graded by its own factors; with one class given, the other brick
+    # matches none.
+    delta = (1, -1)
+    perp = torsion_split(K22_BRICKS.at_prime(3), delta).perp
+    one_class = stable_factors(perp, delta).stables[:1]
+    with pytest.raises(InvariantViolation,
+                       match="^stable factor not among the expected classes$"):
+        graded_counts(perp, delta, one_class, None)
 
 
 def test_stable_filtration_builds_one_count_table_per_step():
