@@ -14,17 +14,26 @@ dimension alone at a free vertex, which constrains nothing downstream,
 once its sources are chosen) and the chosen subspaces a deferred arrow
 still checks.  Choices leading to one state are counted together,
 counts below a state are memoized, and free vertices are counted by
-Gaussian binomials.  ``subrep_counts`` is the one counting walk: it
-tries every dimension at every vertex, so one walk counts every gamma,
-and it is memoized by value in a small LRU cache.  The sub-dimension
-set, the uniqueness test, the graded counts and both F-polynomial fits
-of a representation read that table; chi of one Gr_gamma is a
-coefficient of ``polynomial.f_polynomial``.  ``enumerate_subreps`` runs
-the same step depth first at k = gamma_v, with no memo and no grouping,
-and keeps every chosen subspace, free vertices included, to yield every
-point.  Every walk first checks the fixed cost cap on dim M
+Gaussian binomials.  A vertex v that is not kept, with one arrow out
+into a free vertex w that it settles, is counted by rank: w settles to
+a dimension that depends on the subspace U at v only through the
+dimension of its meet with K, the preimage of w's forced span, so the
+U of each meet dimension are counted by ``kernels.meet``, not
+enumerated.  ``subrep_counts`` is the one counting walk: it tries every
+dimension at every vertex, so one walk counts every gamma, and it is
+memoized by value in a small LRU cache.  It walks M, or its dual DM on
+the opposite quiver, whichever plan enumerates fewer subspaces (those
+of every vertex neither free nor counted by rank; a tie goes to M), and
+reads a table of DM at alpha - gamma, since Gr_gamma(M) is
+Gr_{alpha - gamma}(DM).  The sub-dimension set, the uniqueness test,
+the graded counts and both F-polynomial fits of a representation read
+that table; chi of one Gr_gamma is a coefficient of
+``polynomial.f_polynomial``.  ``enumerate_subreps`` runs the same step
+on M depth first at k = gamma_v, with no memo, no grouping and no rank
+rule, and keeps every chosen subspace, free vertices included, to yield
+every point.  Every walk first checks the fixed cost cap on dim M
 (``quiver.MAX_VERTEX_DIM`` per vertex, ``quiver.MAX_TOTAL_DIM`` in
-total).
+total), which the rank rule and the choice of side leave as it was.
 """
 
 from functools import lru_cache
@@ -32,7 +41,7 @@ from types import MappingProxyType
 
 from . import kernels
 from .errors import GenericityError
-from .quiver import check_cost, vec_dot
+from .quiver import check_cost, vec_dot, vec_sub
 from .rep import Subrep, _maps_into, generic_sub_dims
 
 CERTIFY_PRIMES = (2, 3)
@@ -50,9 +59,11 @@ def _frontier_plan(quiver):
     The counting walk keeps the subspace only if a deferred arrow ends at
     v (``kept``), reduces each free vertex (no arrow out, no deferred
     arrow in) whose last source is v to a dimension (``settle``), and
-    starts from ``start``.  The plan depends on the quiver alone, so it
-    is memoized; it is made of tuples and frozensets so a cached plan
-    cannot change.
+    starts from ``start``.  A vertex that is not kept and whose one arrow
+    out ends at a vertex it settles is counted by rank (``ranked``): that
+    arrow is a push, so no deferred arrow leaves it.  The plan depends on
+    the quiver alone, so it is memoized; it is made of tuples and
+    frozensets so a cached plan cannot change.
     """
     order = quiver.topo_order if quiver.acyclic else tuple(range(quiver.n))
     arrows, vertices = quiver.arrows, range(quiver.n)
@@ -71,14 +82,37 @@ def _frontier_plan(quiver):
                          if s == v and not forward[a]) for v in vertices)
     settle = tuple(tuple(w for w in pushes[v] if w in free and last[w] == pos[v])
                    for v in vertices)
+    ranked = frozenset(v for v in vertices
+                       if v not in kept and settle[v] and len(quiver.arrows_from(v)) == 1)
     pushes = tuple(tuple((w, tuple(into)) for w, into in d.items()) for d in pushes)
     start = tuple(0 if v in free and v not in last else ((), ()) for v in vertices)
     positions = tuple(pos[v] for v in vertices)
-    return order, free, positions, pushes, checks, kept, settle, start
+    return order, free, positions, pushes, checks, kept, settle, start, ranked
 
 
-def _stepper(rep, plan, keep, settle):
-    """The one step of every walk on ``rep``: ``step(state, v, sub)`` is
+@lru_cache(maxsize=32)
+def _dual_plan(quiver):
+    """The plan of the opposite quiver, on which DM is walked."""
+    return _frontier_plan(quiver.opposite())
+
+
+@lru_cache(maxsize=256)
+def _subspace_total(n, p):
+    """Number of subspaces of F_p^n, of every dimension."""
+    return sum(kernels.gauss_binom(n, k, p) for k in range(n + 1))
+
+
+def _estimate(plan, dims, p):
+    """A walk's cost on ``plan``: the subspaces of every vertex that it
+    enumerates, neither free nor counted by rank."""
+    free, ranked = plan[1], plan[8]
+    return sum(_subspace_total(d, p) for v, d in enumerate(dims)
+               if v not in free and v not in ranked)
+
+
+def _stepper(p, dims, mats, plan, keep, settle):
+    """The one step of every walk on the representation with arrow
+    matrices ``mats`` acting on row vectors: ``step(state, v, sub)`` is
     the state after choosing the subspace ``sub`` at v, an ``(rows,
     pivots)`` pair as ``kernels.subspaces_containing`` yields it, or None
     if a deferred arrow out of v leaves the subspace kept at its target.
@@ -86,8 +120,6 @@ def _stepper(rep, plan, keep, settle):
     ``sub`` if it is in ``keep``, else None, and each vertex in
     ``settle[v]`` holds the dimension of its forced span."""
     pushes, checks = plan[3:5]
-    p, dims = rep.p, rep.dims
-    mats = rep.matrices_t
 
     def step(state, v, sub):
         basis = sub[0]
@@ -119,7 +151,7 @@ def enumerate_subreps(rep, gamma):
         return
     n, p, dims = rep.quiver.n, rep.p, rep.dims
     plan = _frontier_plan(rep.quiver)
-    order, step = plan[0], _stepper(rep, plan, range(n), ((),) * n)
+    order, step = plan[0], _stepper(p, dims, rep.matrices_t, plan, range(n), ((),) * n)
 
     def points(i, state):
         if i == len(order):
@@ -137,15 +169,58 @@ def enumerate_subreps(rep, gamma):
 @lru_cache(maxsize=32)
 def subrep_counts(rep):
     """Read-only ``{gamma: |Gr_gamma(M)(F_p)|}`` over every gamma with a
-    point, sorted, from one memoized frontier walk (see the module
-    docstring).  An over-cap representation raises first, so it never
-    enters the cache."""
+    point, sorted, from one memoized frontier walk on M or on DM,
+    whichever plan enumerates fewer subspaces (see the module docstring).
+    An over-cap representation raises first, so it never enters the cache."""
     check_cost(rep.dims)
-    plan = _frontier_plan(rep.quiver)
-    order, free, positions, _, _, kept, settle, start = plan
-    p, dims = rep.p, rep.dims
-    step = _stepper(rep, plan, kept, settle)
+    p, alpha = rep.p, rep.dims
+    plan, dual_plan = _frontier_plan(rep.quiver), _dual_plan(rep.quiver)
+    if _estimate(dual_plan, alpha, p) < _estimate(plan, alpha, p):
+        # Gr_gamma(M) is Gr_{alpha - gamma}(DM), and DM's row matrices are M's own.
+        dual_counts = _walk(p, alpha, rep.matrices, dual_plan)
+        counts = {vec_sub(alpha, g): c for g, c in dual_counts.items()}
+    else:
+        counts = _walk(p, alpha, rep.matrices_t, plan)
+    return MappingProxyType(dict(sorted(counts.items())))
+
+
+def _walk(p, dims, mats, plan):
+    """``{gamma: count}`` of the representation with row matrices ``mats``,
+    from the counting walk on ``plan``."""
+    order, free, positions, pushes, _, kept, settle, start, ranked = plan
+    step = _stepper(p, dims, mats, plan, kept, settle)
     memo = {}
+
+    def by_rank(state, v):
+        """``{(k, next state): count}`` at a vertex v counted by rank, whose
+        one arrow a pushes into the vertex w that it settles.  With F the
+        span forced at v and G at w, B the rows of a reduced modulo G, and
+        K = ker B, a k-dimensional U >= F meeting K in dimension i settles w
+        to dim G + k - i.  Modulo F, U/F meets the c-dimensional (K + F)/F
+        in dimension j = i - f + rank(F B), so those U number ``kernels.meet``."""
+        ((w, (a,)),) = pushes[v]
+        (f_rows, _), (g_rows, g_pivots) = state[v], state[w]
+        rows = (tuple(kernels.residual(row, g_rows, g_pivots, p) for row in mats[a])
+                if g_rows else mats[a])
+        f, n = len(f_rows), dims[v] - len(f_rows)
+        rank_f = kernels.rank(kernels.matmul(f_rows, rows, p), dims[w], p) if f else 0
+        c = dims[v] - kernels.rank(rows, dims[w], p) + rank_f - f
+        nxt, groups = list(state), {}
+        nxt[v] = None
+        for m in range(n + 1):
+            for j in range(max(0, m - n + c), min(c, m) + 1):
+                nxt[w] = len(g_rows) + rank_f + m - j
+                groups[f + m, tuple(nxt)] = kernels.meet(n, m, c, j, p)
+        return groups
+
+    def by_subspace(state, v):
+        """``{(k, next state): count}`` over the subspaces at v, one step each."""
+        groups = {}
+        for k in range(len(state[v][0]), dims[v] + 1):
+            for sub in kernels.subspaces_containing(dims[v], k, p, *state[v]):
+                key = k, step(state, v, sub)
+                groups[key] = groups.get(key, 0) + 1
+        return groups
 
     def suffixes(i, state):
         """``{gamma restricted to order[i:]: count}`` below one state."""
@@ -161,11 +236,7 @@ def subrep_counts(rep):
             table = {(k,) + suffix: c * kernels.gauss_binom(n - f, k - f, p)
                      for k in range(f, n + 1) for suffix, c in rest.items()}
         else:
-            groups = {}
-            for k in range(len(state[v][0]), n + 1):
-                for sub in kernels.subspaces_containing(n, k, p, *state[v]):
-                    key = k, step(state, v, sub)
-                    groups[key] = groups.get(key, 0) + 1
+            groups = (by_rank if v in ranked else by_subspace)(state, v)
             for (k, nxt), mult in groups.items():
                 if nxt is not None:
                     for suffix, c in suffixes(i + 1, nxt).items():
@@ -175,8 +246,7 @@ def subrep_counts(rep):
 
     table = suffixes(0, start)
     memo.clear()  # the memo can be large; release it now
-    counts = {tuple(suffix[i] for i in positions): c for suffix, c in table.items()}
-    return MappingProxyType(dict(sorted(counts.items())))
+    return {tuple(suffix[i] for i in positions): c for suffix, c in table.items()}
 
 
 def subrep_dim_vectors(rep):
@@ -218,9 +288,17 @@ def maximizer_dims(rep, delta):
 
 
 def unique_subrep(rep, gamma):
-    """The unique subrepresentation of dimension ``gamma``, or None:
-    a count of 1 in the table, then the first enumerated point."""
+    """The unique subrepresentation of dimension ``gamma``, or None: the
+    zero and the whole one as they stand, with the rows and pivots that
+    ``enumerate_subreps`` yields; else a count of 1 in the table, then the
+    first enumerated point."""
     rep.quiver.check_dim_vector(gamma)
-    if subrep_counts(rep).get(tuple(gamma)) != 1:
+    check_cost(rep.dims)
+    gamma = tuple(gamma)
+    if not any(gamma) or gamma == rep.dims:
+        bases = tuple(tuple(tuple(int(i == j) for j in range(d)) for i in range(g))
+                      for g, d in zip(gamma, rep.dims))
+        return Subrep(bases, tuple(tuple(range(g)) for g in gamma))
+    if subrep_counts(rep).get(gamma) != 1:
         return None
     return next(enumerate_subreps(rep, gamma))

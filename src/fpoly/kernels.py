@@ -107,6 +107,16 @@ def gauss_binom(n, k, q):
     return num // den
 
 
+def meet(n, m, c, j, q):
+    """Number of m-dimensional subspaces of F_q^n that meet a fixed
+    c-dimensional subspace C in dimension j: the meet J is one of the
+    [c j]_q subspaces of C, and U/J one of the q^((c-j)(m-j)) [n-c m-j]_q
+    complements of C/J of dimension m - j in F_q^n/J."""
+    if j < 0 or j > min(c, m):
+        return 0
+    return q ** ((c - j) * (m - j)) * gauss_binom(c, j, q) * gauss_binom(n - c, m - j, q)
+
+
 def subspaces(n, k, p):
     """Iterate over all k-dim subspaces of F_p^n as ``(rows, pivots)``
     pairs, the same pair ``rref`` returns.

@@ -641,15 +641,22 @@ def test_facet_perp_that_is_not_semistable_is_exit_5(capsys, monkeypatch, k2_jso
                             "for this weight\n")
 
 
-def test_invalid_subrepresentation_is_a_broken_invariant(capsys, monkeypatch, k2_json):
+def test_invalid_subrepresentation_is_a_broken_invariant(capsys, monkeypatch, k2_json,
+                                                        tmp_path):
     # The command line takes no subspaces, so subspaces that are not a
-    # subrepresentation come from a bug (here in torsion_split).
+    # subrepresentation come from a bug (here in torsion_split).  Besides
+    # K2 (2,3), A2 (2,2) with the arrow [[1,0],[1,0]] has the facet
+    # (1,-1), h = 1, whose L_min = (1,0) and L_max = (2,1) are neither 0
+    # nor M, so the fault is met with no trivial extreme too.
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(RepRecipe(Quiver(("1", "2"), ((0, 1),)), (2, 2),
+                                         int_matrices=(((1, 0), (1, 0)),)).to_json()))
     monkeypatch.setattr(rep, "is_arrow_stable", lambda *args: False)
-    code = main(["verify", "--what", "facets", "--strict",
-                 "--quiver", k2_json, "--dims", "2,3"])
-    captured = capsys.readouterr()
-    assert code == 5 and captured.out == ""
-    assert captured.err == "error: subspaces are not stable under the arrows\n"
+    for source in (["--quiver", k2_json, "--dims", "2,3"], ["--rep", str(path)]):
+        code = main(["verify", "--what", "facets", "--strict"] + source)
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == "", source
+        assert captured.err == "error: subspaces are not stable under the arrows\n", source
 
 
 # sha256 of the standard output of verify --what facets --strict --seed 0.

@@ -1,8 +1,9 @@
 """Randomized differential checks of the Grassmannian walks and the
 torsion paths.
 
-``subrep_counts`` counts every gamma in one memoized walk, and
-``unique_subrep`` reads its table; ``enumerate_subreps`` runs the same
+``subrep_counts`` counts every gamma in one memoized walk, on M or on
+DM and with some vertices counted by rank, and ``unique_subrep`` reads
+its table; ``enumerate_subreps`` runs the same
 step depth first.  All are checked against an independent oracle, the
 brute-force count over every tuple of subspaces, and not only against
 each other.  ``torsion_split`` reads L_min and L_max off the extreme
@@ -224,21 +225,30 @@ def test_count_table_equals_brute_force():
                         expected[gamma] = count
                     sub = unique_subrep(rep, gamma)
                     assert (sub is not None) == (count == 1), (where, gamma)
-                    assert sub is None or sub.dims == gamma, (where, gamma)
+                    # The zero and the whole one, taken as they stand, are
+                    # the walk's points too.
+                    assert sub is None or sub == next(enumerate_subreps(rep, gamma)), (
+                        where, gamma)
                 assert dict(table) == expected, where
                 assert list(table) == sorted(expected), where
 
 
 def test_torsion_split_extremes_equal_fold_over_maximizers():
+    # A trivial extreme (L_min = 0 or L_max = M) is taken as it stands by
+    # unique_subrep, with no walk; every mix of trivial and not is met.
     rng = random.Random(31)
+    trivial = Counter()
     for name, quiver in QUIVERS.items():
         for rep in _random_reps(quiver, rng):
             for _ in range(3):
                 delta = tuple(rng.randrange(-2, 3) for _ in range(quiver.n))
                 split = torsion_split(rep, delta)
                 low, high = _folded_extremes(rep, delta)
-                assert split.l_min.bases == low, (name, rep.matrices, delta)
-                assert split.l_max.bases == high, (name, rep.matrices, delta)
+                where = (name, rep.matrices, delta)
+                assert split.l_min.bases == low, where
+                assert split.l_max.bases == high, where
+                trivial[not any(split.l_min.dims), split.l_max.dims == rep.dims] += 1
+    assert all(trivial[key] >= 10 for key in itertools.product((False, True), repeat=2)), trivial
 
 
 def _searched_minimal_stable_sub(w_rep, delta):

@@ -103,7 +103,7 @@ def test_vertex_plan_is_memoized_and_immutable():
         return Quiver(("1", "2", "3"), ((0, 1), (1, 0), (1, 2)))
     plan = grassmannian._frontier_plan(quiver())
     assert grassmannian._frontier_plan(quiver()) is plan
-    order, free, positions, pushes, checks, kept, settle, start = plan
+    order, free, positions, pushes, checks, kept, settle, start, ranked = plan
     assert order == positions == (0, 1, 2)
     assert free == frozenset({2})
     # Choosing 1 pushes arrow 0 into the span forced on 2, and choosing 2
@@ -115,7 +115,14 @@ def test_vertex_plan_is_memoized_and_immutable():
     assert kept == frozenset({0})
     assert settle == ((), (2,), ())       # 3 keeps a dimension once 2 is chosen
     assert start == (((), ()),) * 3
+    # 1 is kept, and 2 has two arrows out, one of them deferred: neither is
+    # counted by rank.
+    assert ranked == frozenset()
     hash(plan)  # every part is immutable
+    # On 1 => 2 -> 3, vertex 2 has one arrow out, into the free vertex 3
+    # that it settles, so it is counted by rank; 1 has two arrows out.
+    q231 = Quiver(("1", "2", "3"), ((0, 1), (0, 1), (1, 2)))
+    assert grassmannian._frontier_plan(q231)[8] == frozenset({1})
 
 
 def test_cost_cap(monkeypatch):
@@ -129,6 +136,12 @@ def test_cost_cap(monkeypatch):
     zeros = tuple(tuple((0,) * 9 for _ in range(9)) for _ in range(2))
     with pytest.raises(CostCapExceeded):
         RepRecipe(kronecker_quiver(2), (9, 9), int_matrices=zeros)
+    # The zero and the whole subrepresentation need no walk, and the cap
+    # is still checked first.
+    big = Representation(kronecker_quiver(2), 2, (9, 9), zeros)
+    for gamma in ((0, 0), (9, 9)):
+        with pytest.raises(CostCapExceeded):
+            unique_subrep(big, gamma)
 
 
 @pytest.mark.parametrize("plan", [f_polynomial, counted_primes])
@@ -190,3 +203,84 @@ def test_maximizers():
     assert maximizer_dims(m, (1, -1)) == {(0, 0)}
     assert maximizer_dims(m, (1, 0)) == {(2, 3)}
     assert (1, 2) in subrep_dim_vectors(m) and (1, 1) not in subrep_dim_vectors(m)
+
+
+def brute_force_table(rep):
+    """{gamma: count} over every tuple of subspaces that the arrows keep."""
+    per_vertex = [[pair for k in range(d + 1) for pair in kernels.subspaces(d, k, rep.p)]
+                  for d in rep.dims]
+    table = {}
+    for choice in itertools.product(*per_vertex):
+        bases, pivots = zip(*choice) if choice else ((), ())
+        if is_arrow_stable(rep, bases, pivots):
+            gamma = tuple(map(len, bases))
+            table[gamma] = table.get(gamma, 0) + 1
+    return table
+
+
+def random_quiver(rng):
+    """Up to three vertices and four arrows, loops, cycles and multiple
+    arrows included."""
+    n = rng.randrange(1, 4)
+    arrows = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(5)))
+    return Quiver(tuple(str(v + 1) for v in range(n)), arrows)
+
+
+def test_rank_rule_and_side_equal_brute_force():
+    # Each table is walked on M and on DM, with and without the rank rule,
+    # and subrep_counts must equal all four and the brute-force oracle.
+    rng = random.Random(45)
+    fired = forced = sides = 0
+    for trial in range(200):
+        quiver = random_quiver(rng)
+        p = (2, 3)[trial % 2]
+        dims = tuple(rng.randrange(4 if p == 2 else 3) for _ in range(quiver.n))
+        m = random_representation(quiver, dims, p, rng)
+        want = brute_force_table(m)
+        assert dict(subrep_counts(m)) == dict(sorted(want.items()))
+        for mats, plan, flip in ((m.matrices_t, grassmannian._frontier_plan(quiver), False),
+                                 (m.matrices, grassmannian._dual_plan(quiver), True)):
+            free, kept, checks, ranked = plan[1], plan[5], plan[4], plan[8]
+            # The rule never fires on a kept or checked vertex, nor on a loop's.
+            assert not ranked & (kept | free)
+            assert not any(checks[v] for v in ranked)
+            assert not any(s == t and s in ranked for s, t in quiver.arrows)
+            fired += bool(ranked)
+            forced += any(quiver.arrows_into(v) for v in ranked)
+            for rule in (ranked, frozenset()):
+                table = grassmannian._walk(p, dims, mats, plan[:8] + (rule,))
+                if flip:
+                    table = {tuple(a - g for a, g in zip(dims, gamma)): c
+                             for gamma, c in table.items()}
+                assert table == want, (quiver, dims, p, flip, bool(rule))
+        sides += (grassmannian._estimate(grassmannian._dual_plan(quiver), dims, p)
+                  < grassmannian._estimate(grassmannian._frontier_plan(quiver), dims, p))
+    # The sample reaches the rule, with and without a span forced at the
+    # vertex, and both sides.
+    assert fired >= 40 and forced >= 10 and 10 <= sides <= 190
+
+
+@pytest.mark.parametrize("quiver, dims, side, walked", [
+    (kronecker_quiver(3), (8, 3), "dual", 16),     # every subspace of F_2^3
+    (kronecker_quiver(2), (4, 5), "direct", 67),   # every subspace of F_2^4
+])
+def test_the_walk_takes_the_cheaper_side(monkeypatch, quiver, dims, side, walked):
+    # A source with several arrows out is walked at every dimension; its
+    # sink is free.  K3 (8,3) walks F_2^3, the source of DM, not F_2^8, and
+    # K2 (4,5) walks F_2^4, the source of M, not F_2^5.
+    plans, yielded = [], []
+    real_walk, real_subspaces = grassmannian._walk, kernels.subspaces_containing
+    monkeypatch.setattr(grassmannian, "_walk",
+                        lambda p, dims, mats, plan: plans.append(plan)
+                        or real_walk(p, dims, mats, plan))
+
+    def counting(*args):
+        for sub in real_subspaces(*args):
+            yielded.append(sub)
+            yield sub
+    monkeypatch.setattr(kernels, "subspaces_containing", counting)
+    # The uncached call walks even if another test counted an equal M.
+    subrep_counts.__wrapped__(random_representation(quiver, dims, 2, random.Random(0)))
+    expected = {"direct": grassmannian._frontier_plan(quiver),
+                "dual": grassmannian._dual_plan(quiver)}[side]
+    assert plans == [expected] and len(yielded) == walked

@@ -149,6 +149,22 @@ def test_gauss_binom_values():
             assert kernels.gauss_binom(n, k, 2) == kernels.gauss_binom(n, n - k, 2)
 
 
+def test_meet_counts_subspaces_by_their_meet_with_a_fixed_one():
+    # meet(N, m, c, j) counts the m-subspaces of F_q^N meeting a fixed
+    # c-subspace C in dimension j; by dim(U + C) = m + c - j that is a rank.
+    for q in (2, 3):
+        for n in range(5):
+            for c in range(n + 1):
+                fixed = tuple(tuple(int(i == j) for j in range(n)) for i in range(c))
+                for m in range(n + 1):
+                    meets = Counter(m + c - kernels.rank(rows + fixed, n, q)
+                                    for rows, _ in kernels.subspaces(n, m, q))
+                    for j in range(-1, n + 2):
+                        assert kernels.meet(n, m, c, j, q) == meets[j], (q, n, m, c, j)
+                    assert (sum(kernels.meet(n, m, c, j, q) for j in range(n + 1))
+                            == kernels.gauss_binom(n, m, q))
+
+
 def test_subspace_enumeration_count():
     for p in (2, 3):
         for n in range(4):
